@@ -3,11 +3,12 @@
 A closed process is a Markov chain on the sections of its internal
 variables: row = state at time t, column = state at time t+1.  Stationary
 distributions are computed exactly by restricting the chain to a recurrent
-communicating class and solving the balance equations with rational
-Gauss-Jordan elimination; the result is a vertex of the polytope
-{w (M - Id) = 0, w >= 0, sum w = 1}.  Power iteration is deliberately not
-used: the interesting chains here are periodic permutations on which it
-does not converge.
+communicating class and solving the balance equations by p-adic lifting with
+rational reconstruction (`exactlp.solve_linear_fraction_free`); the result
+is a vertex of the polytope {w (M - Id) = 0, w >= 0, sum w = 1} and is
+returned only after the exact fixed-point check `verify_stationary`.  Power
+iteration is deliberately not used: the interesting chains here are
+periodic permutations on which it does not converge.
 
 The Monte Carlo side (`simulate_chain`, `estimate_stationary`) exists as an
 independent oracle; it uses the documented generator from `rng` so runs are
@@ -186,10 +187,11 @@ def find_stationary(
     """An exact stationary distribution of a closed process.
 
     The chain restricted to a recurrent class is irreducible, so its balance
-    equations have a unique positive solution; it is found by exact
-    elimination and embedded with zeros elsewhere.  Reducible chains have
-    several recurrent classes; the one containing the smallest state index
-    is used, making the output deterministic.
+    equations have a unique positive solution; it is found by the exact
+    p-adic solver, embedded with zeros elsewhere and checked to be a fixed
+    point before it is returned.  Reducible chains have several recurrent
+    classes; the one containing the smallest state index is used, making the
+    output deterministic.
     """
     _require_closed(sigma)
     n = section_count(sigma.internals)
@@ -202,9 +204,8 @@ def find_stationary(
     rows = []
     rhs = []
     for j in range(k):
-        row = [
-            sigma.matrix[cls[i]][cls[j]] - (ONE if i == j else ZERO) for i in range(k)
-        ]
+        row = [sigma.matrix[i][cls[j]] for i in cls]
+        row[j] -= ONE
         rows.append(row)
         rhs.append(ZERO)
     rows.append([ONE] * k)

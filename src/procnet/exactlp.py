@@ -1,5 +1,12 @@
-"""Exact rational linear algebra: Gauss-Jordan solving and a phase-1 simplex
-for the feasibility of {A x = b, x >= 0}, with Farkas certificates.
+"""Exact rational linear algebra: a p-adic (Dixon) solver for linear systems
+of full column rank, and a phase-1 simplex for the feasibility of
+{A x = b, x >= 0}, with Farkas certificates.
+
+The solver works on integers only: an LU factorization modulo one word-size
+prime, p-adic lifting of the solution (Dixon, Numer. Math. 40, 1982), and
+rational reconstruction of every entry (von zur Gathen and Gerhard, Modern
+Computer Algebra, section 5.10).  A reconstructed candidate is returned only
+after it satisfies every equation exactly.
 
 The simplex minimizes the sum of one artificial variable per row (rows are
 sign-normalized so the right-hand side is nonnegative).  Bland's smallest
@@ -17,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import DomainError
@@ -26,109 +34,185 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def solve_linear(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> tuple[Fraction, ...] | None:
-    """One exact solution of a (possibly redundant) linear system, or None.
+# The three largest primes below 2**30 (2**30 - 35, - 41, - 83): a residue
+# is one 30-bit CPython digit, so the O(n^3) factorization multiplies only
+# two-digit products (about 40% faster than 62-bit primes at 128 states).
+# Literal so that no prime search runs at import or on the first call.
+_PRIMES = (1073741789, 1073741783, 1073741741)
 
-    Free variables are set to zero; inconsistent systems return None.
-    """
+
+def _integer_rows(
+    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> tuple[list[list[int]], list[int]]:
+    """Scale each equation by the lcm of its denominators."""
     m = len(rows)
     if m != len(rhs):
         raise DomainError("rhs length does not match row count")
     n = len(rows[0]) if m else 0
-    aug = [[Fraction(e) for e in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    if any(len(row) != n + 1 for row in aug):
-        raise DomainError("ragged coefficient matrix")
+    coeffs: list[list[int]] = []
+    consts: list[int] = []
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise DomainError("ragged coefficient matrix")
+        entries = [e if isinstance(e, Fraction) else Fraction(e) for e in row]
+        entries.append(Fraction(rhs[i]))
+        scale = lcm(*(e.denominator for e in entries))
+        scaled = [e.numerator * (scale // e.denominator) for e in entries]
+        consts.append(scaled.pop())
+        coeffs.append(scaled)
+    return coeffs, consts
 
-    pivot_cols: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        factor = aug[r][col]
-        aug[r] = [e / factor for e in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivot_cols.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
+
+def _lu_mod(coeffs: list[list[int]], n: int, p: int):
+    """LU with row pivoting modulo p of an m x n matrix (m >= n).
+
+    Crout order: every entry of L and U is one dot product of earlier
+    entries, reduced once, so the O(n^3) work runs inside `sum(map(mul))`.
+    Returns the indices of n pivot rows, the strict lower factor (unit
+    diagonal implied) and the strict upper factor row by row, and the
+    inverted diagonal of U; or None when the rank modulo p is below n.
+    """
+    lower = [[] for _ in coeffs]  # L entries so far, for every row
+    upper_cols: list[list[int]] = [[] for _ in range(n)]  # U entries so far
+    upper: list[list[int]] = []
+    diag_inv: list[int] = []
+    pivots: list[int] = []
+    rest = list(range(len(coeffs)))
+    for c in range(n):
+        col = upper_cols[c]
+        heads = [(coeffs[i][c] - sum(map(mul, lower[i], col))) % p for i in rest]
+        at = next((k for k, h in enumerate(heads) if h), None)
+        if at is None:
             return None
-    x = [_ZERO] * n
-    for k, col in enumerate(pivot_cols):
-        x[col] = aug[k][n]
-    return tuple(x)
+        piv = rest.pop(at)
+        inv = pow(heads.pop(at), -1, p)
+        pivots.append(piv)
+        diag_inv.append(inv)
+        row_l, row_a = lower[piv], coeffs[piv]
+        urow = [
+            (row_a[j] - sum(map(mul, row_l, upper_cols[j]))) % p
+            for j in range(c + 1, n)
+        ]
+        upper.append(urow)
+        for j, u in zip(range(c + 1, n), urow):
+            upper_cols[j].append(u)
+        for i, h in zip(rest, heads):
+            lower[i].append(h * inv % p)
+    return pivots, [lower[i] for i in pivots], upper, diag_inv
+
+
+def _lu_solve_mod(lower, upper, diag_inv, r: list[int], p: int) -> list[int]:
+    y: list[int] = []
+    for row, ri in zip(lower, r):
+        y.append((ri - sum(map(mul, row, y))) % p)
+    n = len(y)
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        x[i] = (y[i] - sum(map(mul, upper[i], x[i + 1 :]))) * diag_inv[i] % p
+    return x
+
+
+def _reconstruct(residues: list[int], modulus: int, bound: int):
+    """Common denominator d and numerators of the rationals congruent to
+    `residues` modulo `modulus`, with numerators and d at most `bound`.
+
+    Each entry is first tried against the denominator found so far (one
+    multiplication); only when that fails is it reconstructed by the
+    half-extended Euclidean algorithm.  None when no such rationals exist.
+    """
+    half = modulus // 2
+    d = 1
+    nums: list[int] = []
+    for u in residues:
+        y = d * u % modulus
+        centred = y - modulus if y > half else y
+        if abs(centred) <= bound:
+            nums.append(centred)
+            continue
+        r0, r1, t0, t1 = modulus, y, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1 = r1, r0 - q * r1
+            t0, t1 = t1, t0 - q * t1
+        if t1 < 0:
+            r1, t1 = -r1, -t1
+        if t1 == 0 or d * t1 > bound or gcd(r1, t1) != 1:
+            return None
+        nums = [v * t1 for v in nums]
+        nums.append(r1)
+        d *= t1
+    return d, nums
+
+
+def _satisfies(coeffs, consts, which, d: int, nums: list[int]) -> bool:
+    return all(sum(map(mul, coeffs[i], nums)) == consts[i] * d for i in which)
 
 
 def solve_linear_fraction_free(
     rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> tuple[Fraction, ...] | None:
-    """Same contract as `solve_linear`, via Bareiss elimination.
+    """The solution of a (possibly redundant) linear system with full column
+    rank, or None when the system is inconsistent.
 
-    Rows are scaled to integers, the forward sweep uses the fraction-free
-    one-step recurrence (every intermediate value is a minor of the scaled
-    system, so the divisions are exact and no gcd is ever taken), and the
-    triangular system is back-substituted in rationals.  Much faster than
-    Gauss-Jordan on Fractions for the dense systems the stationary solver
-    produces.
+    Dixon's p-adic lifting: each row is scaled to integers, an LU factorization
+    modulo a word-size prime picks n independent rows (the next prime is
+    tried when the rank modulo the first one is below n), and the solution of
+    those rows is lifted one p-adic digit at a time, each lift an O(n^2)
+    triangular solve plus an exact division of the residual by p.  After each
+    lift every entry is rationally reconstructed; a candidate is accepted only
+    when two consecutive reconstructions agree and it satisfies every row of
+    the integer system exactly.  A candidate that satisfies the pivot rows is
+    their unique solution, so if it fails any other row the system is
+    inconsistent.  The Hadamard bound of the pivot rows caps the number of
+    lifts: past it the reconstruction is unique.  All arithmetic is on
+    integers; only the returned entries are Fractions.
+
+    Raises DomainError when the rank is below n modulo every prime tried.
     """
-    m = len(rows)
-    if m != len(rhs):
-        raise DomainError("rhs length does not match row count")
-    n = len(rows[0]) if m else 0
-    aug: list[list[int]] = []
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise DomainError("ragged coefficient matrix")
-        entries = [Fraction(e) for e in row] + [Fraction(rhs[i])]
-        scale = 1
-        for e in entries:
-            scale = scale * e.denominator // gcd(scale, e.denominator)
-        aug.append([int(e * scale) for e in entries])
-
-    pivots: list[tuple[int, int]] = []
-    prev = 1
-    r = 0
-    for col in range(n):
-        pivot_row = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        piv = aug[r][col]
-        for i in range(r + 1, m):
-            head = aug[i][col]
-            row_i = aug[i]
-            row_r = aug[r]
-            if head:
-                for j in range(col + 1, n + 1):
-                    row_i[j] = (row_i[j] * piv - head * row_r[j]) // prev
-                row_i[col] = 0
-            elif prev != 1 or piv != 1:
-                for j in range(col + 1, n + 1):
-                    row_i[j] = row_i[j] * piv // prev
-        pivots.append((r, col))
-        prev = piv
-        r += 1
-        if r == m:
+    coeffs, consts = _integer_rows(rows, rhs)
+    m = len(coeffs)
+    n = len(coeffs[0]) if m else 0
+    if n == 0:
+        return None if any(consts) else ()
+    for p in _PRIMES:
+        lu = _lu_mod(coeffs, n, p)
+        if lu is not None:
             break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    x = [_ZERO] * n
-    for row, col in reversed(pivots):
-        acc = Fraction(aug[row][n])
-        for j in range(col + 1, n):
-            if aug[row][j] and x[j]:
-                acc -= aug[row][j] * x[j]
-        x[col] = acc / aug[row][col]
-    return tuple(x)
+    else:
+        raise DomainError(
+            f"coefficient matrix has rank below {n} modulo every prime tried"
+        )
+    pivots, lower, upper, diag_inv = lu
+    a_piv = [coeffs[i] for i in pivots]
+    r = [consts[i] for i in pivots]
+    chosen = set(pivots)
+    others = [i for i in range(m) if i not in chosen]
+
+    # Cramer with Hadamard's inequality: every numerator and the common
+    # denominator of the solution are at most sqrt(prod |row_i, b_i|^2)
+    hadamard_sq = 1
+    for i in pivots:
+        hadamard_sq *= sum(e * e for e in coeffs[i]) + consts[i] * consts[i]
+
+    acc = [0] * n
+    modulus = 1
+    previous = None
+    while True:
+        digit = _lu_solve_mod(lower, upper, diag_inv, r, p)
+        r = [(ri - sum(map(mul, row, digit))) // p for ri, row in zip(r, a_piv)]
+        acc = [s + modulus * v for s, v in zip(acc, digit)]
+        modulus *= p
+        unique = modulus > 2 * hadamard_sq
+        candidate = _reconstruct(acc, modulus, isqrt((modulus - 1) // 2))
+        if candidate is not None and (unique or candidate == previous):
+            d, nums = candidate
+            if _satisfies(coeffs, consts, pivots, d, nums):
+                if not _satisfies(coeffs, consts, others, d, nums):
+                    return None
+                return tuple(Fraction(v, d) for v in nums)
+        if unique:
+            raise AssertionError("reconstruction past the Hadamard bound failed")
+        previous = candidate
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from .process import (
     global_variable_order,
     validate_process,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import echo, format_rational, parse_rational
 from .scenario import Distribution, Variable, section_count
 
 FORMAT_VERSION = 1
@@ -83,13 +83,14 @@ def _expect(condition: bool, message: str) -> None:
 def _structure(text: str):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also integers past the int-string digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
     _expect(isinstance(doc, dict), "top level must be an object")
     _expect("format_version" in doc, "missing format_version")
     _expect(
         doc["format_version"] == FORMAT_VERSION,
-        f"unsupported format_version {doc['format_version']!r} (expected {FORMAT_VERSION})",
+        f"unsupported format_version {echo(doc['format_version'])} "
+        f"(expected {FORMAT_VERSION})",
     )
     _expect(isinstance(doc.get("variables"), list), "variables must be a list")
     _expect(isinstance(doc.get("nodes"), list), "nodes must be a list")
@@ -98,7 +99,7 @@ def _structure(text: str):
         _expect(isinstance(entry.get("name"), str), "variable name must be a string")
         _expect(
             isinstance(entry.get("alphabet"), list) and entry["alphabet"],
-            f"variable {entry.get('name')!r}: alphabet must be a nonempty list",
+            f"variable {echo(entry.get('name'))}: alphabet must be a nonempty list",
         )
     for entry in doc["nodes"]:
         _expect(isinstance(entry, dict), "each node must be an object")
@@ -106,21 +107,21 @@ def _structure(text: str):
         for role in ("inputs", "internals", "outputs"):
             _expect(
                 isinstance(entry.get(role, []), list),
-                f"node {entry.get('name')!r}: {role} must be a list of names",
+                f"node {echo(entry.get('name'))}: {role} must be a list of names",
             )
         _expect(
             isinstance(entry.get("matrix"), list) and entry["matrix"],
-            f"node {entry.get('name')!r}: matrix must be a nonempty list of rows",
+            f"node {echo(entry.get('name'))}: matrix must be a nonempty list of rows",
         )
         for row in entry["matrix"]:
             _expect(
                 isinstance(row, list),
-                f"node {entry.get('name')!r}: each matrix row must be a list",
+                f"node {echo(entry.get('name'))}: each matrix row must be a list",
             )
     stationary = doc.get("stationary", {})
     _expect(isinstance(stationary, dict), "stationary must be an object of named vectors")
     for label, vector in stationary.items():
-        _expect(isinstance(vector, list), f"stationary {label!r} must be a list")
+        _expect(isinstance(vector, list), f"stationary {echo(label)} must be a list")
     return doc
 
 

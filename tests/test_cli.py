@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,19 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", str(bundled_network_path(name)))
         assert code == 0
         assert "OK" in out
+
+    def test_huge_exponent_entry_exits_quickly_naming_the_limit(self, capsys, tmp_path):
+        # like any unreadable matrix entry, it is reported as a semantic issue
+        doc = triangle_doc()
+        doc["nodes"][0]["matrix"][0][0] = "1e999999999"
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "validate", write(tmp_path, doc))
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "MAX_RATIONAL_EXPONENT" in out
+        code, _, err = run(capsys, "analyze", write(tmp_path, doc))
+        assert code == 3
+        assert "MAX_RATIONAL_EXPONENT" in err
 
     def test_bad_row_sum_exits_3_and_names_the_row(self, capsys, tmp_path):
         doc = triangle_doc()

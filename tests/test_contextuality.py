@@ -22,7 +22,7 @@ from procnet import (
     vorobev_regular,
 )
 from procnet.errors import DomainError, ResourceLimitError
-from procnet.exactlp import solve_linear
+from oracle import solve_linear
 from procnet.generators import (
     family_by_elimination,
     family_by_global_marginals,

@@ -17,6 +17,8 @@ from procnet import (
     step,
     verify_stationary,
 )
+from oracle import solve_linear
+from procnet.dynamics import _recurrent_class
 from procnet.errors import DomainError, ResourceLimitError
 from procnet.generators import random_closed_network, random_stochastic_rows
 
@@ -148,6 +150,28 @@ class TestFindStationary:
             sigma = contract_network(net)
             result = find_stationary(sigma)
             assert step(sigma, result.distribution).weights == result.distribution.weights
+
+    def test_agrees_with_oracle_on_criterion_4_population(self):
+        # the population of acceptance criterion 4 (same seed and draws),
+        # restricted to at most 32 states so the Gauss-Jordan oracle is quick
+        rng = Random(20_240_101)
+        checked = 0
+        for k in range(200):
+            sigma = contract_network(random_closed_network(rng, allow_zeros=(k % 3 == 0)))
+            n = len(sigma.matrix)
+            if n > 32:
+                continue
+            cls = _recurrent_class(sigma)
+            rows = [
+                [sigma.matrix[i][j] - (i == j) for i in cls] for j in cls
+            ] + [[F(1)] * len(cls)]
+            rhs = [F(0)] * len(cls) + [F(1)]
+            expected = [F(0)] * n
+            for state, w in zip(cls, solve_linear(rows, rhs)):
+                expected[state] = w
+            assert find_stationary(sigma).distribution.weights == tuple(expected)
+            checked += 1
+        assert checked >= 100
 
     def test_convex_combinations_stay_stationary(self, triangle_sigma, sixcycle_omega):
         uniform = Distribution.uniform(triangle_sigma.internals)

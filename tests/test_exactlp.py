@@ -2,11 +2,20 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracle import solve_linear
+from procnet import exactlp
 from procnet.errors import DomainError
-from procnet.exactlp import farkas_contradiction, feasible_point, solve_linear
+from procnet.exactlp import (
+    farkas_contradiction,
+    feasible_point,
+    solve_linear_fraction_free,
+)
 
 F = Fraction
+SOLVERS = (solve_linear, solve_linear_fraction_free)
 
 
 def frac_rows(rows):
@@ -15,20 +24,158 @@ def frac_rows(rows):
 
 class TestSolveLinear:
     def test_unique_solution(self):
-        x = solve_linear(frac_rows([[2, 1], [1, -1]]), [F(5), F(1)])
-        assert x == (F(2), F(1))
+        for solve in SOLVERS:
+            x = solve(frac_rows([[2, 1], [1, -1]]), [F(5), F(1)])
+            assert x == (F(2), F(1))
 
     def test_redundant_rows_ok(self):
         x = solve_linear(frac_rows([[1, 1], [2, 2]]), [F(3), F(6)])
         assert x is not None
         assert x[0] + x[1] == 3
+        for solve in SOLVERS:
+            x = solve(frac_rows([[1, 1], [1, -1], [2, 2]]), [F(3), F(1), F(6)])
+            assert x == (F(2), F(1))
 
     def test_inconsistent_returns_none(self):
         assert solve_linear(frac_rows([[1, 1], [1, 1]]), [F(1), F(2)]) is None
+        for solve in SOLVERS:
+            rows = frac_rows([[1, 0], [0, 1], [1, 1]])
+            assert solve(rows, [F(1), F(1), F(3)]) is None
 
     def test_free_variables_default_to_zero(self):
         x = solve_linear(frac_rows([[1, 0, 1]]), [F(4)])
         assert x == (F(4), F(0), F(0))
+
+
+def _rank(rows):
+    work = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for i in range(rank + 1, len(work)):
+            f = work[i][col] / work[rank][col]
+            work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+_rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 7))
+
+
+@st.composite
+def nonsingular_with_extra_row(draw):
+    """A nonsingular n x n system plus one row that is a rational
+    combination of its rows, inserted at a drawn position."""
+    n = draw(st.integers(1, 10))
+    rows = [draw(st.lists(_rationals, min_size=n, max_size=n)) for _ in range(n)]
+    if _rank(rows) < n:
+        # shift the diagonal until the matrix is nonsingular
+        for i in range(n):
+            rows[i][i] += 7 * n
+    rhs = draw(st.lists(_rationals, min_size=n, max_size=n))
+    weights = draw(st.lists(_rationals, min_size=n, max_size=n))
+    extra = [sum(w * row[j] for w, row in zip(weights, rows)) for j in range(n)]
+    extra_rhs = sum(w * b for w, b in zip(weights, rhs))
+    at = draw(st.integers(0, n))
+    rows.insert(at, extra)
+    rhs.insert(at, extra_rhs)
+    return rows, rhs, at
+
+
+class TestDixonSolve:
+    """The production solver against the Gauss-Jordan oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(nonsingular_with_extra_row())
+    def test_agrees_with_oracle_on_redundant_nonsingular_systems(self, system):
+        rows, rhs, _ = system
+        assert _rank(rows) == len(rows[0])
+        x = solve_linear_fraction_free(rows, rhs)
+        assert x is not None
+        assert x == solve_linear(rows, rhs)
+
+    @settings(max_examples=30, deadline=None)
+    @given(nonsingular_with_extra_row())
+    def test_inconsistent_extra_row_returns_none(self, system):
+        rows, rhs, at = system
+        rhs[at] += 1
+        assert solve_linear(rows, rhs) is None
+        assert solve_linear_fraction_free(rows, rhs) is None
+
+    def test_singular_modulo_the_first_prime_takes_the_next_one(self, monkeypatch):
+        p = exactlp._PRIMES[0]
+        systems = [
+            (frac_rows([[p, 0], [0, 1]]), [F(p), F(3)], (F(1), F(3))),
+            # determinant exactly p: singular modulo p, not over Q
+            (frac_rows([[p + 1, 1], [1, 1]]), [F(p + 2), F(2)], (F(1), F(1))),
+        ]
+        for rows, rhs, expected in systems:
+            assert solve_linear_fraction_free(rows, rhs) == expected
+        monkeypatch.setattr(exactlp, "_PRIMES", (p,))
+        for rows, rhs, _ in systems:
+            with pytest.raises(DomainError):
+                solve_linear_fraction_free(rows, rhs)
+
+    def test_agreeing_candidate_that_fails_a_row_keeps_lifting(self):
+        # modulo p and p**2 the residues of 1 + p**2 both reconstruct to 1,
+        # so only the exact check stops the solver from returning 1
+        p = exactlp._PRIMES[0]
+        rows = frac_rows([[1, 0], [0, 1]])
+        assert solve_linear_fraction_free(rows, [F(1 + p * p), F(3)]) == (
+            F(1 + p * p),
+            F(3),
+        )
+
+    def test_rank_deficient_input_raises(self):
+        with pytest.raises(DomainError):
+            solve_linear_fraction_free(frac_rows([[1, 1], [2, 2]]), [F(3), F(6)])
+        with pytest.raises(DomainError):
+            solve_linear_fraction_free(frac_rows([[1, 0, 1]]), [F(4)])
+
+    def test_empty_and_zero_width_systems(self):
+        assert solve_linear_fraction_free([], []) == ()
+        assert solve_linear_fraction_free([[], []], [F(0), F(0)]) == ()
+        assert solve_linear_fraction_free([[], []], [F(0), F(1)]) is None
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(DomainError):
+            solve_linear_fraction_free(frac_rows([[1, 1]]), [F(1), F(2)])
+        with pytest.raises(DomainError):
+            solve_linear_fraction_free(frac_rows([[1, 1], [1]]), [F(1), F(2)])
+
+    def test_every_prime_passes_deterministic_miller_rabin(self):
+        # these bases decide primality for every n < 3.3 * 10**24
+        bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+        def is_prime(n):
+            if n < 2:
+                return False
+            for q in bases:
+                if n % q == 0:
+                    return n == q
+            d, s = n - 1, 0
+            while d % 2 == 0:
+                d //= 2
+                s += 1
+            for a in bases:
+                x = pow(a, d, n)
+                if x in (1, n - 1):
+                    continue
+                for _ in range(s - 1):
+                    x = x * x % n
+                    if x == n - 1:
+                        break
+                else:
+                    return False
+            return True
+
+        assert not is_prime(2**61 + 1) and is_prime(2**61 - 1)
+        assert len(set(exactlp._PRIMES)) == len(exactlp._PRIMES) >= 2
+        for p in exactlp._PRIMES:
+            assert p < 2**30 and is_prime(p)
 
 
 class TestFeasiblePoint:

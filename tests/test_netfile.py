@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,19 @@ class TestParseErrors:
         doc["nodes"][0]["matrix"] = ["10", "01"]
         assert check_network_text(json.dumps(doc)).stage == "parse"
 
+    def test_integer_past_the_digit_limit_is_a_parse_error(self):
+        text = json.dumps(minimal_doc()).replace('"1/2"', "1" + "0" * 5000, 1)
+        check = check_network_text(text)
+        assert check.stage == "parse"
+        assert check.issues[0].startswith("invalid JSON")
+
+    def test_long_values_are_cut_in_messages(self):
+        doc = minimal_doc()
+        doc["format_version"] = "9" * 5000
+        check = check_network_text(json.dumps(doc))
+        assert check.stage == "parse"
+        assert len(check.issues[0]) < 200 and "..." in check.issues[0]
+
 
 class TestSemanticIssues:
     def test_row_sum_violation_identifies_the_row(self):
@@ -134,6 +148,15 @@ class TestSemanticIssues:
         check = check_network_text(json.dumps(doc))
         assert check.stage == "semantic"
         assert any("closed" in issue for issue in check.issues)
+
+    def test_huge_exponent_entry_is_refused_quickly(self):
+        doc = minimal_doc()
+        doc["nodes"][0]["matrix"][0][0] = "1e999999999"
+        start = time.perf_counter()
+        check = check_network_text(json.dumps(doc))
+        assert time.perf_counter() - start < 0.5
+        assert not check.ok
+        assert any("MAX_RATIONAL_EXPONENT" in issue for issue in check.issues)
 
     def test_strict_parse_raises_domain_error(self):
         doc = minimal_doc()
