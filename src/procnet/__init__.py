@@ -5,7 +5,8 @@ names, contract a closed network into its global Markov process, compute or
 verify stationary distributions in exact rational arithmetic, extract the
 per-node input/output distributions they induce, and decide whether the
 resulting empirical model is (strongly) contextual, with checkable
-witnesses and infeasibility certificates.
+witnesses and infeasibility certificates.  `analyze` runs that whole chain
+on a network file.
 """
 from .scenario import (
     CompatibilityReport,
@@ -75,6 +76,7 @@ from .contextuality import (
     verify_infeasibility_certificate,
     vorobev_regular,
 )
+from .analysis import Analysis, analyze
 from .netfile import (
     FORMAT_VERSION,
     FileCheck,
@@ -157,6 +159,8 @@ __all__ = [
     "is_strongly_contextual",
     "verify_infeasibility_certificate",
     "vorobev_regular",
+    "Analysis",
+    "analyze",
     "FORMAT_VERSION",
     "FileCheck",
     "NetworkFile",

@@ -1,0 +1,125 @@
+"""The whole chain from a network file to its contextuality verdict, once.
+
+network -> global process -> stationary distribution -> one input/output
+distribution per node -> empirical model -> contextuality verdict.  `analyze`
+runs each stage exactly once and keeps every result in one frozen
+`Analysis`, which both report forms of `procnet analyze` render.
+`stationary_regime` is the front half it shares with `procnet simulate`.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .contextuality import (
+    ChshReport,
+    ContextualityVerdict,
+    chsh_value,
+    decide_contextuality,
+    detect_chsh_labeling,
+    vorobev_regular,
+)
+from .dynamics import (
+    DEFAULT_MAX_STATES,
+    StationaryResult,
+    _require_state_cap,
+    find_stationary,
+    require_stationary,
+)
+from .empirical import (
+    MarginalCheck,
+    NodeDistribution,
+    _assemble_model,
+    _marginal_check,
+    _node_delta,
+    _require_closed_reciprocity_free,
+)
+from .errors import DomainError, StationarityError
+from .netfile import NetworkFile
+from .process import (
+    DEFAULT_MAX_VARIABLES,
+    Network,
+    ProcessTensor,
+    contract_network,
+    global_variable_order,
+)
+from .scenario import ZERO, CompatibilityReport, EmpiricalModel, section_count
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """Every stage's result for one network and one stationary distribution."""
+
+    network: Network
+    process: ProcessTensor
+    stationary: StationaryResult
+    node_distributions: tuple[NodeDistribution, ...]
+    marginal_checks: tuple[MarginalCheck, ...]
+    model: EmpiricalModel
+    compatibility: CompatibilityReport
+    verdict: ContextualityVerdict
+    vorobev_regular: bool
+    chsh: ChshReport | None
+
+
+def stationary_regime(
+    nf: NetworkFile,
+    omega: str = "solve",
+    max_variables: int | None = DEFAULT_MAX_VARIABLES,
+    max_states: int | None = DEFAULT_MAX_STATES,
+) -> tuple[ProcessTensor, StationaryResult]:
+    """The global process of a file's network and a stationary distribution.
+
+    The network must be closed and reciprocity-free (StructureError).  A
+    state space over max_states is refused before contraction starts
+    (ResourceLimitError; None skips that check).  omega "solve" computes the
+    distribution with `find_stationary`; any other value names a vector of
+    the file, which must be an exact fixed point (StationarityError).
+    """
+    net = nf.network
+    _require_closed_reciprocity_free(net)
+    if max_states is not None:
+        _require_state_cap(section_count(global_variable_order(net)[1]), max_states)
+    sigma = contract_network(net, max_variables=max_variables)
+    if omega == "solve":
+        return sigma, find_stationary(sigma)
+    try:
+        dist = nf.stationary_named(omega)
+    except DomainError as exc:
+        raise StationarityError(str(exc)) from exc
+    return sigma, StationaryResult(
+        require_stationary(sigma, dist), "user_supplied", ZERO
+    )
+
+
+def analyze(
+    nf: NetworkFile,
+    omega: str = "solve",
+    max_variables: int | None = DEFAULT_MAX_VARIABLES,
+) -> Analysis:
+    """Run the whole chain on a network file (omega as in `stationary_regime`).
+
+    The state cap applies whatever omega is: the contextuality decision
+    refuses as many global sections as the stationary solve refuses states.
+    """
+    net = nf.network
+    sigma, stationary = stationary_regime(nf, omega, max_variables)
+    omega_dist = stationary.distribution
+    deltas = tuple(_node_delta(node, omega_dist) for node in net.nodes)
+    checks = tuple(
+        _marginal_check(node, delta, omega_dist)
+        for node, delta in zip(net.nodes, deltas)
+    )
+    model, compatibility = _assemble_model(sigma, deltas)
+    labeling = detect_chsh_labeling(model.scenario)
+    return Analysis(
+        network=net,
+        process=sigma,
+        stationary=stationary,
+        node_distributions=deltas,
+        marginal_checks=checks,
+        model=model,
+        compatibility=compatibility,
+        verdict=decide_contextuality(model),
+        vorobev_regular=vorobev_regular(model.scenario),
+        chsh=chsh_value(model, labeling) if labeling else None,
+    )

@@ -31,9 +31,9 @@ from .scenario import (
     Distribution,
     EmpiricalModel,
     MeasurementScenario,
+    _index_table,
     iter_outcome_tuples,
     marginalize,
-    outcome_index,
     section_count,
 )
 
@@ -78,41 +78,44 @@ def global_section_system(
     """
     variables = em.scenario.variables
     n = section_count(variables)
-    var_pos = {v.name: k for k, v in enumerate(variables)}
-    globals_ = list(iter_outcome_tuples(variables))
-
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     labels: list[ConstraintRow] = []
     for ctx, dist in zip(em.scenario.maximal_contexts, em.context_distributions):
-        positions = [var_pos[name] for name in ctx]
-        ctx_vars = dist.variables
-        for k, outcomes in enumerate(iter_outcome_tuples(ctx_vars)):
-            row = [ZERO] * n
-            for g, joint in enumerate(globals_):
-                if all(joint[p] == o for p, o in zip(positions, outcomes)):
-                    row[g] = ONE
-            rows.append(row)
-            rhs.append(dist.weights[k])
-            labels.append(ConstraintRow(ctx, outcomes))
+        ctx_rows = [[ZERO] * n for _ in dist.weights]
+        for g, k in enumerate(_index_table(dist.variables, variables)):
+            ctx_rows[k][g] = ONE
+        rows.extend(ctx_rows)
+        rhs.extend(dist.weights)
+        labels.extend(
+            ConstraintRow(ctx, outcomes)
+            for outcomes in iter_outcome_tuples(dist.variables)
+        )
     rows.append([ONE] * n)
     rhs.append(ONE)
     labels.append(ConstraintRow(None, None))
     return rows, rhs, labels
 
 
-def decide_contextuality(
-    em: EmpiricalModel, max_sections: int = DEFAULT_MAX_SECTIONS
-) -> ContextualityVerdict:
-    """Exact verdict with a checkable witness or Farkas certificate."""
+def _require_section_cap(em: EmpiricalModel, max_sections: int) -> None:
     n = section_count(em.scenario.variables)
     if n > max_sections:
         raise ResourceLimitError(
             f"{n} global sections exceed the cap of {max_sections}"
         )
+
+
+def decide_contextuality(
+    em: EmpiricalModel, max_sections: int = DEFAULT_MAX_SECTIONS
+) -> ContextualityVerdict:
+    """Exact verdict with a checkable witness or Farkas certificate.
+
+    Strong contextuality is enumerated only for infeasible models; a
+    witness rules it out.
+    """
+    _require_section_cap(em, max_sections)
     rows, rhs, labels = global_section_system(em)
     result = feasible_point(rows, rhs)
-    strong = is_strongly_contextual(em, max_sections)
     if result.feasible:
         witness = Distribution(em.scenario.variables, result.solution)
         for ctx, dist in zip(em.scenario.maximal_contexts, em.context_distributions):
@@ -130,7 +133,7 @@ def decide_contextuality(
         raise AssertionError("infeasibility certificate failed its mechanical check")
     return ContextualityVerdict(
         contextual=True,
-        strongly_contextual=strong,
+        strongly_contextual=is_strongly_contextual(em, max_sections),
         witness=None,
         certificate=result.certificate,
         certificate_rows=tuple(labels),
@@ -154,27 +157,16 @@ def is_strongly_contextual(
     Enumerates every global section and asks whether each maximal context
     gives its restriction positive weight.
     """
+    _require_section_cap(em, max_sections)
     variables = em.scenario.variables
-    n = section_count(variables)
-    if n > max_sections:
-        raise ResourceLimitError(
-            f"{n} global sections exceed the cap of {max_sections}"
-        )
-    var_pos = {v.name: k for k, v in enumerate(variables)}
-    contexts = []
-    for ctx, dist in zip(em.scenario.maximal_contexts, em.context_distributions):
-        positions = [var_pos[name] for name in ctx]
-        contexts.append((positions, dist))
-    for joint in iter_outcome_tuples(variables):
-        consistent = True
-        for positions, dist in contexts:
-            outcomes = tuple(joint[p] for p in positions)
-            if dist.weights[outcome_index(dist.variables, outcomes)] == 0:
-                consistent = False
-                break
-        if consistent:
-            return False
-    return True
+    restrictions = [
+        (_index_table(dist.variables, variables), dist.weights)
+        for dist in em.context_distributions
+    ]
+    return not any(
+        all(weights[table[g]] for table, weights in restrictions)
+        for g in range(section_count(variables))
+    )
 
 
 @dataclass(frozen=True)

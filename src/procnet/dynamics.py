@@ -181,6 +181,14 @@ def _recurrent_class(sigma: ProcessTensor) -> list[int]:
     return min(closed, key=lambda comp: comp[0])
 
 
+def _require_state_cap(n: int, max_states: int) -> None:
+    """Raise ResourceLimitError when n states exceed the stationary-solve cap."""
+    if n > max_states:
+        raise ResourceLimitError(
+            f"state space of size {n} exceeds the cap of {max_states}"
+        )
+
+
 def find_stationary(
     sigma: ProcessTensor, max_states: int = DEFAULT_MAX_STATES
 ) -> StationaryResult:
@@ -195,10 +203,7 @@ def find_stationary(
     """
     _require_closed(sigma)
     n = section_count(sigma.internals)
-    if n > max_states:
-        raise ResourceLimitError(
-            f"state space of size {n} exceeds the cap of {max_states}"
-        )
+    _require_state_cap(n, max_states)
     cls = _recurrent_class(sigma)
     k = len(cls)
     rows = []

@@ -29,8 +29,10 @@ from .process import (
     contract_network,
     find_reciprocities,
 )
-from .dynamics import require_stationary
+from .dynamics import _aligned, require_stationary
 from .scenario import (
+    ZERO,
+    CompatibilityReport,
     Distribution,
     EmpiricalModel,
     MeasurementScenario,
@@ -38,9 +40,8 @@ from .scenario import (
     marginalize,
     outcome_index,
     section_count,
+    validate_empirical_model,
 )
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -69,13 +70,8 @@ class MarginalCheck:
         return not self.input_mismatches and not self.output_mismatches
 
 
-def _checked_setup(
-    net: Network,
-    stationary: Distribution,
-    sigma: ProcessTensor | None,
-    verify: bool,
-    max_variables: int | None,
-) -> tuple[ProcessTensor, Distribution]:
+def _require_closed_reciprocity_free(net: Network) -> None:
+    """The structure check every analysis starts with (StructureError)."""
     shape = classify_network(net)
     if not shape.closed:
         raise StructureError(
@@ -85,42 +81,96 @@ def _checked_setup(
     reciprocities = find_reciprocities(net)
     if reciprocities:
         raise StructureError(f"network has reciprocities: {list(reciprocities)}")
-    for node in net.nodes:
-        if node.internals:
-            raise StructureError(
-                f"node {node.name!r} carries internal variables; "
-                f"model extraction requires none"
-            )
+
+
+def _checked_setup(
+    net: Network,
+    stationary: Distribution,
+    sigma: ProcessTensor | None,
+    verify: bool,
+    max_variables: int | None,
+) -> tuple[ProcessTensor, Distribution]:
+    # a node with internals is a self-reciprocity, so none survives this
+    _require_closed_reciprocity_free(net)
     if sigma is None:
         sigma = contract_network(net, max_variables=max_variables)
     if verify:
-        stationary = require_stationary(sigma, stationary)
-    else:
-        names = tuple(v.name for v in sigma.internals)
-        if set(stationary.variable_names) != set(names):
-            raise DomainError("stationary distribution covers the wrong variables")
-        if stationary.variable_names != names:
-            stationary = stationary.reorder(names)
-    return sigma, stationary
+        return sigma, require_stationary(sigma, stationary)
+    return sigma, _aligned(sigma, stationary)
 
 
 def _node_delta(node: ProcessTensor, stationary: Distribution) -> NodeDistribution:
+    # without internals, matrix rows are input sections and columns output
+    # sections, so (row, col) is the section row * n_cols + col of the context
     input_names = tuple(v.name for v in node.inputs)
     output_names = tuple(v.name for v in node.outputs)
     input_marginal = marginalize(stationary, input_names)
-    n_in = len(node.inputs)
-    out_vars = node.outputs
-
-    def weight(outcomes: tuple[str, ...]) -> Fraction:
-        row = outcome_index(node.inputs, outcomes[:n_in])
-        col = outcome_index(out_vars, outcomes[n_in:])
-        base = input_marginal.weights[row]
-        if not base:
-            return ZERO
-        return node.matrix[row][col] * base
-
-    dist = Distribution.from_function(node.inputs + node.outputs, weight)
+    weights = tuple(
+        e * base if base else ZERO
+        for base, row in zip(input_marginal.weights, node.matrix)
+        for e in row
+    )
+    dist = Distribution(node.inputs + node.outputs, weights)
     return NodeDistribution(node.name, input_names + output_names, dist)
+
+
+def _marginal_check(
+    node: ProcessTensor, delta: NodeDistribution, stationary: Distribution
+) -> MarginalCheck:
+    def compare(names: tuple[str, ...]):
+        mismatches = []
+        lhs = marginalize(delta.distribution, names)
+        rhs = marginalize(stationary, names)
+        for k, outcomes in enumerate(iter_outcome_tuples(lhs.variables)):
+            if lhs.weights[k] != rhs.weights[k]:
+                mismatches.append((outcomes, lhs.weights[k], rhs.weights[k]))
+        return tuple(mismatches)
+
+    return MarginalCheck(
+        node=node.name,
+        input_mismatches=compare(tuple(v.name for v in node.inputs)),
+        output_mismatches=compare(tuple(v.name for v in node.outputs)),
+    )
+
+
+def _assemble_model(
+    sigma: ProcessTensor, deltas: Sequence[NodeDistribution]
+) -> tuple[EmpiricalModel, CompatibilityReport]:
+    """The model of the node distributions and its (passing) overlap check."""
+    if not deltas:
+        raise StructureError("cannot build a model from an empty network")
+    keep: list[NodeDistribution] = []
+    for i, cand in enumerate(deltas):
+        cand_set = frozenset(cand.context)
+        absorbed = False
+        for j, other in enumerate(deltas):
+            if i == j:
+                continue
+            other_set = frozenset(other.context)
+            if cand_set < other_set or (cand_set == other_set and j < i):
+                projected = marginalize(other.distribution, cand.context)
+                if projected.weights != cand.distribution.weights:
+                    raise AssertionError(
+                        f"node {cand.node!r} disagrees with the containing context "
+                        f"of {other.node!r}"
+                    )
+                absorbed = True
+                break
+        if not absorbed:
+            keep.append(cand)
+
+    scenario = MeasurementScenario(
+        variables=sigma.internals,
+        maximal_contexts=tuple(nd.context for nd in keep),
+    )
+    model = EmpiricalModel(scenario, tuple(nd.distribution for nd in keep))
+    report = validate_empirical_model(model, ZERO)
+    if not report.ok:
+        raise AssertionError(
+            f"overlap compatibility failed for a verified stationary input: "
+            f"{report.violations[0]}"
+        )
+    return model, report
 
 
 def node_distribution(
@@ -160,24 +210,7 @@ def verify_marginal_theorem(
     """
     node = net.node(node_name)
     _, stationary = _checked_setup(net, stationary, sigma, verify, max_variables)
-    delta = _node_delta(node, stationary).distribution
-
-    def compare(names: tuple[str, ...]):
-        mismatches = []
-        if not names:
-            return tuple(mismatches)
-        lhs = marginalize(delta, names)
-        rhs = marginalize(stationary, names)
-        for k, outcomes in enumerate(iter_outcome_tuples(lhs.variables)):
-            if lhs.weights[k] != rhs.weights[k]:
-                mismatches.append((outcomes, lhs.weights[k], rhs.weights[k]))
-        return tuple(mismatches)
-
-    return MarginalCheck(
-        node=node.name,
-        input_mismatches=compare(tuple(v.name for v in node.inputs)),
-        output_mismatches=compare(tuple(v.name for v in node.outputs)),
-    )
+    return _marginal_check(node, _node_delta(node, stationary), stationary)
 
 
 def build_empirical_model(
@@ -195,46 +228,9 @@ def build_empirical_model(
     check, keeping the context family an antichain.  The finished model is
     re-validated for overlap compatibility at tolerance zero.
     """
-    if not net.nodes:
-        raise StructureError("cannot build a model from an empty network")
     sigma, stationary = _checked_setup(net, stationary, sigma, verify, max_variables)
     deltas = [_node_delta(node, stationary) for node in net.nodes]
-
-    keep: list[NodeDistribution] = []
-    for i, cand in enumerate(deltas):
-        cand_set = frozenset(cand.context)
-        absorbed = False
-        for j, other in enumerate(deltas):
-            if i == j:
-                continue
-            other_set = frozenset(other.context)
-            if cand_set < other_set or (cand_set == other_set and j < i):
-                projected = marginalize(other.distribution, cand.context)
-                if projected.weights != cand.distribution.weights:
-                    raise AssertionError(
-                        f"node {cand.node!r} disagrees with the containing context "
-                        f"of {other.node!r}"
-                    )
-                absorbed = True
-                break
-        if not absorbed:
-            keep.append(cand)
-
-    scenario = MeasurementScenario(
-        variables=sigma.internals,
-        maximal_contexts=tuple(nd.context for nd in keep),
-    )
-    model = EmpiricalModel(scenario, tuple(nd.distribution for nd in keep))
-
-    from .scenario import validate_empirical_model
-
-    report = validate_empirical_model(model, ZERO)
-    if not report.ok:
-        raise AssertionError(
-            f"overlap compatibility failed for a verified stationary input: "
-            f"{report.violations[0]}"
-        )
-    return model
+    return _assemble_model(sigma, deltas)[0]
 
 
 def empirical_node_frequencies(

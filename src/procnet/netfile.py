@@ -37,7 +37,6 @@ from .errors import DomainError, ParseError, WiringError
 from .process import (
     Network,
     ProcessTensor,
-    classify_network,
     global_variable_order,
     validate_process,
 )
@@ -85,6 +84,8 @@ def _structure(text: str):
         doc = json.loads(text)
     except ValueError as exc:  # also integers past the int-string digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply for the JSON decoder") from exc
     _expect(isinstance(doc, dict), "top level must be an object")
     _expect("format_version" in doc, "missing format_version")
     _expect(
@@ -199,13 +200,13 @@ def check_network_text(text: str) -> FileCheck:
         issues.append(str(exc))
 
     stationary: list[tuple[str, Distribution]] = []
-    if network is not None:
-        shape = classify_network(network)
-        raw = doc.get("stationary", {})
-        if raw and not shape.closed:
+    raw = doc.get("stationary", {})
+    if network is not None and raw:
+        g_in, g_internal, g_out = global_variable_order(network)
+        # global inputs and outputs are exactly the dangling wires
+        if g_in or g_out:
             issues.append("stationary vectors are only meaningful for closed networks")
-        elif raw:
-            g_in, g_internal, g_out = global_variable_order(network)
+        else:
             expected = section_count(g_internal)
             for label, vector in raw.items():
                 try:
@@ -241,7 +242,11 @@ def parse_network_text(text: str) -> NetworkFile:
 
 
 def load_network_file(path) -> NetworkFile:
-    return parse_network_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"file is not UTF-8: {exc}") from exc
+    return parse_network_text(text)
 
 
 def serialize_network_file(nf: NetworkFile) -> str:

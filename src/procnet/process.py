@@ -23,18 +23,12 @@ from .scenario import (
     ONE,
     ZERO,
     Variable,
+    _as_fraction,
+    _index_table,
     section_count,
 )
 
 DEFAULT_MAX_VARIABLES = 20
-
-
-def _as_fraction(value) -> Fraction:
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, float):
-        raise DomainError("matrix entries must be exact rationals, not floats")
-    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -177,30 +171,9 @@ def reorder_process(
     new_internals = pick(internals, process.internals)
     new_outputs = pick(outputs, process.outputs)
 
-    def index_map(new_vars, old_vars):
-        # new index -> old index, walking the new odometer and re-encoding
-        old_pos = {v.name: k for k, v in enumerate(old_vars)}
-        old_strides = [0] * len(old_vars)
-        acc = 1
-        for k in range(len(old_vars) - 1, -1, -1):
-            old_strides[k] = acc
-            acc *= old_vars[k].size
-        positions = [old_pos[v.name] for v in new_vars]
-        sizes = [v.size for v in new_vars]
-        total = section_count(new_vars)
-        digits = [0] * len(sizes)
-        out = []
-        for _ in range(total):
-            out.append(sum(d * old_strides[p] for d, p in zip(digits, positions)))
-            for k in range(len(sizes) - 1, -1, -1):
-                digits[k] += 1
-                if digits[k] < sizes[k]:
-                    break
-                digits[k] = 0
-        return out
-
-    row_map = index_map(new_inputs + new_internals, process.row_variables)
-    col_map = index_map(new_internals + new_outputs, process.col_variables)
+    # new index -> old index
+    row_map = _index_table(process.row_variables, new_inputs + new_internals)
+    col_map = _index_table(process.col_variables, new_internals + new_outputs)
     matrix = tuple(
         tuple(process.matrix[r][c] for c in col_map) for r in row_map
     )
@@ -357,36 +330,6 @@ def global_variable_order(
     return tuple(g_inputs), tuple(g_internals), tuple(g_outputs)
 
 
-def _strides(variables: Sequence[Variable]) -> list[int]:
-    out = [0] * len(variables)
-    acc = 1
-    for k in range(len(variables) - 1, -1, -1):
-        out[k] = acc
-        acc *= variables[k].size
-    return out
-
-
-def _node_index_table(
-    node_vars: Sequence[Variable], space_vars: Sequence[Variable]
-) -> list[int]:
-    """node section index for every section index of the enclosing space."""
-    space_pos = {v.name: k for k, v in enumerate(space_vars)}
-    positions = [space_pos[v.name] for v in node_vars]
-    node_strides = _strides(node_vars)
-    sizes = [v.size for v in space_vars]
-    total = section_count(space_vars)
-    digits = [0] * len(sizes)
-    table = []
-    for _ in range(total):
-        table.append(sum(digits[p] * s for p, s in zip(positions, node_strides)))
-        for k in range(len(sizes) - 1, -1, -1):
-            digits[k] += 1
-            if digits[k] < sizes[k]:
-                break
-            digits[k] = 0
-    return table
-
-
 def contract_network(
     net: Network, max_variables: int | None = DEFAULT_MAX_VARIABLES
 ) -> ProcessTensor:
@@ -407,8 +350,8 @@ def contract_network(
     row_vars = g_inputs + g_internals
     col_vars = g_internals + g_outputs
 
-    row_tables = [_node_index_table(n.row_variables, row_vars) for n in net.nodes]
-    col_tables = [_node_index_table(n.col_variables, col_vars) for n in net.nodes]
+    row_tables = [_index_table(n.row_variables, row_vars) for n in net.nodes]
+    col_tables = [_index_table(n.col_variables, col_vars) for n in net.nodes]
     matrices = [n.matrix for n in net.nodes]
     n_nodes = len(net.nodes)
 

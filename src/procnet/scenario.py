@@ -156,11 +156,27 @@ def restrict_section(section: Section, names: Iterable[str]) -> Section:
     return Section(tuple((n, lookup[n]) for n in names))
 
 
+def _index_table(
+    sub_vars: Sequence[Variable], space_vars: Sequence[Variable]
+) -> list[int]:
+    """For each section of space_vars, in index order, the index of its
+    restriction to sub_vars (which must be among space_vars, in any order)."""
+    stride, acc = {}, 1
+    for v in reversed(sub_vars):
+        stride[v.name] = acc
+        acc *= v.size
+    table = [0]
+    for v in space_vars:
+        s = stride.get(v.name, 0)
+        table = [t + d * s for t in table for d in range(v.size)]
+    return table
+
+
 def _as_fraction(value) -> Fraction:
     if type(value) is Fraction:
         return value
     if isinstance(value, float):
-        raise DomainError("weights must be exact rationals, not floats")
+        raise DomainError("probabilities must be exact rationals, not floats")
     return Fraction(value)
 
 
@@ -243,27 +259,10 @@ def marginalize(dist: Distribution, names: Iterable[str]) -> Distribution:
     if target_vars == dist.variables:
         return dist
 
-    sizes = [v.size for v in dist.variables]
-    strides = [0] * len(dist.variables)
-    acc = 1
-    for k in range(len(names) - 1, -1, -1):
-        strides[positions[k]] = acc
-        acc *= target_vars[k].size
-
     out = [ZERO] * section_count(target_vars)
-    digits = [0] * len(sizes)
-    target = 0
-    for w in dist.weights:
+    for t, w in zip(_index_table(target_vars, dist.variables), dist.weights):
         if w:
-            out[target] += w
-        # advance the mixed-radix odometer, keeping the target index in sync
-        for k in range(len(sizes) - 1, -1, -1):
-            digits[k] += 1
-            target += strides[k]
-            if digits[k] < sizes[k]:
-                break
-            target -= strides[k] * sizes[k]
-            digits[k] = 0
+            out[t] += w
     return Distribution(target_vars, tuple(out))
 
 

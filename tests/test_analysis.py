@@ -1,0 +1,104 @@
+import sys
+from collections import Counter
+
+import pytest
+
+from procnet import (
+    analyze,
+    build_empirical_model,
+    bundled_network_path,
+    classify_network,
+    contract_network,
+    find_reciprocities,
+    find_stationary,
+    global_section_system,
+    is_strongly_contextual,
+    load_network_file,
+    node_distribution,
+    validate_empirical_model,
+    verify_infeasibility_certificate,
+    verify_marginal_theorem,
+)
+from procnet.empirical import _node_delta
+from procnet.exactlp import farkas_contradiction
+
+
+def count_calls(monkeypatch, func, calls: Counter, key=lambda *args: None):
+    """Count calls of func under every procnet module name that binds it."""
+
+    def wrapper(*args, **kwargs):
+        calls[(func.__name__, key(*args))] += 1
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "procnet" or name.startswith("procnet."):
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+
+STAGES = (
+    classify_network,
+    find_reciprocities,
+    contract_network,
+    find_stationary,
+    validate_empirical_model,
+    global_section_system,
+    farkas_contradiction,
+    is_strongly_contextual,
+    verify_infeasibility_certificate,
+)
+
+
+@pytest.mark.parametrize(
+    "name, omega, contextual",
+    [("triangle", "sixcycle", True), ("chsh", "solve", True), ("product", "solve", False)],
+)
+def test_one_analyze_call_runs_each_stage_once(monkeypatch, name, omega, contextual):
+    nf = load_network_file(bundled_network_path(name))
+    calls: Counter = Counter()
+    for func in STAGES:
+        count_calls(monkeypatch, func, calls)
+    count_calls(monkeypatch, _node_delta, calls, key=lambda node, _: node.name)
+
+    a = analyze(nf, omega)
+
+    assert a.verdict.contextual is contextual
+    once = 1 if contextual else 0
+    assert calls == Counter(
+        {
+            ("classify_network", None): 1,
+            ("find_reciprocities", None): 1,
+            ("contract_network", None): 1,
+            ("find_stationary", None): 1 if omega == "solve" else 0,
+            ("validate_empirical_model", None): 1,
+            ("global_section_system", None): 1,
+            ("farkas_contradiction", None): once,
+            ("is_strongly_contextual", None): once,
+            ("verify_infeasibility_certificate", None): 0,
+            **{("_node_delta", node): 1 for node in nf.network.node_names},
+        }
+    )
+
+
+@pytest.mark.parametrize("name, omega", [("triangle", "sixcycle"), ("chain", "exact")])
+def test_analysis_agrees_with_the_public_stage_functions(name, omega):
+    nf = load_network_file(bundled_network_path(name))
+    net = nf.network
+    a = analyze(nf, omega)
+    stationary = nf.stationary_named(omega)
+    assert a.stationary.distribution == stationary
+    assert a.node_distributions == tuple(
+        node_distribution(net, stationary, n) for n in net.node_names
+    )
+    assert a.marginal_checks == tuple(
+        verify_marginal_theorem(net, stationary, n) for n in net.node_names
+    )
+    assert all(check.ok for check in a.marginal_checks)
+    assert a.model == build_empirical_model(net, stationary)
+    assert a.compatibility == validate_empirical_model(a.model)
+    if a.verdict.contextual:
+        assert verify_infeasibility_certificate(a.model, a.verdict.certificate)
+        assert a.verdict.strongly_contextual == is_strongly_contextual(a.model)
+    else:
+        assert not a.verdict.strongly_contextual

@@ -1,13 +1,18 @@
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from procnet import bundled_network_path
 from procnet.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+BUNDLED = ("triangle", "chsh", "product", "chain")
 
 
 def run(capsys, *argv):
@@ -24,6 +29,55 @@ def write(tmp_path, doc) -> str:
 
 def triangle_doc():
     return json.loads(bundled_network_path("triangle").read_text(encoding="utf-8"))
+
+
+def identity_ring_doc(wires: int):
+    names = [f"W{k}" for k in range(wires)]
+    return {
+        "format_version": 1,
+        "variables": [{"name": n, "alphabet": ["0", "1"]} for n in names],
+        "nodes": [
+            {
+                "name": f"copy{k}",
+                "inputs": [names[k]],
+                "internals": [],
+                "outputs": [names[(k + 1) % wires]],
+                "matrix": [["1", "0"], ["0", "1"]],
+            }
+            for k in range(wires)
+        ],
+    }
+
+
+@st.composite
+def mutated_bundled_bytes(draw):
+    data = bytearray(bundled_network_path(draw(st.sampled_from(BUNDLED))).read_bytes())
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(data) - 1))
+        op = draw(st.sampled_from(("replace", "insert", "delete")))
+        byte = draw(st.integers(0, 255))
+        if op == "replace":
+            data[pos] = byte
+        elif op == "insert":
+            data.insert(pos, byte)
+        else:
+            del data[pos]
+    return bytes(data)
+
+
+@settings(
+    max_examples=100,
+    deadline=2000,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=mutated_bundled_bytes())
+def test_mutated_bundled_files_exit_with_documented_codes(tmp_path, data):
+    path = tmp_path / "mutant.network"
+    path.write_bytes(data)
+    for command in ("validate", "analyze"):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main([command, str(path)])
+        assert code in (0, 2, 3, 4, 5), command
 
 
 class TestValidate:
@@ -75,6 +129,24 @@ class TestValidate:
         path.write_text("{", encoding="utf-8")
         code, _, _ = run(capsys, "validate", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "deep.network"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2
+        assert "nested too deeply" in out + err
+
+    @pytest.mark.parametrize(
+        "argv", [("validate",), ("analyze",), ("simulate", "--node", "alpha")]
+    )
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "utf16.network"
+        path.write_bytes(b"\xff\xfe\x00" + bundled_network_path("product").read_bytes())
+        code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2
+        assert "utf-8" in err
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "validate", str(tmp_path / "nope.network"))
@@ -197,6 +269,18 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", write(tmp_path, doc))
         assert code == 4
         assert "reciprocities" in err
+
+    @pytest.mark.parametrize(
+        "argv", [("analyze",), ("simulate", "--node", "copy0", "--steps", "10")]
+    )
+    def test_state_cap_refuses_before_contraction(self, capsys, tmp_path, argv):
+        # 2^11 states; contracting them alone took seconds
+        path = write(tmp_path, identity_ring_doc(11))
+        start = time.perf_counter()
+        code, _, err = run(capsys, argv[0], path, *argv[1:])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "state space of size 2048 exceeds the cap of 1024" in err
 
     def test_variable_cap_exits_3(self, capsys):
         code, _, err = run(
