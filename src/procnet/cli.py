@@ -4,11 +4,11 @@
 from the same `stationary_regime`; this module only parses arguments,
 renders results and maps errors to exit codes.
 
-Exit codes: 0 success, 2 parse error, 3 semantic error (including size-cap
-refusals), 4 structure error (open network or reciprocities), 5 stationary
-verification failure.  `--json` switches every command to a machine-readable
-report with the key layout documented in the README; the human output
-carries the same information.
+Exit codes: 0 success, 2 parse error or unreadable file, 3 semantic error
+(including size-cap refusals), 4 structure error (open network or
+reciprocities), 5 stationary verification failure.  `--json` switches
+every command to a machine-readable report with the key layout documented
+in the README; the human output carries the same information.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .analysis import Analysis, analyze, stationary_regime
 from .dynamics import DEFAULT_MAX_STATES, is_ergodic, simulate_chain
-from .empirical import empirical_node_frequencies, node_distribution
+from .empirical import _node_delta, empirical_node_frequencies
 from .errors import (
     DomainError,
     ParseError,
@@ -252,14 +252,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     nf = load_network_file(args.file)
-    net = nf.network
-    node = net.node(args.node)
+    node = nf.network.node(args.node)
     # only a solve would refuse an oversized state space after contraction
     max_states = DEFAULT_MAX_STATES if args.omega == "solve" else None
     sigma, stat = stationary_regime(nf, args.omega, args.max_vars, max_states)
-    exact = node_distribution(
-        net, stat.distribution, args.node, sigma=sigma, verify=False
-    ).distribution
+    exact = _node_delta(node, stat.distribution).distribution
 
     trail = simulate_chain(sigma, stat.distribution, args.steps, args.seed)
     observed = empirical_node_frequencies(sigma, node, trail)
@@ -391,7 +388,7 @@ def main(argv=None) -> int:
     except (DomainError, WiringError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ProcnetError as exc:

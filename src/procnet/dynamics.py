@@ -12,10 +12,13 @@ periodic permutations on which it does not converge.
 
 The Monte Carlo side (`simulate_chain`, `estimate_stationary`) exists as an
 independent oracle; it uses the documented generator from `rng` so runs are
-reproducible from the seed alone.
+reproducible from the seed alone.  A trajectory is a tuple of state
+indices in the `Distribution.weights` layout of the process's internals;
+`scenario.section_at` or `iter_outcome_tuples` turn an index into labels.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -28,9 +31,7 @@ from .scenario import (
     ONE,
     ZERO,
     Distribution,
-    Section,
-    iter_outcome_tuples,
-    outcome_index,
+    section_at,
     section_count,
     section_index,
 )
@@ -105,12 +106,13 @@ def verify_stationary(sigma: ProcessTensor, dist: Distribution) -> StationaryChe
     after = step(sigma, dist)
     residual = ZERO
     worst = None
-    states = list(iter_outcome_tuples(sigma.internals))
     for i, (a, b) in enumerate(zip(after.weights, dist.weights)):
         gap = abs(a - b)
         if gap > residual:
             residual = gap
-            worst = states[i]
+            worst = i
+    if worst is not None:
+        worst = section_at(sigma.internals, worst).outcomes
     return StationaryCheck(residual == 0, residual, worst)
 
 
@@ -263,9 +265,7 @@ def _initial_state_index(sigma: ProcessTensor, init, rng: SplitMix64) -> int:
     if isinstance(init, Distribution):
         init = _aligned(sigma, init)
         return sample_index(rng, cumulative_thresholds(init.weights))
-    if isinstance(init, Section):
-        return section_index(sigma.internals, init)
-    return outcome_index(sigma.internals, tuple(init))
+    return section_index(sigma.internals, init)
 
 
 def simulate_chain(
@@ -273,13 +273,14 @@ def simulate_chain(
     init,
     steps: int,
     seed: int,
-) -> tuple[tuple[str, ...], ...]:
+) -> tuple[int, ...]:
     """Reproducible trajectory of length steps+1 (initial state included).
 
-    `init` is a Distribution (sampled first, with the same generator), a
-    Section, or a tuple of outcome labels.  The state at t+1 is sampled from
-    the row of the matrix at the state at t, per the rule documented in
-    `rng`.
+    The states are indices into the sections of `sigma.internals`.  `init`
+    is a Distribution (sampled first, with the same generator) or anything
+    `section_index` accepts: a Section, a name-to-outcome mapping or a tuple
+    of outcome labels.  The state at t+1 is sampled from the row of the
+    matrix at the state at t, per the rule documented in `rng`.
     """
     _require_closed(sigma)
     if steps < 0:
@@ -295,8 +296,7 @@ def simulate_chain(
             thresholds[state] = t
         state = sample_index(rng, t)
         trail.append(state)
-    states = list(iter_outcome_tuples(sigma.internals))
-    return tuple(states[s] for s in trail)
+    return tuple(trail)
 
 
 def estimate_stationary(
@@ -310,14 +310,10 @@ def estimate_stationary(
     if steps < 1:
         raise DomainError("estimation needs at least one step")
     trail = simulate_chain(sigma, init, steps, seed)
-    counts: dict[int, int] = {}
-    for outcomes in trail:
-        idx = outcome_index(sigma.internals, outcomes)
-        counts[idx] = counts.get(idx, 0) + 1
+    counts = Counter(trail)
     total = len(trail)
     weights = tuple(
-        Fraction(counts.get(i, 0), total)
-        for i in range(section_count(sigma.internals))
+        Fraction(counts[i], total) for i in range(section_count(sigma.internals))
     )
     dist = Distribution(sigma.internals, weights)
     check = verify_stationary(sigma, dist)

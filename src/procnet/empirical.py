@@ -13,9 +13,15 @@ context inputs-union-outputs, yields a no-signalling empirical model: its
 input and output marginals both reproduce the corresponding marginals of
 the stationary distribution, which forces agreement on every overlap.  Both
 facts are checked exactly by the functions below rather than assumed.
+
+`empirical_node_frequencies` is the Monte Carlo counterpart: it counts the
+same (input, output) events along a trajectory of state indices from
+`dynamics.simulate_chain`, through restriction index tables, without
+turning any state into labels.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -36,9 +42,9 @@ from .scenario import (
     Distribution,
     EmpiricalModel,
     MeasurementScenario,
+    _index_table,
     iter_outcome_tuples,
     marginalize,
-    outcome_index,
     section_count,
     validate_empirical_model,
 )
@@ -236,36 +242,33 @@ def build_empirical_model(
 def empirical_node_frequencies(
     sigma: ProcessTensor,
     node: ProcessTensor,
-    trajectory: Sequence[tuple[str, ...]],
+    trajectory: Sequence[int],
 ) -> Distribution:
     """Observed frequencies of (node inputs at t, node outputs at t+1).
 
-    The trajectory is over the closed global process's variables; the node's
-    variables are located by name.  Counting runs over the steps-many
-    consecutive pairs, so the result is an exact empirical distribution.
+    The trajectory holds state indices of the closed global process, as
+    `simulate_chain` returns them; the node's variables must be variables of
+    that process (same name and alphabet).  Counting runs over the
+    steps-many consecutive pairs, so the result is an exact empirical
+    distribution.
     """
     if len(trajectory) < 2:
         raise DomainError("need at least one transition to count frequencies")
-    position = {v.name: k for k, v in enumerate(sigma.internals)}
-    try:
-        in_pos = [position[v.name] for v in node.inputs]
-        out_pos = [position[v.name] for v in node.outputs]
-    except KeyError as exc:
-        raise DomainError(
-            f"node variable {exc.args[0]!r} is not a variable of the global process"
-        ) from None
+    known = set(sigma.internals)
+    for v in node.inputs + node.outputs:
+        if v not in known:
+            raise DomainError(
+                f"node variable {v.name!r} is not a variable of the global process"
+            )
+    rows = _index_table(node.inputs, sigma.internals)
+    cols = _index_table(node.outputs, sigma.internals)
     out_count = section_count(node.outputs)
-    counts: dict[int, int] = {}
-    previous = trajectory[0]
-    for current in trajectory[1:]:
-        row = outcome_index(node.inputs, tuple(previous[p] for p in in_pos))
-        col = outcome_index(node.outputs, tuple(current[p] for p in out_pos))
-        key = row * out_count + col
-        counts[key] = counts.get(key, 0) + 1
-        previous = current
+    counts = Counter(
+        rows[a] * out_count + cols[b] for a, b in zip(trajectory, trajectory[1:])
+    )
     total = len(trajectory) - 1
     weights = tuple(
-        Fraction(counts.get(i, 0), total)
+        Fraction(counts[i], total)
         for i in range(section_count(node.inputs + node.outputs))
     )
     return Distribution(node.inputs + node.outputs, weights)

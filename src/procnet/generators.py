@@ -20,11 +20,12 @@ from .contextuality import graham_reduction
 from .errors import DomainError
 from .process import Network, ProcessTensor, Variable
 from .scenario import (
+    ONE,
     Distribution,
     EmpiricalModel,
     MeasurementScenario,
+    _index_table,
     marginalize,
-    outcome_index,
     section_count,
 )
 
@@ -214,25 +215,17 @@ def family_by_elimination(rng: Random, scenario: MeasurementScenario) -> Empiric
         sep_set = set(separator)
         rest_vars = tuple(v for v in ctx_vars if v.name not in sep_set)
         sep_vars = sep_marginal.variables
-        conditionals: dict[int, Distribution] = {}
-        for k in range(section_count(sep_vars)):
-            conditionals[k] = random_distribution(rng, rest_vars) if rest_vars else None
-
-        name_pos = {v.name: i for i, v in enumerate(ctx_vars)}
-
-        def weight(outcomes: tuple[str, ...]) -> Fraction:
-            sep_out = tuple(outcomes[name_pos[v.name]] for v in sep_vars)
-            base = (
-                sep_marginal.weights[outcome_index(sep_vars, sep_out)]
-                if sep_vars
-                else Fraction(1)
-            )
-            if not rest_vars:
-                return base
-            rest_out = tuple(outcomes[name_pos[v.name]] for v in rest_vars)
-            cond = conditionals[outcome_index(sep_vars, sep_out) if sep_vars else 0]
-            return base * cond.weights[outcome_index(rest_vars, rest_out)]
-
-        dists[child] = Distribution.from_function(ctx_vars, weight)
+        conditionals = [
+            random_distribution(rng, rest_vars).weights if rest_vars else (ONE,)
+            for _ in range(section_count(sep_vars))
+        ]
+        # a context section weighs its separator marginal times its
+        # conditional given the separator (an empty separator weighs 1)
+        sep_of = _index_table(sep_vars, ctx_vars)
+        rest_of = _index_table(rest_vars, ctx_vars)
+        weights = tuple(
+            sep_marginal.weights[s] * conditionals[s][r] for s, r in zip(sep_of, rest_of)
+        )
+        dists[child] = Distribution(ctx_vars, weights)
 
     return EmpiricalModel(scenario, tuple(dists[i] for i in range(len(contexts))))

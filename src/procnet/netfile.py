@@ -22,10 +22,12 @@ exact rationals written as "p/q" strings (plain integers and exact decimal
 strings are accepted on input).  Stationary vectors run over the closed
 network's variables in global first-appearance order.
 
-Malformed structure raises ParseError; well-formed files carrying semantic
-mistakes (unknown names, wrong shapes, non-stochastic rows, wiring
-conflicts, bad stationary vectors) are collected by `check_network_text`
-into a report, which is what the CLI's validate command prints.
+format_version is the JSON integer 1 (not true, not 1.0); alphabet entries
+and variable names are strings, never coerced.  Malformed structure raises
+ParseError; well-formed files carrying semantic mistakes (unknown names,
+wrong shapes, non-stochastic rows, wiring conflicts, bad stationary vectors)
+are collected by `check_network_text` into a report, which is what the
+CLI's validate command prints.
 """
 from __future__ import annotations
 
@@ -88,8 +90,9 @@ def _structure(text: str):
         raise ParseError("invalid JSON: nested too deeply for the JSON decoder") from exc
     _expect(isinstance(doc, dict), "top level must be an object")
     _expect("format_version" in doc, "missing format_version")
+    # type first: true == 1 == 1.0 in Python
     _expect(
-        doc["format_version"] == FORMAT_VERSION,
+        type(doc["format_version"]) is int and doc["format_version"] == FORMAT_VERSION,
         f"unsupported format_version {echo(doc['format_version'])} "
         f"(expected {FORMAT_VERSION})",
     )
@@ -102,12 +105,17 @@ def _structure(text: str):
             isinstance(entry.get("alphabet"), list) and entry["alphabet"],
             f"variable {echo(entry.get('name'))}: alphabet must be a nonempty list",
         )
+        _expect(
+            all(isinstance(o, str) for o in entry["alphabet"]),
+            f"variable {echo(entry.get('name'))}: alphabet entries must be strings",
+        )
     for entry in doc["nodes"]:
         _expect(isinstance(entry, dict), "each node must be an object")
         _expect(isinstance(entry.get("name"), str), "node name must be a string")
         for role in ("inputs", "internals", "outputs"):
+            names = entry.get(role, [])
             _expect(
-                isinstance(entry.get(role, []), list),
+                isinstance(names, list) and all(isinstance(n, str) for n in names),
                 f"node {echo(entry.get('name'))}: {role} must be a list of names",
             )
         _expect(
@@ -142,7 +150,7 @@ def check_network_text(text: str) -> FileCheck:
             issues.append(f"variable {name!r} declared twice")
             continue
         try:
-            var = Variable(name, tuple(str(o) for o in entry["alphabet"]))
+            var = Variable(name, entry["alphabet"])
         except DomainError as exc:
             issues.append(str(exc))
             continue
@@ -160,7 +168,7 @@ def check_network_text(text: str) -> FileCheck:
         roles = {}
         missing = False
         for role in ("inputs", "internals", "outputs"):
-            names = [str(n) for n in entry.get(role, [])]
+            names = entry.get(role, [])
             unknown = [n for n in names if n not in table]
             if unknown:
                 issues.append(f"node {node_name!r}: undeclared variables {unknown}")

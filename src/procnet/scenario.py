@@ -121,27 +121,21 @@ def section_at(variables: Sequence[Variable], index: int) -> Section:
     return Section(tuple((v.name, o) for v, o in zip(variables, outcomes)))
 
 
-def outcome_index(variables: Sequence[Variable], outcomes: Sequence[str]) -> int:
+def section_index(variables: Sequence[Variable], section) -> int:
+    """Index of a section given as a Section, mapping or outcome tuple."""
+    if isinstance(section, Section):
+        section = section.as_dict()
+    if isinstance(section, Mapping):
+        if set(section) != {v.name for v in variables}:
+            raise DomainError("section does not cover exactly the given variables")
+        section = [section[v.name] for v in variables]
+    outcomes = tuple(section)
     if len(outcomes) != len(variables):
         raise DomainError("outcome tuple length does not match variable list")
     idx = 0
     for v, o in zip(variables, outcomes):
         idx = idx * v.size + v.index(o)
     return idx
-
-
-def section_index(variables: Sequence[Variable], section) -> int:
-    """Index of a section given as a Section, mapping or outcome tuple."""
-    if isinstance(section, Section):
-        lookup = section.as_dict()
-        if set(lookup) != {v.name for v in variables}:
-            raise DomainError("section does not cover exactly the given variables")
-        return outcome_index(variables, [lookup[v.name] for v in variables])
-    if isinstance(section, Mapping):
-        if set(section) != {v.name for v in variables}:
-            raise DomainError("section does not cover exactly the given variables")
-        return outcome_index(variables, [section[v.name] for v in variables])
-    return outcome_index(variables, tuple(section))
 
 
 def restrict_section(section: Section, names: Iterable[str]) -> Section:

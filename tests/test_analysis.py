@@ -19,6 +19,7 @@ from procnet import (
     verify_infeasibility_certificate,
     verify_marginal_theorem,
 )
+from procnet.cli import main
 from procnet.empirical import _node_delta
 from procnet.exactlp import farkas_contradiction
 
@@ -77,6 +78,38 @@ def test_one_analyze_call_runs_each_stage_once(monkeypatch, name, omega, context
             ("is_strongly_contextual", None): once,
             ("verify_infeasibility_certificate", None): 0,
             **{("_node_delta", node): 1 for node in nf.network.node_names},
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "name, node, omega",
+    [
+        ("triangle", "alpha", "sixcycle"),
+        ("chsh", "n11", "solve"),
+        ("product", "beta", "solve"),
+    ],
+)
+def test_one_simulate_call_checks_the_structure_once(
+    monkeypatch, capsys, name, node, omega
+):
+    calls: Counter = Counter()
+    for func in STAGES:
+        count_calls(monkeypatch, func, calls)
+    count_calls(monkeypatch, _node_delta, calls, key=lambda node, _: node.name)
+    path = str(bundled_network_path(name))
+    argv = ["simulate", path, "--node", node, "--omega", omega, "--steps", "50"]
+
+    assert main(argv) == 0
+
+    capsys.readouterr()
+    assert calls == Counter(
+        {
+            ("classify_network", None): 1,
+            ("find_reciprocities", None): 1,
+            ("contract_network", None): 1,
+            ("find_stationary", None): 1 if omega == "solve" else 0,
+            ("_node_delta", node): 1,
         }
     )
 

@@ -152,6 +152,25 @@ class TestValidate:
         code, _, _ = run(capsys, "validate", str(tmp_path / "nope.network"))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv", [("validate",), ("analyze",), ("simulate", "--node", "alpha")]
+    )
+    def test_directory_exits_2(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, argv[0], str(tmp_path), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_non_string_alphabet_and_boolean_version_exit_2(self, capsys, tmp_path):
+        doc = triangle_doc()
+        doc["format_version"] = True
+        assert run(capsys, "validate", write(tmp_path, doc))[0] == 2
+        doc["format_version"] = 1
+        doc["variables"][0]["alphabet"] = [0, [1]]
+        code, out, _ = run(capsys, "validate", write(tmp_path, doc))
+        assert code == 2
+        assert "alphabet entries must be strings" in out
+
     def test_json_mode(self, capsys):
         code, out, _ = run(
             capsys, "validate", str(bundled_network_path("triangle")), "--json"

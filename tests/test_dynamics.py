@@ -13,6 +13,7 @@ from procnet import (
     find_stationary,
     is_ergodic,
     is_irreducible,
+    section_index,
     simulate_chain,
     step,
     verify_stationary,
@@ -120,6 +121,12 @@ class TestVerifyStationary:
         assert not check.stationary
         assert check.residual == 1
 
+    def test_worst_state_is_reported_as_labels(self, triangle_sigma, sixcycle_omega):
+        pi = Distribution.point_mass(triangle_sigma.internals, ("0", "0", "1"))
+        # the mass leaves 001 for 110; the first of the two states is reported
+        assert verify_stationary(triangle_sigma, pi).worst_state == ("0", "0", "1")
+        assert verify_stationary(triangle_sigma, sixcycle_omega).worst_state is None
+
 
 class TestFindStationary:
     def test_two_state_mixing_chain_has_unique_fixed_point(self):
@@ -211,7 +218,8 @@ class TestSimulate:
     def test_identity_trajectory_is_constant(self):
         sigma = closed_tensor("id", 2, identity_rows(4))
         trail = simulate_chain(sigma, ("1", "0"), steps=5, seed=3)
-        assert trail == (("1", "0"),) * 6
+        # ("1", "0") is section 2 of two binary variables
+        assert trail == (2,) * 6
 
     def test_triangle_three_steps_deterministic(self, triangle_sigma):
         # the permutation makes the trajectory seed-independent
@@ -219,6 +227,7 @@ class TestSimulate:
         expected = [start]
         for _ in range(3):
             expected.append(triangle_next(expected[-1]))
+        expected = [section_index(triangle_sigma.internals, s) for s in expected]
         for seed in (0, 1, 99):
             trail = simulate_chain(triangle_sigma, start, steps=3, seed=seed)
             assert list(trail) == expected
@@ -226,7 +235,7 @@ class TestSimulate:
     def test_flip_chain_alternates(self):
         sigma = closed_tensor("flip", 1, ((F(0), F(1)), (F(1), F(0))))
         trail = simulate_chain(sigma, ("0",), steps=4, seed=11)
-        assert trail == (("0",), ("1",), ("0",), ("1",), ("0",))
+        assert trail == (0, 1, 0, 1, 0)
 
     def test_same_seed_reproduces(self):
         rng = Random(25)
@@ -241,7 +250,7 @@ class TestSimulate:
 
     def test_zero_steps_returns_initial_only(self, triangle_sigma):
         trail = simulate_chain(triangle_sigma, ("0", "0", "0"), steps=0, seed=1)
-        assert trail == (("0", "0", "0"),)
+        assert trail == (0,)
 
     def test_negative_steps_rejected(self, triangle_sigma):
         with pytest.raises(DomainError):

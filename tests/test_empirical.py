@@ -1,7 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from procnet import (
     Distribution,
@@ -12,15 +15,17 @@ from procnet import (
     contract_network,
     deterministic_process,
     empirical_node_frequencies,
+    estimate_stationary,
     find_stationary,
     marginalize,
     node_distribution,
+    section_at,
     simulate_chain,
     uniform_process,
     validate_empirical_model,
     verify_marginal_theorem,
 )
-from procnet.errors import StationarityError, StructureError
+from procnet.errors import DomainError, StationarityError, StructureError
 from procnet.generators import random_closed_network
 from procnet.scenario import iter_outcome_tuples
 
@@ -196,15 +201,56 @@ class TestNodeVersusGlobalPair:
 class TestEmpiricalFrequencies:
     def test_counts_on_a_handmade_trajectory(self, triangle_network, triangle_sigma):
         alpha = triangle_network.node("alpha")
-        trail = (
-            ("0", "0", "0"),
-            ("0", "1", "0"),
-            ("0", "1", "1"),
-            ("1", "1", "1"),
-        )
+        # states (x, y, z) 000, 010, 011, 111, as section indices
+        trail = (0b000, 0b010, 0b011, 0b111)
         # pairs (x_t, y_{t+1}): (0,1), (0,1), (0,1)
         freq = empirical_node_frequencies(triangle_sigma, alpha, trail)
         assert freq.weight(("0", "1")) == 1
+
+    def test_node_variable_with_a_foreign_alphabet_is_rejected(
+        self, triangle_network, triangle_sigma
+    ):
+        trail = (0, 1, 2)
+        y = triangle_network.node("alpha").outputs[0]
+        for foreign in (Variable("X", ("1", "0")), Variable("X", ("0", "1", "2"))):
+            node = uniform_process("alpha", [foreign], [y])
+            with pytest.raises(DomainError, match="'X' is not a variable"):
+                empirical_node_frequencies(triangle_sigma, node, trail)
+        node = uniform_process("alpha", [Variable("W", BINARY)], [y])
+        with pytest.raises(DomainError, match="'W' is not a variable"):
+            empirical_node_frequencies(triangle_sigma, node, trail)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        net_seed=st.integers(0, 10**6),
+        steps=st.integers(1, 80),
+        sim_seed=st.integers(0, 2**64 - 1),
+    )
+    def test_counts_equal_a_label_recount_on_random_networks(
+        self, net_seed, steps, sim_seed
+    ):
+        net = random_closed_network(Random(net_seed), n_nodes=3, max_arrows=4)
+        sigma = contract_network(net)
+        init = Distribution.uniform(sigma.internals)
+        trail = simulate_chain(sigma, init, steps, sim_seed)
+        assert len(trail) == steps + 1
+        labelled = [section_at(sigma.internals, s).as_dict() for s in trail]
+
+        visits = Counter(tuple(state.values()) for state in labelled)
+        estimate = estimate_stationary(sigma, init, steps, sim_seed).distribution
+        for outcomes, w in zip(iter_outcome_tuples(sigma.internals), estimate.weights):
+            assert w == F(visits[outcomes], steps + 1)
+
+        for node in net.nodes:
+            events = Counter(
+                tuple(before[v.name] for v in node.inputs)
+                + tuple(after[v.name] for v in node.outputs)
+                for before, after in zip(labelled, labelled[1:])
+            )
+            freq = empirical_node_frequencies(sigma, node, trail)
+            assert freq.variables == node.inputs + node.outputs
+            for outcomes, w in zip(iter_outcome_tuples(freq.variables), freq.weights):
+                assert w == F(events[outcomes], steps)
 
     def test_frequencies_approach_exact_on_the_six_cycle(
         self, triangle_network, triangle_sigma, sixcycle_omega

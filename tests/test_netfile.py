@@ -75,6 +75,30 @@ class TestParseErrors:
         doc["format_version"] = 99
         assert check_network_text(json.dumps(doc)).stage == "parse"
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_format_version_must_be_the_integer_one(self, version):
+        doc = minimal_doc()
+        doc["format_version"] = version
+        check = check_network_text(json.dumps(doc))
+        assert check.stage == "parse"
+        assert "unsupported format_version" in check.issues[0]
+
+    @pytest.mark.parametrize("alphabet", [[0, 1], ["0", ["1"]], ["0", None]])
+    def test_alphabet_entries_must_be_strings(self, alphabet):
+        doc = minimal_doc()
+        doc["variables"][1]["alphabet"] = alphabet
+        check = check_network_text(json.dumps(doc))
+        assert check.stage == "parse"
+        assert check.issues == ("variable 'Y': alphabet entries must be strings",)
+
+    @pytest.mark.parametrize("role", ["inputs", "internals", "outputs"])
+    def test_node_variable_names_must_be_strings(self, role):
+        doc = minimal_doc()
+        doc["nodes"][0][role] = doc["nodes"][0][role] + [1]
+        check = check_network_text(json.dumps(doc))
+        assert check.stage == "parse"
+        assert check.issues == (f"node 'a': {role} must be a list of names",)
+
     def test_nodes_must_be_list(self):
         doc = minimal_doc()
         doc["nodes"] = {}
