@@ -26,7 +26,6 @@ from .scenario import (
     validate_empirical_model,
 )
 from .process import (
-    DEFAULT_MAX_VARIABLES,
     Network,
     NetworkShape,
     ProcessReport,
@@ -116,7 +115,6 @@ __all__ = [
     "section_count",
     "section_index",
     "validate_empirical_model",
-    "DEFAULT_MAX_VARIABLES",
     "Network",
     "NetworkShape",
     "ProcessReport",

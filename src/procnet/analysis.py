@@ -18,13 +18,7 @@ from .contextuality import (
     detect_chsh_labeling,
     vorobev_regular,
 )
-from .dynamics import (
-    DEFAULT_MAX_STATES,
-    StationaryResult,
-    _require_state_cap,
-    find_stationary,
-    require_stationary,
-)
+from .dynamics import StationaryResult, find_stationary, require_stationary
 from .empirical import (
     MarginalCheck,
     NodeDistribution,
@@ -35,14 +29,8 @@ from .empirical import (
 )
 from .errors import DomainError, StationarityError
 from .netfile import NetworkFile
-from .process import (
-    DEFAULT_MAX_VARIABLES,
-    Network,
-    ProcessTensor,
-    contract_network,
-    global_variable_order,
-)
-from .scenario import ZERO, CompatibilityReport, EmpiricalModel, section_count
+from .process import Network, ProcessTensor, contract_network
+from .scenario import ZERO, CompatibilityReport, EmpiricalModel
 
 
 @dataclass(frozen=True)
@@ -62,24 +50,19 @@ class Analysis:
 
 
 def stationary_regime(
-    nf: NetworkFile,
-    omega: str = "solve",
-    max_variables: int | None = DEFAULT_MAX_VARIABLES,
-    max_states: int | None = DEFAULT_MAX_STATES,
+    nf: NetworkFile, omega: str = "solve"
 ) -> tuple[ProcessTensor, StationaryResult]:
     """The global process of a file's network and a stationary distribution.
 
-    The network must be closed and reciprocity-free (StructureError).  A
-    state space over max_states is refused before contraction starts
-    (ResourceLimitError; None skips that check).  omega "solve" computes the
+    The network must be closed and reciprocity-free (StructureError).
+    Contraction refuses a state space over the state cap before it starts
+    (ResourceLimitError), whatever omega is.  omega "solve" computes the
     distribution with `find_stationary`; any other value names a vector of
     the file, which must be an exact fixed point (StationarityError).
     """
     net = nf.network
     _require_closed_reciprocity_free(net)
-    if max_states is not None:
-        _require_state_cap(section_count(global_variable_order(net)[1]), max_states)
-    sigma = contract_network(net, max_variables=max_variables)
+    sigma = contract_network(net)
     if omega == "solve":
         return sigma, find_stationary(sigma)
     try:
@@ -91,18 +74,15 @@ def stationary_regime(
     )
 
 
-def analyze(
-    nf: NetworkFile,
-    omega: str = "solve",
-    max_variables: int | None = DEFAULT_MAX_VARIABLES,
-) -> Analysis:
+def analyze(nf: NetworkFile, omega: str = "solve") -> Analysis:
     """Run the whole chain on a network file (omega as in `stationary_regime`).
 
-    The state cap applies whatever omega is: the contextuality decision
-    refuses as many global sections as the stationary solve refuses states.
+    The state cap applies whatever omega is, and the global sections of the
+    model are the states of the process, so no later stage meets a larger
+    space than contraction admitted.
     """
     net = nf.network
-    sigma, stationary = stationary_regime(nf, omega, max_variables)
+    sigma, stationary = stationary_regime(nf, omega)
     omega_dist = stationary.distribution
     deltas = tuple(_node_delta(node, omega_dist) for node in net.nodes)
     checks = tuple(

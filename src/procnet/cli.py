@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .analysis import Analysis, analyze, stationary_regime
-from .dynamics import DEFAULT_MAX_STATES, is_ergodic, simulate_chain
+from .dynamics import is_ergodic, simulate_chain
 from .empirical import _node_delta, empirical_node_frequencies
 from .errors import (
     DomainError,
@@ -30,7 +30,7 @@ from .errors import (
     WiringError,
 )
 from .netfile import check_network_text, load_network_file
-from .process import DEFAULT_MAX_VARIABLES, classify_network
+from .process import classify_network
 from .rationals import format_rational
 from .scenario import iter_outcome_tuples, section_count
 
@@ -241,7 +241,7 @@ def _print_analyze(report: dict, a: Analysis) -> None:
 
 
 def cmd_analyze(args) -> int:
-    a = analyze(load_network_file(args.file), args.omega, args.max_vars)
+    a = analyze(load_network_file(args.file), args.omega)
     report = _analyze_json(a, Path(args.file).name, args.omega)
     if args.json:
         print(json.dumps(report, indent=2))
@@ -253,9 +253,7 @@ def cmd_analyze(args) -> int:
 def cmd_simulate(args) -> int:
     nf = load_network_file(args.file)
     node = nf.network.node(args.node)
-    # only a solve would refuse an oversized state space after contraction
-    max_states = DEFAULT_MAX_STATES if args.omega == "solve" else None
-    sigma, stat = stationary_regime(nf, args.omega, args.max_vars, max_states)
+    sigma, stat = stationary_regime(nf, args.omega)
     exact = _node_delta(node, stat.distribution).distribution
 
     trail = simulate_chain(sigma, stat.distribution, args.steps, args.seed)
@@ -346,12 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stationary distribution: a name from the file, or 'solve' (default)",
     )
     p_analyze.add_argument("--json", action="store_true")
-    p_analyze.add_argument(
-        "--max-vars",
-        type=int,
-        default=DEFAULT_MAX_VARIABLES,
-        help=f"contraction cap on total variables (default {DEFAULT_MAX_VARIABLES})",
-    )
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_sim = sub.add_parser(
@@ -367,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stationary distribution for the exact comparison (name or 'solve')",
     )
     p_sim.add_argument("--json", action="store_true")
-    p_sim.add_argument("--max-vars", type=int, default=DEFAULT_MAX_VARIABLES)
     p_sim.set_defaults(func=cmd_simulate)
     return parser
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 from .exactlp import farkas_contradiction, feasible_point
 from .scenario import (
     ONE,
@@ -32,12 +32,11 @@ from .scenario import (
     EmpiricalModel,
     MeasurementScenario,
     _index_table,
+    _require_state_cap,
     iter_outcome_tuples,
     marginalize,
     section_count,
 )
-
-DEFAULT_MAX_SECTIONS = 1024
 
 
 @dataclass(frozen=True)
@@ -97,23 +96,14 @@ def global_section_system(
     return rows, rhs, labels
 
 
-def _require_section_cap(em: EmpiricalModel, max_sections: int) -> None:
-    n = section_count(em.scenario.variables)
-    if n > max_sections:
-        raise ResourceLimitError(
-            f"{n} global sections exceed the cap of {max_sections}"
-        )
-
-
-def decide_contextuality(
-    em: EmpiricalModel, max_sections: int = DEFAULT_MAX_SECTIONS
-) -> ContextualityVerdict:
+def decide_contextuality(em: EmpiricalModel) -> ContextualityVerdict:
     """Exact verdict with a checkable witness or Farkas certificate.
 
     Strong contextuality is enumerated only for infeasible models; a
-    witness rules it out.
+    witness rules it out.  More global sections than the state cap is a
+    ResourceLimitError.
     """
-    _require_section_cap(em, max_sections)
+    _require_state_cap(section_count(em.scenario.variables))
     rows, rhs, labels = global_section_system(em)
     result = feasible_point(rows, rhs)
     if result.feasible:
@@ -133,7 +123,7 @@ def decide_contextuality(
         raise AssertionError("infeasibility certificate failed its mechanical check")
     return ContextualityVerdict(
         contextual=True,
-        strongly_contextual=is_strongly_contextual(em, max_sections),
+        strongly_contextual=is_strongly_contextual(em),
         witness=None,
         certificate=result.certificate,
         certificate_rows=tuple(labels),
@@ -149,15 +139,14 @@ def verify_infeasibility_certificate(
     return farkas_contradiction(rows, rhs, tuple(certificate))
 
 
-def is_strongly_contextual(
-    em: EmpiricalModel, max_sections: int = DEFAULT_MAX_SECTIONS
-) -> bool:
+def is_strongly_contextual(em: EmpiricalModel) -> bool:
     """True when no global assignment is possibilistically consistent.
 
-    Enumerates every global section and asks whether each maximal context
-    gives its restriction positive weight.
+    Enumerates every global section (at most the state cap, else
+    ResourceLimitError) and asks whether each maximal context gives its
+    restriction positive weight.
     """
-    _require_section_cap(em, max_sections)
+    _require_state_cap(section_count(em.scenario.variables))
     variables = em.scenario.variables
     restrictions = [
         (_index_table(dist.variables, variables), dist.weights)

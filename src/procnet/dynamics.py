@@ -28,15 +28,19 @@ from .exactlp import solve_linear_fraction_free
 from .process import ProcessTensor
 from .rng import SplitMix64, cumulative_thresholds, sample_index
 from .scenario import (
+    DEFAULT_MAX_STATES,  # re-exported as dynamics.DEFAULT_MAX_STATES
     ONE,
     ZERO,
     Distribution,
+    _require_state_cap,
     section_at,
     section_count,
     section_index,
 )
 
-DEFAULT_MAX_STATES = 1024
+# a trajectory holds about 15 bytes a step (its list and its tuple), so the
+# cap bounds it near 150 MB
+MAX_STEPS = 10_000_000
 
 _EXACT_METHODS = ("lp_vertex", "user_supplied")
 _METHODS = _EXACT_METHODS + ("cesaro_estimate",)
@@ -183,17 +187,7 @@ def _recurrent_class(sigma: ProcessTensor) -> list[int]:
     return min(closed, key=lambda comp: comp[0])
 
 
-def _require_state_cap(n: int, max_states: int) -> None:
-    """Raise ResourceLimitError when n states exceed the stationary-solve cap."""
-    if n > max_states:
-        raise ResourceLimitError(
-            f"state space of size {n} exceeds the cap of {max_states}"
-        )
-
-
-def find_stationary(
-    sigma: ProcessTensor, max_states: int = DEFAULT_MAX_STATES
-) -> StationaryResult:
+def find_stationary(sigma: ProcessTensor) -> StationaryResult:
     """An exact stationary distribution of a closed process.
 
     The chain restricted to a recurrent class is irreducible, so its balance
@@ -201,11 +195,12 @@ def find_stationary(
     p-adic solver, embedded with zeros elsewhere and checked to be a fixed
     point before it is returned.  Reducible chains have several recurrent
     classes; the one containing the smallest state index is used, making the
-    output deterministic.
+    output deterministic.  A hand-built tensor over the state cap is refused
+    (ResourceLimitError); contraction never builds one.
     """
     _require_closed(sigma)
     n = section_count(sigma.internals)
-    _require_state_cap(n, max_states)
+    _require_state_cap(n)
     cls = _recurrent_class(sigma)
     k = len(cls)
     rows = []
@@ -280,11 +275,14 @@ def simulate_chain(
     is a Distribution (sampled first, with the same generator) or anything
     `section_index` accepts: a Section, a name-to-outcome mapping or a tuple
     of outcome labels.  The state at t+1 is sampled from the row of the
-    matrix at the state at t, per the rule documented in `rng`.
+    matrix at the state at t, per the rule documented in `rng`.  More than
+    MAX_STEPS steps is a ResourceLimitError, raised before the first draw.
     """
     _require_closed(sigma)
     if steps < 0:
         raise DomainError("steps must be >= 0")
+    if steps > MAX_STEPS:
+        raise ResourceLimitError(f"steps exceed the cap of {MAX_STEPS}")
     rng = SplitMix64(seed)
     state = _initial_state_index(sigma, init, rng)
     thresholds: dict[int, list[int]] = {}

@@ -24,11 +24,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from typing import Sequence
 
 from .errors import DomainError, StructureError
 from .process import (
-    DEFAULT_MAX_VARIABLES,
     Network,
     ProcessTensor,
     classify_network,
@@ -94,12 +94,11 @@ def _checked_setup(
     stationary: Distribution,
     sigma: ProcessTensor | None,
     verify: bool,
-    max_variables: int | None,
 ) -> tuple[ProcessTensor, Distribution]:
     # a node with internals is a self-reciprocity, so none survives this
     _require_closed_reciprocity_free(net)
     if sigma is None:
-        sigma = contract_network(net, max_variables=max_variables)
+        sigma = contract_network(net)
     if verify:
         return sigma, require_stationary(sigma, stationary)
     return sigma, _aligned(sigma, stationary)
@@ -186,7 +185,6 @@ def node_distribution(
     *,
     sigma: ProcessTensor | None = None,
     verify: bool = True,
-    max_variables: int | None = DEFAULT_MAX_VARIABLES,
 ) -> NodeDistribution:
     """The joint input/output distribution of one node.
 
@@ -195,7 +193,7 @@ def node_distribution(
     an already contracted global process).
     """
     node = net.node(node_name)
-    _, stationary = _checked_setup(net, stationary, sigma, verify, max_variables)
+    _, stationary = _checked_setup(net, stationary, sigma, verify)
     return _node_delta(node, stationary)
 
 
@@ -206,7 +204,6 @@ def verify_marginal_theorem(
     *,
     sigma: ProcessTensor | None = None,
     verify: bool = True,
-    max_variables: int | None = DEFAULT_MAX_VARIABLES,
 ) -> MarginalCheck:
     """Check exactly that a node's input and output marginals equal the
     stationary marginals on the same variables.
@@ -215,7 +212,7 @@ def verify_marginal_theorem(
     diagnostic, and any mismatch is reported coordinate by coordinate.
     """
     node = net.node(node_name)
-    _, stationary = _checked_setup(net, stationary, sigma, verify, max_variables)
+    _, stationary = _checked_setup(net, stationary, sigma, verify)
     return _marginal_check(node, _node_delta(node, stationary), stationary)
 
 
@@ -225,7 +222,6 @@ def build_empirical_model(
     *,
     sigma: ProcessTensor | None = None,
     verify: bool = True,
-    max_variables: int | None = DEFAULT_MAX_VARIABLES,
 ) -> EmpiricalModel:
     """Assemble the empirical model of a closed, reciprocity-free network.
 
@@ -234,7 +230,7 @@ def build_empirical_model(
     check, keeping the context family an antichain.  The finished model is
     re-validated for overlap compatibility at tolerance zero.
     """
-    sigma, stationary = _checked_setup(net, stationary, sigma, verify, max_variables)
+    sigma, stationary = _checked_setup(net, stationary, sigma, verify)
     deltas = [_node_delta(node, stationary) for node in net.nodes]
     return _assemble_model(sigma, deltas)[0]
 
@@ -264,7 +260,7 @@ def empirical_node_frequencies(
     cols = _index_table(node.outputs, sigma.internals)
     out_count = section_count(node.outputs)
     counts = Counter(
-        rows[a] * out_count + cols[b] for a, b in zip(trajectory, trajectory[1:])
+        rows[a] * out_count + cols[b] for a, b in pairwise(trajectory)
     )
     total = len(trajectory) - 1
     weights = tuple(

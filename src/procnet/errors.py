@@ -26,7 +26,7 @@ class StationarityError(ProcnetError):
 
 
 class ResourceLimitError(ProcnetError):
-    """The requested computation exceeds the configured size cap."""
+    """The requested computation exceeds a size cap."""
 
 
 class ParseError(ProcnetError):

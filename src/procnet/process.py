@@ -9,8 +9,9 @@ variable of the contracted global process.
 
 The global entry is the plain product of the node entries, so contraction
 order cannot change the result; nodes are folded in declaration order.
-Everything is dense and exact, which is why `contract_network` refuses to
-run past a configurable variable cap instead of attempting to scale.
+Everything is dense and exact, which is why `contract_network` refuses a
+global process of more than `scenario.DEFAULT_MAX_STATES` rows or columns
+before it allocates any, instead of attempting to scale.
 """
 from __future__ import annotations
 
@@ -18,17 +19,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CompositionError, DomainError, ResourceLimitError, WiringError
+from .errors import CompositionError, DomainError, WiringError
 from .scenario import (
     ONE,
     ZERO,
     Variable,
     _as_fraction,
     _index_table,
+    _require_state_cap,
     section_count,
 )
-
-DEFAULT_MAX_VARIABLES = 20
 
 
 @dataclass(frozen=True)
@@ -330,33 +330,27 @@ def global_variable_order(
     return tuple(g_inputs), tuple(g_internals), tuple(g_outputs)
 
 
-def contract_network(
-    net: Network, max_variables: int | None = DEFAULT_MAX_VARIABLES
-) -> ProcessTensor:
+def contract_network(net: Network) -> ProcessTensor:
     """Multiply all nodes into the single global process.
 
     Each node reads its inputs and internals from the row side (time t) and
     writes its internals and outputs on the column side (time t+1), so the
     entry of the result at (row, column) is the product of the node entries
-    at the correspondingly restricted sections.
+    at the correspondingly restricted sections.  More rows or columns than
+    the state cap is a ResourceLimitError, raised before any row is built.
     """
     g_inputs, g_internals, g_outputs = global_variable_order(net)
-    total = len(g_inputs) + len(g_internals) + len(g_outputs)
-    if max_variables is not None and total > max_variables:
-        raise ResourceLimitError(
-            f"contraction over {total} variables exceeds the cap of {max_variables}; "
-            f"raise the cap explicitly to proceed"
-        )
     row_vars = g_inputs + g_internals
     col_vars = g_internals + g_outputs
+    n_rows = section_count(row_vars)
+    n_cols = section_count(col_vars)
+    _require_state_cap(n_rows)
+    _require_state_cap(n_cols)
 
     row_tables = [_index_table(n.row_variables, row_vars) for n in net.nodes]
     col_tables = [_index_table(n.col_variables, col_vars) for n in net.nodes]
     matrices = [n.matrix for n in net.nodes]
     n_nodes = len(net.nodes)
-
-    n_rows = section_count(row_vars)
-    n_cols = section_count(col_vars)
     rows = []
     for r in range(n_rows):
         node_rows = [matrices[i][row_tables[i][r]] for i in range(n_nodes)]
@@ -378,7 +372,6 @@ def compose(
     p: ProcessTensor,
     q: ProcessTensor,
     links: Iterable[tuple[str, str]],
-    max_variables: int | None = None,
 ) -> ProcessTensor:
     """Connect outputs of p to inputs of q; each linked pair becomes internal.
 
@@ -386,9 +379,10 @@ def compose(
     repeated runs produce identical tensors.  Result layout: inputs are
     p.inputs ++ (q.inputs minus linked), internals are p.internals ++ linked
     (in p's output order) ++ q.internals, outputs are (p.outputs minus
-    linked) ++ q.outputs.
+    linked) ++ q.outputs.  A result over the state cap is refused, as in
+    `contract_network`.
     """
-    links = [(str(a), str(b)) for a, b in links]
+    links = list(links)
     p_outputs = {v.name: v for v in p.outputs}
     q_inputs = {v.name: v for v in q.inputs}
     if len({a for a, _ in links}) != len(links) or len({b for _, b in links}) != len(links):
@@ -424,7 +418,7 @@ def compose(
         net = Network((p, q))
     except WiringError as exc:
         raise CompositionError(str(exc)) from exc
-    result = contract_network(net, max_variables=max_variables)
+    result = contract_network(net)
     return ProcessTensor(
         f"{p.name}_{q.name}",
         result.inputs,

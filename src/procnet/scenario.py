@@ -16,10 +16,22 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# Every stage after parsing is dense in the state count: contraction, the
+# stationary solve and the LP over global sections.
+DEFAULT_MAX_STATES = 1024
+
+
+def _require_state_cap(n: int) -> None:
+    """Raise ResourceLimitError when n states exceed DEFAULT_MAX_STATES."""
+    if n > DEFAULT_MAX_STATES:
+        raise ResourceLimitError(
+            f"state space of size {n} exceeds the cap of {DEFAULT_MAX_STATES}"
+        )
 
 
 @dataclass(frozen=True)
@@ -60,9 +72,11 @@ class Section:
     assignment: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "assignment", tuple((str(n), str(o)) for n, o in self.assignment)
-        )
+        object.__setattr__(self, "assignment", tuple(map(tuple, self.assignment)))
+        if any(
+            not (isinstance(n, str) and isinstance(o, str)) for n, o in self.assignment
+        ):
+            raise DomainError("section names and outcomes must be strings")
         names = [n for n, _ in self.assignment]
         if len(set(names)) != len(names):
             raise DomainError("section assigns a variable more than once")

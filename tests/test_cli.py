@@ -1,5 +1,7 @@
+import argparse
 import io
 import json
+import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -9,9 +11,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from procnet import bundled_network_path
-from procnet.cli import main
+from procnet.cli import build_parser, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 BUNDLED = ("triangle", "chsh", "product", "chain")
 
 
@@ -32,6 +35,7 @@ def triangle_doc():
 
 
 def identity_ring_doc(wires: int):
+    """A ring of copy nodes with the uniform vector stored as "u"."""
     names = [f"W{k}" for k in range(wires)]
     return {
         "format_version": 1,
@@ -46,6 +50,7 @@ def identity_ring_doc(wires: int):
             }
             for k in range(wires)
         ],
+        "stationary": {"u": [f"1/{2**wires}"] * 2**wires},
     }
 
 
@@ -290,7 +295,12 @@ class TestAnalyze:
         assert "reciprocities" in err
 
     @pytest.mark.parametrize(
-        "argv", [("analyze",), ("simulate", "--node", "copy0", "--steps", "10")]
+        "argv",
+        [
+            ("analyze",),
+            ("simulate", "--node", "copy0", "--steps", "10"),
+            ("simulate", "--node", "copy0", "--omega", "u", "--steps", "10"),
+        ],
     )
     def test_state_cap_refuses_before_contraction(self, capsys, tmp_path, argv):
         # 2^11 states; contracting them alone took seconds
@@ -300,17 +310,6 @@ class TestAnalyze:
         assert time.perf_counter() - start < 1.0
         assert code == 3
         assert "state space of size 2048 exceeds the cap of 1024" in err
-
-    def test_variable_cap_exits_3(self, capsys):
-        code, _, err = run(
-            capsys,
-            "analyze",
-            str(bundled_network_path("chsh")),
-            "--max-vars",
-            "2",
-        )
-        assert code == 3
-        assert "cap" in err
 
 
 class TestSimulate:
@@ -369,6 +368,22 @@ class TestSimulate:
         doc = json.loads(out)
         assert sorted(row["frequency"] for row in doc["estimates"]) == ["0", "0", "0", "1"]
 
+    def test_steps_over_the_cap_exit_3(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys,
+            "simulate",
+            str(bundled_network_path("product")),
+            "--node",
+            "alpha",
+            "--steps",
+            "1000000000",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert "steps exceed the cap of 10000000" in err
+
     def test_unknown_node_is_semantic_error(self, capsys):
         code, _, err = run(
             capsys,
@@ -379,3 +394,31 @@ class TestSimulate:
         )
         assert code == 3
         assert "nope" in err
+
+
+def readme_synopsis_options() -> dict[str, set[str]]:
+    """The --options of each `procnet CMD` line of the README's synopsis."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    synopsis = {}
+    for line in block.splitlines():
+        if line.startswith("procnet "):
+            synopsis[line.split()[1]] = set(re.findall(r"--[a-z][a-z-]*", line))
+    return synopsis
+
+
+def test_readme_synopsis_lists_exactly_the_parser_options():
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    defined = {
+        name: {
+            opt
+            for action in p._actions
+            for opt in action.option_strings
+            if opt.startswith("--") and opt != "--help"
+        }
+        for name, p in sub.choices.items()
+    }
+    assert readme_synopsis_options() == defined

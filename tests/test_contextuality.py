@@ -324,13 +324,30 @@ class TestVorobev:
         assert checked >= 8
 
 
+def chain_model(n_vars):
+    """Uniform pairs along a chain of n binary variables: 2^n global sections."""
+    variables = tuple(Variable(f"X{k}", BINARY) for k in range(n_vars))
+    scenario = MeasurementScenario(
+        variables,
+        tuple((f"X{k}", f"X{k + 1}") for k in range(n_vars - 1)),
+    )
+    return EmpiricalModel(
+        scenario,
+        tuple(
+            Distribution.uniform(variables[k : k + 2]) for k in range(n_vars - 1)
+        ),
+    )
+
+
 class TestSectionCap:
     def test_decide_refuses_oversized_section_spaces(self):
-        model = chsh_box()
-        with pytest.raises(ResourceLimitError):
-            decide_contextuality(model, max_sections=8)
-        with pytest.raises(ResourceLimitError):
-            is_strongly_contextual(model, max_sections=8)
+        model = chain_model(11)
+        message = "state space of size 2048 exceeds the cap of 1024"
+        with pytest.raises(ResourceLimitError, match=message):
+            decide_contextuality(model)
+        with pytest.raises(ResourceLimitError, match=message):
+            is_strongly_contextual(model)
+        assert not is_strongly_contextual(chain_model(10))  # 1024 is admitted
 
 
 class TestCertificateShape:

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from random import Random
 
@@ -19,7 +20,8 @@ from procnet import (
     verify_stationary,
 )
 from oracle import solve_linear
-from procnet.dynamics import _recurrent_class
+from procnet import scenario
+from procnet.dynamics import MAX_STEPS, _recurrent_class
 from procnet.errors import DomainError, ResourceLimitError
 from procnet.generators import random_closed_network, random_stochastic_rows
 
@@ -192,10 +194,12 @@ class TestFindStationary:
             )
             assert verify_stationary(triangle_sigma, mixed).stationary
 
-    def test_state_cap(self):
+    def test_state_cap(self, monkeypatch):
+        # the cap is read at call time, so a small one stands in for 1024
+        monkeypatch.setattr(scenario, "DEFAULT_MAX_STATES", 4)
         sigma = closed_tensor("id", 3, identity_rows(8))
-        with pytest.raises(ResourceLimitError):
-            find_stationary(sigma, max_states=4)
+        with pytest.raises(ResourceLimitError, match="size 8 exceeds the cap of 4"):
+            find_stationary(sigma)
 
 
 class TestStructure:
@@ -255,6 +259,13 @@ class TestSimulate:
     def test_negative_steps_rejected(self, triangle_sigma):
         with pytest.raises(DomainError):
             simulate_chain(triangle_sigma, ("0", "0", "0"), steps=-1, seed=1)
+
+    def test_steps_over_the_cap_refused_before_the_first_draw(self, triangle_sigma):
+        uniform = Distribution.uniform(triangle_sigma.internals)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="cap of 10000000"):
+            simulate_chain(triangle_sigma, uniform, steps=MAX_STEPS + 1, seed=1)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestEstimateStationary:

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from random import Random
 
@@ -15,6 +16,7 @@ from procnet import (
     global_variable_order,
     rename_variables,
     reorder_process,
+    uniform_process,
     validate_process,
 )
 from procnet.errors import (
@@ -32,6 +34,10 @@ HALF = Fraction(1, 2)
 
 def var(name, alphabet=BINARY):
     return Variable(name, alphabet)
+
+
+def copy(t):
+    return t
 
 
 def random_process(rng, name, inputs, outputs):
@@ -213,6 +219,19 @@ class TestCompose:
                     int(gv)
                 ][int(ov)]
 
+    def test_result_over_the_state_cap_is_refused(self):
+        # 2^6 * 2^5 = 2048 rows once the inputs of p and q are side by side
+        p = uniform_process("p", [var(f"I{k}") for k in range(6)], [var("F")])
+        q = uniform_process("q", [var(f"J{k}") for k in range(5)], [var("O")])
+        with pytest.raises(ResourceLimitError, match="state space of size 2048"):
+            compose(p, q, [])
+
+    def test_non_string_link_names_rejected(self):
+        p = deterministic_process("p", [var("I")], [var("F")], copy)
+        q = deterministic_process("q", [Variable("0", BINARY)], [var("O")], copy)
+        with pytest.raises(CompositionError):
+            compose(p, q, [("F", 0)])
+
     def test_compose_preserves_stochasticity(self):
         rng = Random(8)
         for _ in range(10):
@@ -333,11 +352,21 @@ class TestContract:
             sigma = contract_network(net)
             assert validate_process(sigma).ok
 
-    def test_variable_cap_enforced(self):
-        rng = Random(14)
-        net = random_closed_network(rng, n_nodes=4)
-        with pytest.raises(ResourceLimitError):
-            contract_network(net, max_variables=2)
+    def test_state_cap_enforced(self):
+        # 2^11 states; contracting them took seconds, refusing must not
+        wires = [var(f"W{k}") for k in range(11)]
+        net = Network(
+            tuple(
+                deterministic_process(f"copy{k}", [w], [wires[(k + 1) % 11]], copy)
+                for k, w in enumerate(wires)
+            )
+        )
+        start = time.perf_counter()
+        with pytest.raises(
+            ResourceLimitError, match="state space of size 2048 exceeds the cap of 1024"
+        ):
+            contract_network(net)
+        assert time.perf_counter() - start < 1.0
 
     def test_global_order_is_first_appearance(self, chsh_network):
         g_in, g_internal, g_out = global_variable_order(chsh_network)

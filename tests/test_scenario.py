@@ -64,6 +64,12 @@ class TestSections:
         with pytest.raises(DomainError):
             restrict_section(s, ("Y",))
 
+    def test_non_string_names_and_outcomes_rejected(self):
+        # converting them with str() made the outcome 0 index as "0"
+        for assignment in ((("X", 0),), ((0, "0"),)):
+            with pytest.raises(DomainError, match="must be strings"):
+                Section(assignment)
+
     def test_enumeration_is_lexicographic(self):
         x = Variable("X", BINARY)
         y = Variable("Y", ("a", "b", "c"))
