@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .analysis import Analysis, analyze, stationary_regime
-from .dynamics import is_ergodic, simulate_chain
+from .dynamics import _require_steps, is_ergodic, simulate_chain
 from .empirical import _node_delta, empirical_node_frequencies
 from .errors import (
     DomainError,
@@ -251,6 +251,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _require_steps(args.steps, 1)  # frequencies need one transition
     nf = load_network_file(args.file)
     node = nf.network.node(args.node)
     sigma, stat = stationary_regime(nf, args.omega)

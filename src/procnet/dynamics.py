@@ -263,6 +263,14 @@ def _initial_state_index(sigma: ProcessTensor, init, rng: SplitMix64) -> int:
     return section_index(sigma.internals, init)
 
 
+def _require_steps(steps: int, least: int = 0) -> None:
+    """Refuse fewer than `least` or more than MAX_STEPS steps, before work."""
+    if steps < least:
+        raise DomainError(f"steps must be >= {least}")
+    if steps > MAX_STEPS:
+        raise ResourceLimitError(f"steps exceed the cap of {MAX_STEPS}")
+
+
 def simulate_chain(
     sigma: ProcessTensor,
     init,
@@ -279,10 +287,7 @@ def simulate_chain(
     MAX_STEPS steps is a ResourceLimitError, raised before the first draw.
     """
     _require_closed(sigma)
-    if steps < 0:
-        raise DomainError("steps must be >= 0")
-    if steps > MAX_STEPS:
-        raise ResourceLimitError(f"steps exceed the cap of {MAX_STEPS}")
+    _require_steps(steps)
     rng = SplitMix64(seed)
     state = _initial_state_index(sigma, init, rng)
     thresholds: dict[int, list[int]] = {}
@@ -305,8 +310,7 @@ def estimate_stationary(
     This is a Cesaro average, so it is meaningful for periodic chains as
     well; the exact residual of the estimate is reported alongside.
     """
-    if steps < 1:
-        raise DomainError("estimation needs at least one step")
+    _require_steps(steps, 1)
     trail = simulate_chain(sigma, init, steps, seed)
     counts = Counter(trail)
     total = len(trail)

@@ -11,8 +11,10 @@ after it satisfies every equation exactly.
 The simplex minimizes the sum of one artificial variable per row (rows are
 sign-normalized so the right-hand side is nonnegative).  Bland's smallest
 index rule is used for both the entering and the leaving choice, so the
-pivoting cannot cycle and terminates on every input.  With exact Fractions
-the optimum of zero is detected exactly, never within a tolerance.
+pivoting cannot cycle and terminates on every input.  It pivots on integers
+over one common denominator (Edmonds, J. Res. NBS 71B, 1967; Bareiss, Math.
+Comp. 22, 1968): the optimum of zero is detected exactly, never within a
+tolerance.
 
 If the optimum is positive the system is infeasible and the dual vector of
 the phase-1 optimum is returned: a y with y^T A <= 0 componentwise and
@@ -30,10 +32,6 @@ from typing import Sequence
 
 from .errors import DomainError
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
 # The three largest primes below 2**30 (2**30 - 35, - 41, - 83): a residue
 # is one 30-bit CPython digit, so the O(n^3) factorization multiplies only
 # two-digit products (about 40% faster than 62-bit primes at 128 states).
@@ -41,23 +39,30 @@ _ONE = Fraction(1)
 _PRIMES = (1073741789, 1073741783, 1073741741)
 
 
+def _augmented(
+    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> list[list[Fraction]]:
+    """The rows of [A | b] as Fractions; DomainError unless the shapes fit."""
+    if len(rows) != len(rhs):
+        raise DomainError("rhs length does not match row count")
+    aug = [
+        [e if isinstance(e, Fraction) else Fraction(e) for e in (*row, b)]
+        for row, b in zip(rows, rhs)
+    ]
+    if any(len(row) != len(aug[0]) for row in aug):
+        raise DomainError("ragged coefficient matrix")
+    return aug
+
+
 def _integer_rows(
     rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> tuple[list[list[int]], list[int]]:
     """Scale each equation by the lcm of its denominators."""
-    m = len(rows)
-    if m != len(rhs):
-        raise DomainError("rhs length does not match row count")
-    n = len(rows[0]) if m else 0
     coeffs: list[list[int]] = []
     consts: list[int] = []
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise DomainError("ragged coefficient matrix")
-        entries = [e if isinstance(e, Fraction) else Fraction(e) for e in row]
-        entries.append(Fraction(rhs[i]))
-        scale = lcm(*(e.denominator for e in entries))
-        scaled = [e.numerator * (scale // e.denominator) for e in entries]
+    for row in _augmented(rows, rhs):
+        scale = lcm(*(e.denominator for e in row))
+        scaled = [e.numerator * (scale // e.denominator) for e in row]
         consts.append(scaled.pop())
         coeffs.append(scaled)
     return coeffs, consts
@@ -230,78 +235,71 @@ def feasible_point(
     Feasible systems yield a basic feasible solution (a vertex of the
     polytope); infeasible ones yield a Farkas certificate against the
     original, un-normalized rows.
+
+    The rational tableau is an integer tableau T over one common
+    denominator d, which starts at 1; every column but the artificial
+    identity is scaled by the lcm of its denominators.  A pivot on (r, s)
+    sets every other row, reduced costs included, to (T_i T_rs - T_is T_r)
+    / d, which divides exactly (Edmonds), and then d to T_rs > 0.  So signs
+    and ratio orders (cross-multiplied) are those of the rational tableau,
+    whose column scales only change units: Bland's rule takes the same
+    pivots to the same vertex and dual.
     """
-    m = len(rows)
-    if m != len(rhs):
-        raise DomainError("rhs length does not match row count")
-    n = len(rows[0]) if m else 0
+    aug = _augmented(rows, rhs)
+    m = len(aug)
     if m == 0:
         return FeasibilityResult(True, (), None)
-
-    flipped = [rhs[i] < 0 for i in range(m)]
-    tab: list[list[Fraction]] = []
-    for i in range(m):
-        row = [Fraction(e) for e in rows[i]]
-        b = Fraction(rhs[i])
-        if len(row) != n:
-            raise DomainError("ragged coefficient matrix")
-        if flipped[i]:
-            row = [-e for e in row]
-            b = -b
-        art = [_ZERO] * m
-        art[i] = _ONE
-        tab.append(row + art + [b])
+    n = len(aug[0]) - 1
+    flipped = [row[n] < 0 for row in aug]
+    normalized = [[-e for e in r] if f else r for r, f in zip(aug, flipped)]
+    scales = [lcm(*(e.denominator for e in col)) for col in zip(*normalized)]
+    tab: list[list[int]] = []
+    for i, row in enumerate(normalized):
+        ints = [e.numerator * (c // e.denominator) for e, c in zip(row, scales)]
+        tab.append(ints[:n] + [int(k == i) for k in range(m)] + ints[n:])
+    # row m: reduced costs for minimizing the artificial sum; artificial
+    # columns start basic, so their reduced costs are zero
+    tab.append([-sum(col) for col in zip(*tab)])
+    tab[m][n:-1] = [0] * m
 
     basis = [n + i for i in range(m)]
-    # reduced costs for minimizing the artificial sum; artificial columns
-    # start basic, so their reduced costs are zero
-    zrow = [
-        -sum(tab[i][j] for i in range(m)) if j < n else _ZERO for j in range(n + m)
-    ]
-    zrow.append(-sum(tab[i][n + m] for i in range(m)))
-
-    width = n + m
+    d = 1
     while True:
-        enter = next((j for j in range(width) if zrow[j] < 0), None)
+        enter = next((j for j in range(n + m) if tab[m][j] < 0), None)
         if enter is None:
             break
+        # smallest ratio value / coeff, ties to the smallest basic variable
         leave = None
-        best = None
         for i in range(m):
-            coeff = tab[i][enter]
-            if coeff > 0:
-                ratio = tab[i][width] / coeff
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
+            coeff, value = tab[i][enter], tab[i][-1]
+            if coeff > 0 and (
+                leave is None
+                or (value * best[0], basis[i]) < (best[1] * coeff, basis[leave])
+            ):
+                leave, best = i, (coeff, value)
         if leave is None:
             raise AssertionError("phase-1 objective is bounded; no leaving row found")
-        pivot = tab[leave][enter]
-        tab[leave] = [e / pivot for e in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
-        if zrow[enter] != 0:
-            f = zrow[enter]
-            zrow = [a - f * b for a, b in zip(zrow, tab[leave])]
+        prow = tab[leave]
+        pivot = prow[enter]
+        for i, row in enumerate(tab):
+            f = row[enter]
+            if i != leave and (f or pivot != d):
+                tab[i] = [(a * pivot - f * b) // d for a, b in zip(row, prow)]
+        d = pivot
         basis[leave] = enter
 
-    objective = -zrow[width]
-    if objective == 0:
-        x = [_ZERO] * n
+    # the last column: basic values and phase-1 objective, times d, in its units
+    zrow = tab[m]
+    if zrow[-1] == 0:
+        x = [Fraction(0)] * n
         for i, var in enumerate(basis):
             if var < n:
-                x[var] = tab[i][width]
+                x[var] = Fraction(tab[i][-1] * scales[var], d * scales[n])
         return FeasibilityResult(True, tuple(x), None)
 
     # dual value of row i: artificial i has cost 1 and column e_i, so its
-    # reduced cost is 1 - y_i
-    y = [ _ONE - zrow[n + i] for i in range(m)]
+    # reduced cost, zrow[n + i] / d, is 1 - y_i
+    y = [Fraction(d - zrow[n + i], d) for i in range(m)]
     y = [-yi if flipped[i] else yi for i, yi in enumerate(y)]
     return FeasibilityResult(False, None, tuple(y))
 
@@ -315,8 +313,5 @@ def farkas_contradiction(
     m = len(rows)
     if len(certificate) != m or m != len(rhs):
         return False
-    n = len(rows[0]) if m else 0
-    for j in range(n):
-        if sum(certificate[i] * rows[i][j] for i in range(m)) > 0:
-            return False
-    return sum(certificate[i] * rhs[i] for i in range(m)) > 0
+    sums = [sum(map(mul, certificate, col)) for col in (*zip(*rows), rhs)]
+    return all(s <= 0 for s in sums[:-1]) and sums[-1] > 0

@@ -1,8 +1,11 @@
-"""Reference oracle for the production solver: Gauss-Jordan on Fractions.
+"""Reference oracles for the production solvers, on Fractions.
 
-Slow but obviously correct, and more general than
-`procnet.exactlp.solve_linear_fraction_free`: it accepts rank-deficient
-systems and sets free variables to zero.
+`solve_linear` is Gauss-Jordan: slow but obviously correct, and more
+general than `procnet.exactlp.solve_linear_fraction_free`: it accepts
+rank-deficient systems and sets free variables to zero.
+
+`fraction_simplex` is the phase-1 simplex of
+`procnet.exactlp.feasible_point` on a dense Fraction tableau.
 """
 from __future__ import annotations
 
@@ -10,8 +13,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from procnet.errors import DomainError
+from procnet.exactlp import FeasibilityResult
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def solve_linear(
@@ -56,3 +61,88 @@ def solve_linear(
     for k, col in enumerate(pivot_cols):
         x[col] = aug[k][n]
     return tuple(x)
+
+
+def fraction_simplex(
+    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> FeasibilityResult:
+    """Decide {A x = b, x >= 0} on a dense tableau of Fractions.
+
+    The same phase 1 as `procnet.exactlp.feasible_point` (one artificial
+    per sign-normalized row, Bland's rule for entering and leaving), with
+    every pivot done in Fractions; the production solver must return
+    exactly the same vertex or certificate.
+    """
+    m = len(rows)
+    if m != len(rhs):
+        raise DomainError("rhs length does not match row count")
+    n = len(rows[0]) if m else 0
+    if m == 0:
+        return FeasibilityResult(True, (), None)
+
+    flipped = [rhs[i] < 0 for i in range(m)]
+    tab: list[list[Fraction]] = []
+    for i in range(m):
+        row = [Fraction(e) for e in rows[i]]
+        b = Fraction(rhs[i])
+        if len(row) != n:
+            raise DomainError("ragged coefficient matrix")
+        if flipped[i]:
+            row = [-e for e in row]
+            b = -b
+        art = [_ZERO] * m
+        art[i] = _ONE
+        tab.append(row + art + [b])
+
+    basis = [n + i for i in range(m)]
+    # reduced costs for minimizing the artificial sum; artificial columns
+    # start basic, so their reduced costs are zero
+    zrow = [
+        -sum(tab[i][j] for i in range(m)) if j < n else _ZERO for j in range(n + m)
+    ]
+    zrow.append(-sum(tab[i][n + m] for i in range(m)))
+
+    width = n + m
+    while True:
+        enter = next((j for j in range(width) if zrow[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            coeff = tab[i][enter]
+            if coeff > 0:
+                ratio = tab[i][width] / coeff
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and basis[i] < basis[leave])
+                ):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise AssertionError("phase-1 objective is bounded; no leaving row found")
+        pivot = tab[leave][enter]
+        tab[leave] = [e / pivot for e in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
+        if zrow[enter] != 0:
+            f = zrow[enter]
+            zrow = [a - f * b for a, b in zip(zrow, tab[leave])]
+        basis[leave] = enter
+
+    objective = -zrow[width]
+    if objective == 0:
+        x = [_ZERO] * n
+        for i, var in enumerate(basis):
+            if var < n:
+                x[var] = tab[i][width]
+        return FeasibilityResult(True, tuple(x), None)
+
+    # dual value of row i: artificial i has cost 1 and column e_i, so its
+    # reduced cost is 1 - y_i
+    y = [_ONE - zrow[n + i] for i in range(m)]
+    y = [-yi if flipped[i] else yi for i, yi in enumerate(y)]
+    return FeasibilityResult(False, None, tuple(y))

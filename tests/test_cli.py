@@ -384,6 +384,20 @@ class TestSimulate:
         assert out == ""
         assert "steps exceed the cap of 10000000" in err
 
+    @pytest.mark.parametrize("steps", ["0", "1000000000"])
+    def test_bad_steps_refused_before_the_network_is_solved(
+        self, capsys, tmp_path, steps
+    ):
+        path = write(tmp_path, identity_ring_doc(10))
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "simulate", path, "--node", "copy0", "--steps", steps
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert "steps" in err
+
     def test_unknown_node_is_semantic_error(self, capsys):
         code, _, err = run(
             capsys,

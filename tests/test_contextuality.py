@@ -360,6 +360,18 @@ class TestCertificateShape:
         # context rows carry the observed weights
         assert rhs[0] == model.context_distributions[0].weights[0]
 
+    def test_certificate_with_one_entry_altered_is_rejected(self):
+        model = triangle_model()
+        certificate = list(decide_contextuality(model).certificate)
+        assert verify_infeasibility_certificate(model, certificate)
+        # every row has a 1 in some column, so raising one coefficient past
+        # the sum of all magnitudes makes that column's y^T A positive
+        bump = 1 + sum(abs(y) for y in certificate)
+        for i in range(len(certificate)):
+            altered = list(certificate)
+            altered[i] += bump
+            assert not verify_infeasibility_certificate(model, altered)
+
     def test_certificate_against_tampered_model_fails(self):
         model = triangle_model()
         verdict = decide_contextuality(model)

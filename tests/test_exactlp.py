@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import solve_linear
+from oracle import fraction_simplex, solve_linear
 from procnet import exactlp
 from procnet.errors import DomainError
 from procnet.exactlp import (
@@ -257,3 +257,56 @@ class TestFeasiblePoint:
                 found += 1
                 assert farkas_contradiction(rows, rhs, res.certificate)
         assert found > 5
+
+
+_lp_entries = st.builds(
+    F, st.integers(-4, 4), st.sampled_from((1, 1, 1, 2, 3, 4, 6, 35))
+)
+
+
+@st.composite
+def lp_systems(draw):
+    """Small systems {A x = b}: feasible ones built from a hidden point
+    x >= 0 with zero entries (degenerate vertices), and arbitrary ones,
+    most of them infeasible.  Some rows are zero, and some are copies of
+    another row scaled by a nonzero factor, so ratio tests tie and
+    negative factors flip rows."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 7))
+    rows = [draw(st.lists(_lp_entries, min_size=n, max_size=n)) for _ in range(m)]
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+        rows[i] = [F(0)] * n
+    if draw(st.booleans()):
+        hidden = draw(
+            st.lists(
+                st.one_of(st.just(F(0)), st.builds(F, st.integers(0, 5), st.integers(1, 6))),
+                min_size=n,
+                max_size=n,
+            )
+        )
+        rhs = [sum((a * h for a, h in zip(row, hidden)), F(0)) for row in rows]
+    else:
+        rhs = draw(st.lists(_lp_entries, min_size=m, max_size=m))
+    for _ in range(draw(st.integers(0, 2))):
+        src, dst = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        factor = draw(st.sampled_from((F(1), F(2), F(-1), F(-1, 3))))
+        rows[dst] = [factor * e for e in rows[src]]
+        rhs[dst] = factor * rhs[src]
+    return rows, rhs
+
+
+class TestIntegerSimplexAgainstOracle:
+    """The integer tableau against the Fraction tableau it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lp_systems())
+    def test_same_vertex_or_certificate_as_the_fraction_tableau(self, system):
+        rows, rhs = system
+        res = feasible_point(rows, rhs)
+        assert res == fraction_simplex(rows, rhs)
+        if res.feasible:
+            assert all(v >= 0 for v in res.solution)
+            for row, b in zip(rows, rhs):
+                assert sum((a * v for a, v in zip(row, res.solution)), F(0)) == b
+        else:
+            assert farkas_contradiction(rows, rhs, res.certificate)
