@@ -243,10 +243,10 @@ def empirical_node_frequencies(
     """Observed frequencies of (node inputs at t, node outputs at t+1).
 
     The trajectory holds state indices of the closed global process, as
-    `simulate_chain` returns them; the node's variables must be variables of
-    that process (same name and alphabet).  Counting runs over the
-    steps-many consecutive pairs, so the result is an exact empirical
-    distribution.
+    `simulate_chain` returns them, each in 0..n-1 for n states; the node's
+    variables must be variables of that process (same name and alphabet).
+    Counting runs over the steps-many consecutive pairs, so the result is
+    an exact empirical distribution.
     """
     if len(trajectory) < 2:
         raise DomainError("need at least one transition to count frequencies")
@@ -257,6 +257,8 @@ def empirical_node_frequencies(
                 f"node variable {v.name!r} is not a variable of the global process"
             )
     rows = _index_table(node.inputs, sigma.internals)
+    if min(trajectory) < 0 or max(trajectory) >= len(rows):
+        raise DomainError(f"trajectory state indices must be in 0..{len(rows) - 1}")
     cols = _index_table(node.outputs, sigma.internals)
     out_count = section_count(node.outputs)
     counts = Counter(

@@ -9,13 +9,14 @@ variable of the contracted global process.
 
 The global entry is the plain product of the node entries, so contraction
 order cannot change the result; nodes are folded in declaration order.
-Everything is dense and exact, which is why `contract_network` refuses a
-global process of more than `scenario.DEFAULT_MAX_STATES` rows or columns
-before it allocates any, instead of attempting to scale.
+Contraction multiplies only the nonzero node entries, so its work follows
+the nonzeros.  Its result is a dense exact matrix, which is why
+`contract_network` refuses a global process of more than
+`scenario.DEFAULT_MAX_STATES` rows or columns before it builds any row.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -260,22 +261,16 @@ class NetworkShape:
 
 
 def classify_network(net: Network) -> NetworkShape:
-    """Closed when every node input is produced and every output consumed."""
-    produced = {v.name for n in net.nodes for v in n.outputs}
-    consumed = {v.name for n in net.nodes for v in n.inputs}
-    dangling_in = []
-    dangling_out = []
-    for n in net.nodes:
-        for v in n.inputs:
-            if v.name not in produced:
-                dangling_in.append(v.name)
-        for v in n.outputs:
-            if v.name not in consumed:
-                dangling_out.append(v.name)
+    """Closed when every node input is produced and every output consumed.
+
+    The dangling wires are the global process's inputs and outputs, in
+    `global_variable_order`.
+    """
+    g_inputs, _, g_outputs = global_variable_order(net)
     return NetworkShape(
-        closed=not dangling_in and not dangling_out,
-        dangling_inputs=tuple(dangling_in),
-        dangling_outputs=tuple(dangling_out),
+        closed=not g_inputs and not g_outputs,
+        dangling_inputs=tuple(v.name for v in g_inputs),
+        dangling_outputs=tuple(v.name for v in g_outputs),
     )
 
 
@@ -336,8 +331,9 @@ def contract_network(net: Network) -> ProcessTensor:
     Each node reads its inputs and internals from the row side (time t) and
     writes its internals and outputs on the column side (time t+1), so the
     entry of the result at (row, column) is the product of the node entries
-    at the correspondingly restricted sections.  More rows or columns than
-    the state cap is a ResourceLimitError, raised before any row is built.
+    at the correspondingly restricted sections.  Only nonzero node entries
+    are multiplied; the result is dense, and more rows or columns than the
+    state cap is a ResourceLimitError, raised before any row is built.
     """
     g_inputs, g_internals, g_outputs = global_variable_order(net)
     row_vars = g_inputs + g_internals
@@ -347,23 +343,21 @@ def contract_network(net: Network) -> ProcessTensor:
     _require_state_cap(n_rows)
     _require_state_cap(n_cols)
 
-    row_tables = [_index_table(n.row_variables, row_vars) for n in net.nodes]
-    col_tables = [_index_table(n.col_variables, col_vars) for n in net.nodes]
-    matrices = [n.matrix for n in net.nodes]
-    n_nodes = len(net.nodes)
+    # one node writes each column variable, so a global column is a sum of one
+    # offset per node; nonzeros[i][r] holds node i's (offset, entry) at row r
+    nonzeros = []
+    for n in net.nodes:
+        offsets = _index_table(col_vars, n.col_variables)
+        sparse = [[(o, e) for o, e in zip(offsets, row) if e] for row in n.matrix]
+        nonzeros.append([sparse[t] for t in _index_table(n.row_variables, row_vars)])
     rows = []
     for r in range(n_rows):
-        node_rows = [matrices[i][row_tables[i][r]] for i in range(n_nodes)]
-        row = []
-        for c in range(n_cols):
-            acc = ONE
-            for i in range(n_nodes):
-                e = node_rows[i][col_tables[i][c]]
-                if not e:
-                    acc = ZERO
-                    break
-                acc = acc * e
-            row.append(acc)
+        terms = [(0, ONE)]
+        for node_rows in nonzeros:
+            terms = [(c + o, a * e) for c, a in terms for o, e in node_rows[r]]
+        row = [ZERO] * n_cols
+        for c, e in terms:
+            row[c] = e
         rows.append(tuple(row))
     return ProcessTensor("global", g_inputs, g_internals, g_outputs, tuple(rows))
 
@@ -418,11 +412,4 @@ def compose(
         net = Network((p, q))
     except WiringError as exc:
         raise CompositionError(str(exc)) from exc
-    result = contract_network(net)
-    return ProcessTensor(
-        f"{p.name}_{q.name}",
-        result.inputs,
-        result.internals,
-        result.outputs,
-        result.matrix,
-    )
+    return replace(contract_network(net), name=f"{p.name}_{q.name}")

@@ -168,7 +168,9 @@ def _index_table(
     sub_vars: Sequence[Variable], space_vars: Sequence[Variable]
 ) -> list[int]:
     """For each section of space_vars, in index order, the index of its
-    restriction to sub_vars (which must be among space_vars, in any order)."""
+    restriction to sub_vars.  Variables of space_vars not in sub_vars are
+    dropped; variables of sub_vars not in space_vars contribute 0, so with
+    sub_vars the larger space the entries are offsets into it."""
     stride, acc = {}, 1
     for v in reversed(sub_vars):
         stride[v.name] = acc

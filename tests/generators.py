@@ -16,10 +16,10 @@ from fractions import Fraction
 from random import Random
 from typing import Sequence
 
-from .contextuality import graham_reduction
-from .errors import DomainError
-from .process import Network, ProcessTensor, Variable
-from .scenario import (
+from procnet.contextuality import graham_reduction
+from procnet.errors import DomainError
+from procnet.process import Network, ProcessTensor, Variable
+from procnet.scenario import (
     ONE,
     Distribution,
     EmpiricalModel,

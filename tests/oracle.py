@@ -6,6 +6,9 @@ rank-deficient systems and sets free variables to zero.
 
 `fraction_simplex` is the phase-1 simplex of
 `procnet.exactlp.feasible_point` on a dense Fraction tableau.
+
+`dense_contract` is `procnet.process.contract_network` as a triple loop
+over every (row, column, node), zero entries included.
 """
 from __future__ import annotations
 
@@ -14,6 +17,14 @@ from typing import Sequence
 
 from procnet.errors import DomainError
 from procnet.exactlp import FeasibilityResult
+from procnet.process import Network, ProcessTensor, global_variable_order
+from procnet.scenario import (
+    ONE,
+    ZERO,
+    _index_table,
+    _require_state_cap,
+    section_count,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -146,3 +157,34 @@ def fraction_simplex(
     y = [_ONE - zrow[n + i] for i in range(m)]
     y = [-yi if flipped[i] else yi for i, yi in enumerate(y)]
     return FeasibilityResult(False, None, tuple(y))
+
+
+def dense_contract(net: Network) -> ProcessTensor:
+    """Multiply all nodes into the global process, entry by entry."""
+    g_inputs, g_internals, g_outputs = global_variable_order(net)
+    row_vars = g_inputs + g_internals
+    col_vars = g_internals + g_outputs
+    n_rows = section_count(row_vars)
+    n_cols = section_count(col_vars)
+    _require_state_cap(n_rows)
+    _require_state_cap(n_cols)
+
+    row_tables = [_index_table(n.row_variables, row_vars) for n in net.nodes]
+    col_tables = [_index_table(n.col_variables, col_vars) for n in net.nodes]
+    matrices = [n.matrix for n in net.nodes]
+    n_nodes = len(net.nodes)
+    rows = []
+    for r in range(n_rows):
+        node_rows = [matrices[i][row_tables[i][r]] for i in range(n_nodes)]
+        row = []
+        for c in range(n_cols):
+            acc = ONE
+            for i in range(n_nodes):
+                e = node_rows[i][col_tables[i][c]]
+                if not e:
+                    acc = ZERO
+                    break
+                acc = acc * e
+            row.append(acc)
+        rows.append(tuple(row))
+    return ProcessTensor("global", g_inputs, g_internals, g_outputs, tuple(rows))

@@ -36,7 +36,7 @@ from procnet import (
     vorobev_regular,
 )
 from procnet.empirical import empirical_node_frequencies
-from procnet.generators import (
+from generators import (
     family_by_elimination,
     family_by_global_marginals,
     random_closed_network,

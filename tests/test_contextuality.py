@@ -23,7 +23,7 @@ from procnet import (
 )
 from procnet.errors import DomainError, ResourceLimitError
 from oracle import solve_linear
-from procnet.generators import (
+from generators import (
     family_by_elimination,
     family_by_global_marginals,
     random_scenario,

@@ -23,7 +23,7 @@ from oracle import solve_linear
 from procnet import scenario
 from procnet.dynamics import MAX_STEPS, _recurrent_class
 from procnet.errors import DomainError, ResourceLimitError
-from procnet.generators import random_closed_network, random_stochastic_rows
+from generators import random_closed_network, random_stochastic_rows
 
 F = Fraction
 BINARY = ("0", "1")

@@ -12,11 +12,13 @@ from procnet import (
     ProcessTensor,
     Variable,
     build_empirical_model,
+    bundled_network_path,
     contract_network,
     deterministic_process,
     empirical_node_frequencies,
     estimate_stationary,
     find_stationary,
+    load_network_file,
     marginalize,
     node_distribution,
     section_at,
@@ -26,7 +28,7 @@ from procnet import (
     verify_marginal_theorem,
 )
 from procnet.errors import DomainError, StationarityError, StructureError
-from procnet.generators import random_closed_network
+from generators import random_closed_network
 from procnet.scenario import iter_outcome_tuples
 
 F = Fraction
@@ -219,6 +221,17 @@ class TestEmpiricalFrequencies:
         node = uniform_process("alpha", [Variable("W", BINARY)], [y])
         with pytest.raises(DomainError, match="'W' is not a variable"):
             empirical_node_frequencies(triangle_sigma, node, trail)
+
+    @pytest.mark.parametrize("outside", [-1, 8])
+    def test_state_index_outside_the_chain_is_rejected(self, outside):
+        # product has 8 states; -1 used to wrap round to 7, 8 to end in IndexError
+        net = load_network_file(bundled_network_path("product")).network
+        sigma = contract_network(net)
+        alpha = net.node("alpha")
+        empirical_node_frequencies(sigma, alpha, (0, 7, 7))
+        for trail in ((0, outside, outside), (outside, 0)):
+            with pytest.raises(DomainError, match=r"must be in 0\.\.7"):
+                empirical_node_frequencies(sigma, alpha, trail)
 
     @settings(max_examples=40, deadline=None)
     @given(

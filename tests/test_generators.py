@@ -10,7 +10,7 @@ from procnet import (
     vorobev_regular,
 )
 from procnet.errors import DomainError
-from procnet.generators import (
+from generators import (
     family_by_elimination,
     family_by_global_marginals,
     random_closed_network,

@@ -1,13 +1,19 @@
 import time
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracle import dense_contract
 from procnet import (
     Network,
+    NetworkFile,
     ProcessTensor,
     Variable,
+    analyze,
     classify_network,
     compose,
     contract_network,
@@ -23,9 +29,10 @@ from procnet.errors import (
     CompositionError,
     DomainError,
     ResourceLimitError,
+    StructureError,
     WiringError,
 )
-from procnet.generators import random_closed_network, random_stochastic_rows
+from generators import random_closed_network, random_stochastic_rows
 from procnet.scenario import iter_outcome_tuples, section_count
 
 BINARY = ("0", "1")
@@ -45,6 +52,67 @@ def random_process(rng, name, inputs, outputs):
         rng, section_count(tuple(inputs)), section_count(tuple(outputs))
     )
     return ProcessTensor(name, tuple(inputs), (), tuple(outputs), matrix)
+
+
+@st.composite
+def variables(draw, name):
+    size = draw(st.integers(1, 3))
+    return Variable(name, tuple(draw(st.permutations(("0", "1", "2")[:size]))))
+
+
+@st.composite
+def processes(draw, name, inputs, internals, outputs):
+    """A process on the given variables, each role in a drawn order; about a
+    quarter of the entries are zero, and some rows are all zero."""
+    inputs, internals, outputs = (
+        tuple(draw(st.permutations(vs))) for vs in (inputs, internals, outputs)
+    )
+    rng = Random(draw(st.integers(0, 2**32)))
+    n_cols = section_count(internals + outputs)
+    rows = []
+    for _ in range(section_count(inputs + internals)):
+        weights = [rng.randint(0, 3) for _ in range(n_cols)]
+        rows.append(tuple(Fraction(w, sum(weights) or 1) for w in weights))
+    return ProcessTensor(name, inputs, internals, outputs, tuple(rows))
+
+
+@st.composite
+def networks(draw):
+    """0-3 nodes over up to 5 variables, each a wire between two nodes (two
+    on one pair are parallel arrows), a dangling input or output, or a node
+    internal."""
+    n_nodes = draw(st.integers(0, 3))
+    roles = [([], [], []) for _ in range(n_nodes)]
+    for k in range(draw(st.integers(0, 5)) if n_nodes else 0):
+        v = draw(variables(f"V{k}"))
+        node = draw(st.integers(0, n_nodes - 1))
+        kind = draw(st.sampled_from(("wire", "input", "internal", "output")))
+        if kind == "wire" and n_nodes > 1:
+            other = draw(st.integers(0, n_nodes - 2))
+            roles[other + (other >= node)][0].append(v)
+            roles[node][2].append(v)
+        else:
+            roles[node][{"input": 0, "internal": 1}.get(kind, 2)].append(v)
+    return Network(tuple(draw(processes(f"n{i}", *roles[i])) for i in range(n_nodes)))
+
+
+@st.composite
+def composable(draw):
+    """Open processes p and q, and links from outputs of p to inputs of q;
+    a linked input of q keeps the output's name or has its own."""
+    def some(prefix, most):
+        count = draw(st.integers(0, most))
+        return [draw(variables(f"{prefix}{k}")) for k in range(count)]
+
+    p_outputs = some("A", 2)
+    links = [
+        (v.name, v.name if draw(st.booleans()) else f"B{k}")
+        for k, v in enumerate(p_outputs[: draw(st.integers(0, len(p_outputs)))])
+    ]
+    linked = [Variable(b, p_outputs[k].alphabet) for k, (_, b) in enumerate(links)]
+    p = draw(processes("p", some("P", 2), some("S", 1), p_outputs))
+    q = draw(processes("q", linked + some("Q", 1), some("R", 1), some("C", 2)))
+    return p, q, links
 
 
 class TestProcessTensor:
@@ -285,6 +353,25 @@ class TestClassify:
     def test_empty_network_is_closed(self):
         assert classify_network(Network(())).closed
 
+    def test_dangling_wires_keep_node_and_declaration_order(self):
+        rng = Random(11)
+        a = random_process(rng, "a", [var("I2"), var("I1")], [var("W"), var("O2")])
+        b = random_process(rng, "b", [var("W"), var("I3")], [var("O1"), var("O3")])
+        net = Network((a, b))
+        shape = classify_network(net)
+        assert not shape.closed
+        assert shape.dangling_inputs == ("I2", "I1", "I3")
+        assert shape.dangling_outputs == ("O2", "O1", "O3")
+        g_in, g_internal, g_out = global_variable_order(net)
+        assert shape.dangling_inputs == tuple(v.name for v in g_in)
+        assert shape.dangling_outputs == tuple(v.name for v in g_out)
+        with pytest.raises(StructureError) as info:
+            analyze(NetworkFile(g_in + g_internal + g_out, net, ()))
+        assert str(info.value) == (
+            "network is open; dangling inputs ['I2', 'I1', 'I3'], "
+            "dangling outputs ['O2', 'O1', 'O3']"
+        )
+
 
 class TestReciprocities:
     def test_mutual_pair(self):
@@ -367,6 +454,19 @@ class TestContract:
         ):
             contract_network(net)
         assert time.perf_counter() - start < 1.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(networks())
+    def test_equals_the_dense_loop(self, net):
+        assert contract_network(net) == dense_contract(net)
+
+    @settings(max_examples=100, deadline=None)
+    @given(composable())
+    def test_compose_equals_the_dense_loop(self, pql):
+        p, q, links = pql
+        renamed = rename_variables(q, {b: a for a, b in links})
+        expected = dense_contract(Network((p, renamed)))
+        assert compose(p, q, links) == replace(expected, name="p_q")
 
     def test_global_order_is_first_appearance(self, chsh_network):
         g_in, g_internal, g_out = global_variable_order(chsh_network)
