@@ -91,15 +91,10 @@ def step(sigma: ProcessTensor, dist: Distribution) -> Distribution:
     """One synchronous update: new weight of x is sum_x' M[x'][x] * w[x']."""
     _require_closed(sigma)
     dist = _aligned(sigma, dist)
-    n = len(dist.weights)
-    out = [ZERO] * n
-    for r, w in enumerate(dist.weights):
-        if not w:
-            continue
-        row = sigma.matrix[r]
-        for c in range(n):
-            e = row[c]
-            if e:
+    out = [ZERO] * len(dist.weights)
+    for w, row in zip(dist.weights, sigma.rows):
+        if w:
+            for c, e in row:
                 out[c] += w * e
     return Distribution(sigma.internals, tuple(out))
 
@@ -108,22 +103,16 @@ def verify_stationary(sigma: ProcessTensor, dist: Distribution) -> StationaryChe
     """Exact fixed-point check; reports the max-norm residual otherwise."""
     dist = _aligned(sigma, dist)
     after = step(sigma, dist)
-    residual = ZERO
-    worst = None
-    for i, (a, b) in enumerate(zip(after.weights, dist.weights)):
-        gap = abs(a - b)
-        if gap > residual:
-            residual = gap
-            worst = i
-    if worst is not None:
-        worst = section_at(sigma.internals, worst).outcomes
-    return StationaryCheck(residual == 0, residual, worst)
+    gaps = [abs(a - b) for a, b in zip(after.weights, dist.weights)]
+    residual = max(gaps)
+    if not residual:
+        return StationaryCheck(True, residual, None)
+    worst = section_at(sigma.internals, gaps.index(residual)).outcomes
+    return StationaryCheck(False, residual, worst)
 
 
 def _support_graph(sigma: ProcessTensor) -> list[list[int]]:
-    return [
-        [c for c, e in enumerate(row) if e] for row in sigma.matrix
-    ]
+    return [[c for c, _ in row] for row in sigma.rows]
 
 
 def _strongly_connected_components(succ: list[list[int]]) -> list[list[int]]:
@@ -203,15 +192,16 @@ def find_stationary(sigma: ProcessTensor) -> StationaryResult:
     _require_state_cap(n)
     cls = _recurrent_class(sigma)
     k = len(cls)
-    rows = []
-    rhs = []
+    # balance row j is column cls[j] on the closed class, minus the identity
+    position = {state: j for j, state in enumerate(cls)}
+    rows = [[ZERO] * k for _ in range(k)]
+    for i, state in enumerate(cls):
+        for c, e in sigma.rows[state]:
+            rows[position[c]][i] = e
     for j in range(k):
-        row = [sigma.matrix[i][cls[j]] for i in cls]
-        row[j] -= ONE
-        rows.append(row)
-        rhs.append(ZERO)
+        rows[j][j] -= ONE
     rows.append([ONE] * k)
-    rhs.append(ONE)
+    rhs = [ZERO] * k + [ONE]
     solution = solve_linear_fraction_free(rows, rhs)
     if solution is None or any(x < 0 for x in solution):
         raise AssertionError("balance equations of a recurrent class must solve")
@@ -256,13 +246,6 @@ def is_ergodic(sigma: ProcessTensor) -> bool:
     return is_irreducible(sigma) and chain_period(sigma) == 1
 
 
-def _initial_state_index(sigma: ProcessTensor, init, rng: SplitMix64) -> int:
-    if isinstance(init, Distribution):
-        init = _aligned(sigma, init)
-        return sample_index(rng, cumulative_thresholds(init.weights))
-    return section_index(sigma.internals, init)
-
-
 def _require_steps(steps: int, least: int = 0) -> None:
     """Refuse fewer than `least` or more than MAX_STEPS steps, before work."""
     if steps < least:
@@ -283,21 +266,30 @@ def simulate_chain(
     is a Distribution (sampled first, with the same generator) or anything
     `section_index` accepts: a Section, a name-to-outcome mapping or a tuple
     of outcome labels.  The state at t+1 is sampled from the row of the
-    matrix at the state at t, per the rule documented in `rng`.  More than
+    state at t, per the rule documented in `rng`; a row reached whose
+    entries are not positive with sum exactly 1 is a DomainError.  More than
     MAX_STEPS steps is a ResourceLimitError, raised before the first draw.
     """
     _require_closed(sigma)
     _require_steps(steps)
     rng = SplitMix64(seed)
-    state = _initial_state_index(sigma, init, rng)
-    thresholds: dict[int, list[int]] = {}
+    if isinstance(init, Distribution):
+        state = sample_index(rng, cumulative_thresholds(_aligned(sigma, init).weights))
+    else:
+        state = section_index(sigma.internals, init)
+    samplers: dict[int, tuple[list[int], list[int]]] = {}
     trail = [state]
     for _ in range(steps):
-        t = thresholds.get(state)
-        if t is None:
-            t = cumulative_thresholds(sigma.matrix[state])
-            thresholds[state] = t
-        state = sample_index(rng, t)
+        sampler = samplers.get(state)
+        if sampler is None:
+            entries = [e for _, e in sigma.rows[state]]
+            if min(entries, default=ZERO) <= 0 or sum(entries) != 1:
+                label = section_at(sigma.internals, state).outcomes
+                raise DomainError(f"row of state {label} is not a probability row")
+            columns = [c for c, _ in sigma.rows[state]]
+            sampler = samplers[state] = (columns, cumulative_thresholds(entries))
+        columns, thresholds = sampler
+        state = columns[sample_index(rng, thresholds)]
         trail.append(state)
     return tuple(trail)
 

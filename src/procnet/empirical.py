@@ -105,16 +105,17 @@ def _checked_setup(
 
 
 def _node_delta(node: ProcessTensor, stationary: Distribution) -> NodeDistribution:
-    # without internals, matrix rows are input sections and columns output
-    # sections, so (row, col) is the section row * n_cols + col of the context
+    # without internals, rows are input sections and columns output sections,
+    # so (row, col) is the section row * n_cols + col of the context
     input_names = tuple(v.name for v in node.inputs)
     output_names = tuple(v.name for v in node.outputs)
     input_marginal = marginalize(stationary, input_names)
-    weights = tuple(
-        e * base if base else ZERO
-        for base, row in zip(input_marginal.weights, node.matrix)
-        for e in row
-    )
+    n_cols = section_count(node.outputs)
+    weights = [ZERO] * (len(node.rows) * n_cols)
+    for r, (base, row) in enumerate(zip(input_marginal.weights, node.rows)):
+        if base:
+            for c, e in row:
+                weights[r * n_cols + c] = e * base
     dist = Distribution(node.inputs + node.outputs, weights)
     return NodeDistribution(node.name, input_names + output_names, dist)
 
@@ -257,16 +258,14 @@ def empirical_node_frequencies(
                 f"node variable {v.name!r} is not a variable of the global process"
             )
     rows = _index_table(node.inputs, sigma.internals)
-    if min(trajectory) < 0 or max(trajectory) >= len(rows):
-        raise DomainError(f"trajectory state indices must be in 0..{len(rows) - 1}")
     cols = _index_table(node.outputs, sigma.internals)
     out_count = section_count(node.outputs)
-    counts = Counter(
-        rows[a] * out_count + cols[b] for a, b in pairwise(trajectory)
-    )
+    # each distinct transition is range-checked and counted once
+    counts = [0] * section_count(node.inputs + node.outputs)
+    for (a, b), k in Counter(pairwise(trajectory)).items():
+        if not (0 <= a < len(rows) and 0 <= b < len(rows)):
+            raise DomainError(f"trajectory state indices must be in 0..{len(rows) - 1}")
+        counts[rows[a] * out_count + cols[b]] += k
     total = len(trajectory) - 1
-    weights = tuple(
-        Fraction(counts[i], total)
-        for i in range(section_count(node.inputs + node.outputs))
-    )
+    weights = tuple(Fraction(k, total) for k in counts)
     return Distribution(node.inputs + node.outputs, weights)

@@ -7,10 +7,10 @@ time t+1.  Networks wire an output variable of one node to the equally
 named input variable of another; every wired variable becomes an internal
 variable of the contracted global process.
 
-The global entry is the plain product of the node entries, so contraction
-order cannot change the result; nodes are folded in declaration order.
-Contraction multiplies only the nonzero node entries, so its work follows
-the nonzeros.  Its result is a dense exact matrix, which is why
+A process keeps only the nonzero entries of each row.  The global entry is
+the plain product of the node entries, so contraction order cannot change
+the result; nodes are folded in declaration order and only nonzero entries
+are multiplied.  The later stages are dense in the state count, so
 `contract_network` refuses a global process of more than
 `scenario.DEFAULT_MAX_STATES` rows or columns before it builds any row.
 """
@@ -28,19 +28,21 @@ from .scenario import (
     _as_fraction,
     _index_table,
     _require_state_cap,
+    iter_outcome_tuples,
     section_count,
 )
 
 
 @dataclass(frozen=True)
 class ProcessTensor:
-    """A stochastic matrix with named, role-tagged variables."""
+    """A stochastic matrix with named, role-tagged variables; `rows[r]` holds
+    row r's nonzero `(column, Fraction)` pairs, columns strictly increasing."""
 
     name: str
     inputs: tuple[Variable, ...]
     internals: tuple[Variable, ...]
     outputs: tuple[Variable, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[tuple[int, Fraction], ...], ...]
 
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
@@ -50,15 +52,44 @@ class ProcessTensor:
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):
             raise DomainError(f"process {self.name!r} repeats a variable name")
-        rows = tuple(tuple(_as_fraction(e) for e in row) for row in self.matrix)
-        object.__setattr__(self, "matrix", rows)
-        n_rows = section_count(self.row_variables)
+        rows = tuple(map(tuple, self.rows))
+        object.__setattr__(self, "rows", rows)
+        if len(rows) != section_count(self.row_variables):
+            raise DomainError(f"process {self.name!r}: wrong number of rows")
         n_cols = section_count(self.col_variables)
-        if len(rows) != n_rows or any(len(r) != n_cols for r in rows):
+        for row in rows:
+            last = -1
+            for c, e in row:
+                if not (type(c) is int and last < c < n_cols and type(e) is Fraction and e):
+                    raise DomainError(
+                        f"process {self.name!r}: a row must hold nonzero Fractions "
+                        f"at increasing columns in 0..{n_cols - 1}"
+                    )
+                last = c
+
+    @classmethod
+    def from_matrix(cls, name, inputs, internals, outputs, matrix) -> "ProcessTensor":
+        """A process from dense rows, one entry per column."""
+        matrix = [[_as_fraction(e) for e in row] for row in matrix]
+        n_rows = section_count(tuple(inputs) + tuple(internals))
+        n_cols = section_count(tuple(internals) + tuple(outputs))
+        if len(matrix) != n_rows or any(len(row) != n_cols for row in matrix):
             raise DomainError(
-                f"process {self.name!r}: matrix must be {n_rows}x{n_cols} "
+                f"process {name!r}: matrix must be {n_rows}x{n_cols} "
                 f"for its declared variables"
             )
+        rows = tuple(tuple((c, e) for c, e in enumerate(row) if e) for row in matrix)
+        return cls(name, inputs, internals, outputs, rows)
+
+    @property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense rows, zeros included, built afresh on each access."""
+        n_cols = section_count(self.col_variables)
+        dense = [[ZERO] * n_cols for _ in self.rows]
+        for entries, row in zip(dense, self.rows):
+            for c, e in row:
+                entries[c] = e
+        return tuple(map(tuple, dense))
 
     @property
     def row_variables(self) -> tuple[Variable, ...]:
@@ -93,13 +124,11 @@ def validate_process(process: ProcessTensor) -> ProcessReport:
     """Report every row whose sum differs from 1 and every negative entry."""
     bad_sums = []
     negatives = []
-    for i, row in enumerate(process.matrix):
-        total = sum(row, ZERO)
+    for i, row in enumerate(process.rows):
+        total = sum((e for _, e in row), ZERO)
         if total != ONE:
             bad_sums.append((i, total))
-        for j, e in enumerate(row):
-            if e < 0:
-                negatives.append((i, j, e))
+        negatives.extend((i, j, e) for j, e in row if e < 0)
     return ProcessReport(tuple(bad_sums), tuple(negatives))
 
 
@@ -110,19 +139,13 @@ def deterministic_process(
     rule,
 ) -> ProcessTensor:
     """Internal-free process with entry 1 exactly when rule(inputs) == outputs."""
-    from .scenario import iter_outcome_tuples
-
     inputs = tuple(inputs)
     outputs = tuple(outputs)
+    column = {o: c for c, o in enumerate(iter_outcome_tuples(outputs))}
     rows = []
     for in_outcomes in iter_outcome_tuples(inputs):
-        image = tuple(rule(in_outcomes))
-        rows.append(
-            tuple(
-                ONE if out_outcomes == image else ZERO
-                for out_outcomes in iter_outcome_tuples(outputs)
-            )
-        )
+        c = column.get(tuple(rule(in_outcomes)))
+        rows.append(() if c is None else ((c, ONE),))
     return ProcessTensor(name, inputs, (), outputs, tuple(rows))
 
 
@@ -133,7 +156,7 @@ def uniform_process(
     inputs = tuple(inputs)
     outputs = tuple(outputs)
     n_cols = section_count(outputs)
-    row = (Fraction(1, n_cols),) * n_cols
+    row = tuple((c, Fraction(1, n_cols)) for c in range(n_cols))
     return ProcessTensor(name, inputs, (), outputs, (row,) * section_count(inputs))
 
 
@@ -148,7 +171,7 @@ def rename_variables(process: ProcessTensor, mapping: Mapping[str, str]) -> Proc
         rename(process.inputs),
         rename(process.internals),
         rename(process.outputs),
-        process.matrix,
+        process.rows,
     )
 
 
@@ -158,7 +181,7 @@ def reorder_process(
     internals: Sequence[str],
     outputs: Sequence[str],
 ) -> ProcessTensor:
-    """Permute the variables within each role, shuffling the matrix to match."""
+    """Permute the variables within each role, shuffling the rows to match."""
 
     def pick(names: Sequence[str], pool: tuple[Variable, ...]) -> tuple[Variable, ...]:
         by_name = {v.name: v for v in pool}
@@ -172,13 +195,13 @@ def reorder_process(
     new_internals = pick(internals, process.internals)
     new_outputs = pick(outputs, process.outputs)
 
-    # new index -> old index
+    # new row index -> old row index, and old column index -> new column index
     row_map = _index_table(process.row_variables, new_inputs + new_internals)
-    col_map = _index_table(process.col_variables, new_internals + new_outputs)
-    matrix = tuple(
-        tuple(process.matrix[r][c] for c in col_map) for r in row_map
+    col_map = _index_table(new_internals + new_outputs, process.col_variables)
+    rows = tuple(
+        tuple(sorted((col_map[c], e) for c, e in process.rows[r])) for r in row_map
     )
-    return ProcessTensor(process.name, new_inputs, new_internals, new_outputs, matrix)
+    return ProcessTensor(process.name, new_inputs, new_internals, new_outputs, rows)
 
 
 @dataclass(frozen=True)
@@ -332,8 +355,8 @@ def contract_network(net: Network) -> ProcessTensor:
     writes its internals and outputs on the column side (time t+1), so the
     entry of the result at (row, column) is the product of the node entries
     at the correspondingly restricted sections.  Only nonzero node entries
-    are multiplied; the result is dense, and more rows or columns than the
-    state cap is a ResourceLimitError, raised before any row is built.
+    are multiplied, and a row holds only their products; more rows or
+    columns than the state cap is a ResourceLimitError, raised first.
     """
     g_inputs, g_internals, g_outputs = global_variable_order(net)
     row_vars = g_inputs + g_internals
@@ -348,17 +371,14 @@ def contract_network(net: Network) -> ProcessTensor:
     nonzeros = []
     for n in net.nodes:
         offsets = _index_table(col_vars, n.col_variables)
-        sparse = [[(o, e) for o, e in zip(offsets, row) if e] for row in n.matrix]
+        sparse = [[(offsets[c], e) for c, e in row] for row in n.rows]
         nonzeros.append([sparse[t] for t in _index_table(n.row_variables, row_vars)])
     rows = []
     for r in range(n_rows):
         terms = [(0, ONE)]
         for node_rows in nonzeros:
             terms = [(c + o, a * e) for c, a in terms for o, e in node_rows[r]]
-        row = [ZERO] * n_cols
-        for c, e in terms:
-            row[c] = e
-        rows.append(tuple(row))
+        rows.append(tuple(sorted(terms)))
     return ProcessTensor("global", g_inputs, g_internals, g_outputs, tuple(rows))
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 _MASK64 = (1 << 64) - 1
@@ -46,16 +47,9 @@ class SplitMix64:
 
 def cumulative_thresholds(weights: Sequence[Fraction]) -> list[int]:
     """Integer cut points in [0, 2**64] implementing the sampling rule."""
-    thresholds = []
-    acc = Fraction(0)
-    for w in weights:
-        acc += w
-        thresholds.append((acc.numerator * _SCALE) // acc.denominator)
-    return thresholds
+    return [(a.numerator * _SCALE) // a.denominator for a in accumulate(weights)]
 
 
 def sample_index(rng: SplitMix64, thresholds: Sequence[int]) -> int:
-    r = rng.next_uint64()
-    idx = bisect_right(thresholds, r)
-    # guard against an all-zero tail when r lands on the top boundary
-    return min(idx, len(thresholds) - 1)
+    """The smallest j with r < T_j; the weights must sum to exactly 1."""
+    return bisect_right(thresholds, rng.next_uint64())

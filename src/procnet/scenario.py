@@ -21,8 +21,9 @@ from .errors import DomainError, ResourceLimitError
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# Every stage after parsing is dense in the state count: contraction, the
-# stationary solve and the LP over global sections.
+# The stationary solve and the LP over global sections are dense in the
+# state count; contraction's work follows the nonzeros, at most one row of
+# them per state.
 DEFAULT_MAX_STATES = 1024
 
 

@@ -116,7 +116,7 @@ def random_closed_network(
                 rng, n_rows, n_cols, max_denominator, allow_zeros
             )
         nodes.append(
-            ProcessTensor(f"n{i}", tuple(inputs[i]), (), tuple(outputs[i]), matrix)
+            ProcessTensor.from_matrix(f"n{i}", tuple(inputs[i]), (), tuple(outputs[i]), matrix)
         )
     return Network(tuple(nodes))
 

@@ -9,21 +9,38 @@ rank-deficient systems and sets free variables to zero.
 
 `dense_contract` is `procnet.process.contract_network` as a triple loop
 over every (row, column, node), zero entries included.
+
+`dense_step`, `dense_verify_stationary` and `dense_simulate_chain` are
+`procnet.dynamics.step`, `verify_stationary` and `simulate_chain` on the
+dense rows of the `matrix` view; the simulation samples with thresholds over
+every column, zero entries included, and clamps a draw past the row's mass
+to the last column.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Sequence
 
+from procnet.dynamics import (
+    StationaryCheck,
+    _aligned,
+    _require_closed,
+    _require_steps,
+)
 from procnet.errors import DomainError
 from procnet.exactlp import FeasibilityResult
 from procnet.process import Network, ProcessTensor, global_variable_order
+from procnet.rng import SplitMix64
 from procnet.scenario import (
     ONE,
     ZERO,
+    Distribution,
     _index_table,
     _require_state_cap,
+    section_at,
     section_count,
+    section_index,
 )
 
 _ZERO = Fraction(0)
@@ -187,4 +204,85 @@ def dense_contract(net: Network) -> ProcessTensor:
                 acc = acc * e
             row.append(acc)
         rows.append(tuple(row))
-    return ProcessTensor("global", g_inputs, g_internals, g_outputs, tuple(rows))
+    return ProcessTensor.from_matrix(
+        "global", g_inputs, g_internals, g_outputs, tuple(rows)
+    )
+
+
+def dense_step(sigma: ProcessTensor, dist: Distribution) -> Distribution:
+    """One synchronous update: new weight of x is sum_x' M[x'][x] * w[x']."""
+    _require_closed(sigma)
+    dist = _aligned(sigma, dist)
+    matrix = sigma.matrix
+    n = len(dist.weights)
+    out = [ZERO] * n
+    for r, w in enumerate(dist.weights):
+        if not w:
+            continue
+        row = matrix[r]
+        for c in range(n):
+            e = row[c]
+            if e:
+                out[c] += w * e
+    return Distribution(sigma.internals, tuple(out))
+
+
+def dense_verify_stationary(sigma: ProcessTensor, dist: Distribution) -> StationaryCheck:
+    """Exact fixed-point check; reports the max-norm residual otherwise."""
+    dist = _aligned(sigma, dist)
+    after = dense_step(sigma, dist)
+    residual = ZERO
+    worst = None
+    for i, (a, b) in enumerate(zip(after.weights, dist.weights)):
+        gap = abs(a - b)
+        if gap > residual:
+            residual = gap
+            worst = i
+    if worst is not None:
+        worst = section_at(sigma.internals, worst).outcomes
+    return StationaryCheck(residual == 0, residual, worst)
+
+
+_SCALE = 1 << 64
+
+
+def dense_cumulative_thresholds(weights: Sequence[Fraction]) -> list[int]:
+    """Integer cut points in [0, 2**64] implementing the sampling rule."""
+    thresholds = []
+    acc = Fraction(0)
+    for w in weights:
+        acc += w
+        thresholds.append((acc.numerator * _SCALE) // acc.denominator)
+    return thresholds
+
+
+def dense_sample_index(rng: SplitMix64, thresholds: Sequence[int]) -> int:
+    r = rng.next_uint64()
+    idx = bisect_right(thresholds, r)
+    # guard against an all-zero tail when r lands on the top boundary
+    return min(idx, len(thresholds) - 1)
+
+
+def dense_simulate_chain(
+    sigma: ProcessTensor, init, steps: int, seed: int
+) -> tuple[int, ...]:
+    """Reproducible trajectory of length steps+1 (initial state included)."""
+    _require_closed(sigma)
+    _require_steps(steps)
+    rng = SplitMix64(seed)
+    if isinstance(init, Distribution):
+        weights = _aligned(sigma, init).weights
+        state = dense_sample_index(rng, dense_cumulative_thresholds(weights))
+    else:
+        state = section_index(sigma.internals, init)
+    matrix = sigma.matrix
+    thresholds: dict[int, list[int]] = {}
+    trail = [state]
+    for _ in range(steps):
+        t = thresholds.get(state)
+        if t is None:
+            t = dense_cumulative_thresholds(matrix[state])
+            thresholds[state] = t
+        state = dense_sample_index(rng, t)
+        trail.append(state)
+    return tuple(trail)

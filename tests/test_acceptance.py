@@ -96,10 +96,11 @@ def test_criterion_1_triangle(triangle_network, sixcycle_omega):
     sigma = contract_network(triangle_network)
     assert [v.name for v in sigma.internals] == ["X", "Y", "Z"]
     states = list(iter_outcome_tuples(sigma.internals))
+    matrix = sigma.matrix
     for r, (x1, y1, z1) in enumerate(states):
         for c, (x, y, z) in enumerate(states):
             expected = F(1) if (y != x1 and z == y1 and x == z1) else F(0)
-            assert sigma.matrix[r][c] == expected
+            assert matrix[r][c] == expected
 
     check = verify_stationary(sigma, sixcycle_omega)
     assert check.stationary and check.residual == 0
@@ -122,6 +123,7 @@ def test_criterion_2_chsh(chsh_network):
     sigma = contract_network(chsh_network)
     states = list(iter_outcome_tuples(sigma.internals))
     assert len(states) == 16
+    matrix = sigma.matrix
     for r, (a1p, b1p, a2p, b2p) in enumerate(states):
         for c, (a1, b1, a2, b2) in enumerate(states):
             expected = (
@@ -129,7 +131,7 @@ def test_criterion_2_chsh(chsh_network):
                 if (a1p != b1 and b1p == a2 and a2p == b2 and b2p == a1)
                 else F(0)
             )
-            assert sigma.matrix[r][c] == expected
+            assert matrix[r][c] == expected
 
     uniform = Distribution.uniform(sigma.internals)
     assert all(w == F(1, 16) for w in uniform.weights)

@@ -3,6 +3,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from procnet import (
     Distribution,
@@ -19,7 +21,12 @@ from procnet import (
     step,
     verify_stationary,
 )
-from oracle import solve_linear
+from oracle import (
+    dense_simulate_chain,
+    dense_step,
+    dense_verify_stationary,
+    solve_linear,
+)
 from procnet import scenario
 from procnet.dynamics import MAX_STEPS, _recurrent_class
 from procnet.errors import DomainError, ResourceLimitError
@@ -31,13 +38,61 @@ BINARY = ("0", "1")
 
 def closed_tensor(name, n_vars, rows):
     variables = tuple(Variable(f"S{k}", BINARY) for k in range(n_vars))
-    return ProcessTensor(name, (), variables, (), rows)
+    return ProcessTensor.from_matrix(name, (), variables, (), rows)
 
 
 def identity_rows(n):
     return tuple(
         tuple(F(1) if i == j else F(0) for j in range(n)) for i in range(n)
     )
+
+
+@st.composite
+def closed_chains(draw):
+    """A closed process on 1-2 variables whose alphabets of 1-3 outcomes are
+    drawn in any order; rows mix zero entries with rows of one nonzero."""
+    sizes = [draw(st.integers(1, 3)) for _ in range(draw(st.integers(1, 2)))]
+    variables = tuple(
+        Variable(f"S{k}", tuple(draw(st.permutations(("0", "1", "2")[:size]))))
+        for k, size in enumerate(sizes)
+    )
+    n = scenario.section_count(variables)
+    rng = Random(draw(st.integers(0, 2**32)))
+    rows = []
+    for _ in range(n):
+        weights = [rng.randint(0, 3) for _ in range(n)]
+        if rng.random() < 0.3 or not any(weights):
+            weights = [0] * n
+            weights[rng.randrange(n)] = 1
+        rows.append([F(w, sum(weights)) for w in weights])
+    return ProcessTensor.from_matrix("chain", (), variables, (), rows)
+
+
+def some_distribution(sigma, seed):
+    rng = Random(seed)
+    raw = [rng.randint(0, 3) for _ in range(len(sigma.rows))]
+    raw[rng.randrange(len(raw))] += 1
+    return Distribution(sigma.internals, tuple(F(r, sum(raw)) for r in raw))
+
+
+class TestAgreesWithTheDenseRows:
+    @settings(max_examples=150, deadline=None)
+    @given(closed_chains(), st.integers(0, 2**32))
+    def test_step_and_verify_stationary(self, sigma, seed):
+        dist = some_distribution(sigma, seed)
+        assert step(sigma, dist) == dense_step(sigma, dist)
+        assert verify_stationary(sigma, dist) == dense_verify_stationary(sigma, dist)
+        pi = find_stationary(sigma).distribution
+        assert verify_stationary(sigma, pi) == dense_verify_stationary(sigma, pi)
+
+    @settings(max_examples=150, deadline=None)
+    @given(closed_chains(), st.integers(0, 2**64 - 1), st.booleans())
+    def test_simulate_chain(self, sigma, seed, from_distribution):
+        init = some_distribution(sigma, seed) if from_distribution else (
+            scenario.section_at(sigma.internals, seed % len(sigma.rows))
+        )
+        trail = simulate_chain(sigma, init, 60, seed)
+        assert trail == dense_simulate_chain(sigma, init, 60, seed)
 
 
 def triangle_next(state):
@@ -79,7 +134,7 @@ class TestStep:
         assert step(sigma, uniform).weights == uniform.weights
 
     def test_open_process_rejected(self):
-        p = ProcessTensor(
+        p = ProcessTensor.from_matrix(
             "open", (Variable("I", BINARY),), (), (Variable("O", BINARY),),
             ((F(1), F(0)), (F(0), F(1))),
         )
@@ -167,12 +222,13 @@ class TestFindStationary:
         checked = 0
         for k in range(200):
             sigma = contract_network(random_closed_network(rng, allow_zeros=(k % 3 == 0)))
-            n = len(sigma.matrix)
+            n = len(sigma.rows)
             if n > 32:
                 continue
+            matrix = sigma.matrix
             cls = _recurrent_class(sigma)
             rows = [
-                [sigma.matrix[i][j] - (i == j) for i in cls] for j in cls
+                [matrix[i][j] - (i == j) for i in cls] for j in cls
             ] + [[F(1)] * len(cls)]
             rhs = [F(0)] * len(cls) + [F(1)]
             expected = [F(0)] * n
@@ -255,6 +311,19 @@ class TestSimulate:
     def test_zero_steps_returns_initial_only(self, triangle_sigma):
         trail = simulate_chain(triangle_sigma, ("0", "0", "0"), steps=0, seed=1)
         assert trail == (0,)
+
+    @pytest.mark.parametrize(
+        "row", [(F(1, 2), F(0), F(0)), (F(0), F(0), F(0))], ids=["half", "zero"]
+    )
+    def test_row_that_is_not_a_probability_row_is_refused(self, row):
+        # at the parent both rows sampled state 2, a transition of probability 0
+        s = Variable("S", ("0", "1", "2"))
+        sigma = ProcessTensor.from_matrix(
+            "p", (), (s,), (), (row, (F(0), F(1), F(0)), (F(0), F(0), F(1)))
+        )
+        with pytest.raises(DomainError, match=r"state \('0',\) is not a probability"):
+            simulate_chain(sigma, ("0",), 12, 1)
+        assert simulate_chain(sigma, ("1",), 3, 1) == (1, 1, 1, 1)
 
     def test_negative_steps_rejected(self, triangle_sigma):
         with pytest.raises(DomainError):

@@ -136,7 +136,7 @@ class TestBuildEmpiricalModel:
         assert validate_empirical_model(model).ok
 
     def test_single_closed_node_is_a_self_reciprocity(self):
-        loop = ProcessTensor(
+        loop = ProcessTensor.from_matrix(
             "loop", (), (Variable("X", BINARY),), (),
             ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))),
         )
@@ -157,14 +157,14 @@ class TestBuildEmpiricalModel:
         # source -> stage1 -> stage2 -> drain; the one-variable contexts of
         # the source and drain sit inside the relay contexts
         a, b, c = (Variable(n, BINARY) for n in "ABC")
-        source = ProcessTensor("source", (), (), (a,), ((F(1, 4), F(3, 4)),))
-        stage1 = ProcessTensor(
+        source = ProcessTensor.from_matrix("source", (), (), (a,), ((F(1, 4), F(3, 4)),))
+        stage1 = ProcessTensor.from_matrix(
             "stage1", (a,), (), (b,), ((F(2, 3), F(1, 3)), (F(1, 5), F(4, 5)))
         )
-        stage2 = ProcessTensor(
+        stage2 = ProcessTensor.from_matrix(
             "stage2", (b,), (), (c,), ((F(1, 2), F(1, 2)), (F(3, 8), F(5, 8)))
         )
-        drain = ProcessTensor("drain", (c,), (), (), ((F(1),), (F(1),)))
+        drain = ProcessTensor.from_matrix("drain", (c,), (), (), ((F(1),), (F(1),)))
         net = Network((source, stage1, stage2, drain))
         sigma = contract_network(net)
         omega = find_stationary(sigma).distribution
@@ -229,7 +229,8 @@ class TestEmpiricalFrequencies:
         sigma = contract_network(net)
         alpha = net.node("alpha")
         empirical_node_frequencies(sigma, alpha, (0, 7, 7))
-        for trail in ((0, outside, outside), (outside, 0)):
+        bad = ((0, outside, outside), (outside, 0), (outside, 0, 0), (0, 0, outside))
+        for trail in bad:
             with pytest.raises(DomainError, match=r"must be in 0\.\.7"):
                 empirical_node_frequencies(sigma, alpha, trail)
 

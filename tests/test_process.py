@@ -1,5 +1,7 @@
+import ast
 import time
 from dataclasses import replace
+from pathlib import Path
 from fractions import Fraction
 from random import Random
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import procnet
 from oracle import dense_contract
 from procnet import (
     Network,
@@ -37,6 +40,7 @@ from procnet.scenario import iter_outcome_tuples, section_count
 
 BINARY = ("0", "1")
 HALF = Fraction(1, 2)
+ONE = Fraction(1)
 
 
 def var(name, alphabet=BINARY):
@@ -51,7 +55,7 @@ def random_process(rng, name, inputs, outputs):
     matrix = random_stochastic_rows(
         rng, section_count(tuple(inputs)), section_count(tuple(outputs))
     )
-    return ProcessTensor(name, tuple(inputs), (), tuple(outputs), matrix)
+    return ProcessTensor.from_matrix(name, tuple(inputs), (), tuple(outputs), matrix)
 
 
 @st.composite
@@ -73,7 +77,7 @@ def processes(draw, name, inputs, internals, outputs):
     for _ in range(section_count(inputs + internals)):
         weights = [rng.randint(0, 3) for _ in range(n_cols)]
         rows.append(tuple(Fraction(w, sum(weights) or 1) for w in weights))
-    return ProcessTensor(name, inputs, internals, outputs, tuple(rows))
+    return ProcessTensor.from_matrix(name, inputs, internals, outputs, tuple(rows))
 
 
 @st.composite
@@ -118,17 +122,17 @@ def composable(draw):
 class TestProcessTensor:
     def test_shape_is_enforced(self):
         with pytest.raises(DomainError):
-            ProcessTensor("p", (var("I"),), (), (var("O"),), ((HALF, HALF),))
+            ProcessTensor.from_matrix("p", (var("I"),), (), (var("O"),), ((HALF, HALF),))
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(DomainError):
-            ProcessTensor(
+            ProcessTensor.from_matrix(
                 "p", (var("X"),), (), (var("X"),),
                 ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
             )
 
     def test_row_and_col_variables(self):
-        p = ProcessTensor(
+        p = ProcessTensor.from_matrix(
             "p",
             (var("I"),),
             (var("X"),),
@@ -141,13 +145,70 @@ class TestProcessTensor:
         assert [v.name for v in p.col_variables] == ["X", "O"]
         assert not p.is_closed
 
+    @settings(max_examples=100, deadline=None)
+    @given(processes("p", [var("I")], [var("X")], [var("O")]), st.integers(0, 2**32))
+    def test_dense_round_trip_and_equality(self, p, seed):
+        matrix = p.matrix
+        assert ProcessTensor.from_matrix("p", p.inputs, p.internals, p.outputs, matrix) == p
+        assert p.rows == tuple(
+            tuple((c, e) for c, e in enumerate(row) if e) for row in matrix
+        )
+        rng = Random(seed)
+        changed = [list(row) for row in matrix]
+        r, c = rng.randrange(len(changed)), rng.randrange(len(changed[0]))
+        changed[r][c] = rng.choice((Fraction(0), Fraction(1, 3), changed[r][c]))
+        q = ProcessTensor.from_matrix("p", p.inputs, p.internals, p.outputs, changed)
+        assert (q == p) == (q.matrix == matrix)
+        assert q.matrix == tuple(map(tuple, changed))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            (((1, HALF), (0, HALF)), ((0, ONE),)),  # unsorted columns
+            (((0, HALF), (0, HALF)), ((0, ONE),)),  # duplicate column
+            (((0, HALF), (2, HALF)), ((0, ONE),)),  # column out of range
+            (((-1, ONE),), ((0, ONE),)),  # negative column
+            (((0, ONE), (1, Fraction(0))), ((0, ONE),)),  # zero entry
+            (((0, 1),), ((0, ONE),)),  # entry that is not a Fraction
+            (((0, ONE),),),  # one row short
+            (((0, ONE),), ((0, ONE),), ((0, ONE),)),  # one row too many
+        ],
+    )
+    def test_malformed_rows_rejected(self, rows):
+        with pytest.raises(DomainError):
+            ProcessTensor("p", (var("I"),), (), (var("O"),), rows)
+
+    def test_only_process_reads_the_dense_view(self):
+        # one representation: outside `process`, only the file writer may
+        # read the dense `matrix` view
+        readers = []
+        for path in sorted(Path(procnet.__file__).parent.glob("*.py")):
+            if path.name == "process.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            allowed = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and (path.name, node.name) == (
+                    "netfile.py",
+                    "serialize_network_file",
+                ):
+                    allowed |= {id(n) for n in ast.walk(node)}
+            readers += [
+                f"{path.name}:{node.lineno}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and node.attr == "matrix"
+                and id(node) not in allowed
+            ]
+        assert readers == []
+
 
 class TestValidateProcess:
     def test_negation_process_is_stochastic(self, triangle_network):
         assert validate_process(triangle_network.node("alpha")).ok
 
     def test_row_summing_to_half_is_flagged(self):
-        p = ProcessTensor(
+        p = ProcessTensor.from_matrix(
             "bad", (var("I"),), (), (var("O"),),
             ((HALF, Fraction(0)), (HALF, HALF)),
         )
@@ -156,11 +217,11 @@ class TestValidateProcess:
         assert report.bad_row_sums == ((0, HALF),)
 
     def test_degenerate_one_by_one(self):
-        p = ProcessTensor("unit", (), (), (), ((Fraction(1),),))
+        p = ProcessTensor.from_matrix("unit", (), (), (), ((Fraction(1),),))
         assert validate_process(p).ok
 
     def test_negative_entry_reported(self):
-        p = ProcessTensor(
+        p = ProcessTensor.from_matrix(
             "neg", (var("I"),), (), (var("O"),),
             ((Fraction(3, 2), Fraction(-1, 2)), (HALF, HALF)),
         )
@@ -174,11 +235,11 @@ class TestCompose:
         rng = Random(5)
         i, x, f = var("I"), var("X"), var("F")
         g, h, o = var("G"), var("H"), var("O")
-        p = ProcessTensor(
+        p = ProcessTensor.from_matrix(
             "p", (i,), (x,), (f,),
             random_stochastic_rows(rng, 4, 4),
         )
-        q = ProcessTensor(
+        q = ProcessTensor.from_matrix(
             "q", (g,), (h,), (o,),
             random_stochastic_rows(rng, 4, 4),
         )
@@ -187,14 +248,15 @@ class TestCompose:
         assert [v.name for v in c.internals] == ["X", "F", "H"]
         assert [v.name for v in c.outputs] == ["O"]
         assert validate_process(c).ok
+        pm, qm, cm = p.matrix, q.matrix, c.matrix
         # every entry is the product of the operand entries
         for r, (iv, xv, fv, hv) in enumerate(iter_outcome_tuples(c.row_variables)):
             for col, (xn, fn, hn, ov) in enumerate(
                 iter_outcome_tuples(c.col_variables)
             ):
-                p_entry = p.matrix[2 * int(iv) + int(xv)][2 * int(xn) + int(fn)]
-                q_entry = q.matrix[2 * int(fv) + int(hv)][2 * int(hn) + int(ov)]
-                assert c.matrix[r][col] == p_entry * q_entry
+                p_entry = pm[2 * int(iv) + int(xv)][2 * int(xn) + int(fn)]
+                q_entry = qm[2 * int(fv) + int(hv)][2 * int(hn) + int(ov)]
+                assert cm[r][col] == p_entry * q_entry
 
     def test_negation_then_copy_all_sixteen_entries(self):
         # expected values brute-forced from the operand matrices below
@@ -208,14 +270,15 @@ class TestCompose:
         assert [v.name for v in c.inputs] == ["XP"]
         assert [v.name for v in c.internals] == ["Y"]
         assert [v.name for v in c.outputs] == ["Z"]
+        nm, rm, cm = negation.matrix, relay.matrix, c.matrix
         for r, (xv, y_prev) in enumerate(iter_outcome_tuples(c.row_variables)):
             for col, (y_new, zv) in enumerate(iter_outcome_tuples(c.col_variables)):
-                expected = negation.matrix[int(xv)][int(y_new)] * relay.matrix[
+                expected = nm[int(xv)][int(y_new)] * rm[
                     int(y_prev)
                 ][int(zv)]
-                assert c.matrix[r][col] == expected
+                assert cm[r][col] == expected
                 # the two-step behavior: new Y negates the input, Z relays old Y
-                assert c.matrix[r][col] == (
+                assert cm[r][col] == (
                     1 if (y_new != xv and zv == y_prev) else 0
                 )
 
@@ -225,10 +288,11 @@ class TestCompose:
         ident = deterministic_process("ident", [var("G")], [var("O")], lambda t: t)
         c = compose(p, ident, [("F", "G")])
         assert [v.name for v in c.internals] == ["F"]
+        pm, cm = p.matrix, c.matrix
         for r, (iv, f_prev) in enumerate(iter_outcome_tuples(c.row_variables)):
             for col, (f_new, ov) in enumerate(iter_outcome_tuples(c.col_variables)):
-                expected = p.matrix[int(iv)][int(f_new)] * (1 if ov == f_prev else 0)
-                assert c.matrix[r][col] == expected
+                expected = pm[int(iv)][int(f_new)] * (1 if ov == f_prev else 0)
+                assert cm[r][col] == expected
 
     def test_alphabet_mismatch_rejected(self):
         p = deterministic_process("p", [var("I")], [var("F")], lambda t: t)
@@ -281,9 +345,10 @@ class TestCompose:
         assert [v.name for v in c.inputs] == ["I", "G"]
         assert c.internals == ()
         assert [v.name for v in c.outputs] == ["F", "O"]
+        pm, qm, cm = p.matrix, q.matrix, c.matrix
         for r, (iv, gv) in enumerate(iter_outcome_tuples(c.row_variables)):
             for col, (fv, ov) in enumerate(iter_outcome_tuples(c.col_variables)):
-                assert c.matrix[r][col] == p.matrix[int(iv)][int(fv)] * q.matrix[
+                assert cm[r][col] == pm[int(iv)][int(fv)] * qm[
                     int(gv)
                 ][int(ov)]
 
@@ -381,7 +446,7 @@ class TestReciprocities:
         assert find_reciprocities(Network((a, b))) == (("a", "b"),)
 
     def test_internal_variable_is_self_reciprocity(self):
-        p = ProcessTensor(
+        p = ProcessTensor.from_matrix(
             "loop", (), (var("X"),), (),
             ((HALF, HALF), (HALF, HALF)),
         )
@@ -395,14 +460,16 @@ class TestContract:
     def test_triangle_matches_formula(self, triangle_sigma):
         assert [v.name for v in triangle_sigma.internals] == ["X", "Y", "Z"]
         states = list(iter_outcome_tuples(triangle_sigma.internals))
+        matrix = triangle_sigma.matrix
         for r, (x1, y1, z1) in enumerate(states):
             for c, (x, y, z) in enumerate(states):
                 expected = 1 if (y != x1 and z == y1 and x == z1) else 0
-                assert triangle_sigma.matrix[r][c] == expected
+                assert matrix[r][c] == expected
 
     def test_chsh_matches_formula(self, chsh_sigma):
         assert [v.name for v in chsh_sigma.internals] == ["A1", "B1", "A2", "B2"]
         states = list(iter_outcome_tuples(chsh_sigma.internals))
+        matrix = chsh_sigma.matrix
         for r, (a1p, b1p, a2p, b2p) in enumerate(states):
             for c, (a1, b1, a2, b2) in enumerate(states):
                 expected = (
@@ -410,19 +477,20 @@ class TestContract:
                     if (a1p != b1 and b1p == a2 and a2p == b2 and b2p == a1)
                     else 0
                 )
-                assert chsh_sigma.matrix[r][c] == expected
+                assert matrix[r][c] == expected
 
     def test_permutation_networks_stay_permutations(self, triangle_sigma, chsh_sigma):
         for sigma in (triangle_sigma, chsh_sigma):
-            n = len(sigma.matrix)
-            for row in sigma.matrix:
+            matrix = sigma.matrix
+            n = len(matrix)
+            for row in matrix:
                 assert sum(row) == 1 and all(e in (0, 1) for e in row)
             for c in range(n):
-                assert sum(sigma.matrix[r][c] for r in range(n)) == 1
+                assert sum(matrix[r][c] for r in range(n)) == 1
 
     def test_single_node_contracts_to_itself(self):
         rng = Random(12)
-        p = ProcessTensor(
+        p = ProcessTensor.from_matrix(
             "p", (var("I"),), (var("X"),), (var("O"),),
             random_stochastic_rows(rng, 4, 4),
         )
@@ -485,7 +553,7 @@ class TestRenameReorder:
 
     def test_reorder_internals_roundtrip(self):
         rng = Random(17)
-        p = ProcessTensor(
+        p = ProcessTensor.from_matrix(
             "p",
             (var("I"),),
             (var("X"), var("Y")),
@@ -497,19 +565,20 @@ class TestRenameReorder:
         assert back.matrix == p.matrix
         # row (i, y, x) and column (y, x) of the swap read the original's
         # (i, x, y) and (x, y)
+        sm, pm = swapped.matrix, p.matrix
         for i in range(2):
             for x in range(2):
                 for y in range(2):
                     for xn in range(2):
                         for yn in range(2):
                             assert (
-                                swapped.matrix[i * 4 + y * 2 + x][yn * 2 + xn]
-                                == p.matrix[i * 4 + x * 2 + y][xn * 2 + yn]
+                                sm[i * 4 + y * 2 + x][yn * 2 + xn]
+                                == pm[i * 4 + x * 2 + y][xn * 2 + yn]
                             )
 
     def test_reorder_roundtrip(self):
         rng = Random(15)
-        p = ProcessTensor(
+        p = ProcessTensor.from_matrix(
             "p",
             (var("I"), var("J")),
             (var("X"),),
@@ -520,10 +589,11 @@ class TestRenameReorder:
         back = reorder_process(swapped, ["I", "J"], ["X"], ["O"])
         assert back.matrix == p.matrix
         # row (j, i, x) of the swap reads row (i, j, x) of the original
+        sm, pm = swapped.matrix, p.matrix
         for i in range(2):
             for j in range(2):
                 for x in range(2):
                     assert (
-                        swapped.matrix[j * 4 + i * 2 + x]
-                        == p.matrix[i * 4 + j * 2 + x]
+                        sm[j * 4 + i * 2 + x]
+                        == pm[i * 4 + j * 2 + x]
                     )
