@@ -6,7 +6,8 @@ distributions are computed exactly by restricting the chain to a recurrent
 communicating class and solving the balance equations by p-adic lifting with
 rational reconstruction (`exactlp.solve_linear_fraction_free`); the result
 is a vertex of the polytope {w (M - Id) = 0, w >= 0, sum w = 1} and is
-returned only after the exact fixed-point check `verify_stationary`.  Power
+returned only after the exact fixed-point check `verify_stationary`, which
+reads only the process and the distribution and compares integers.  Power
 iteration is deliberately not used: the interesting chains here are
 periodic permutations on which it does not converge.
 
@@ -21,11 +22,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DomainError, ResourceLimitError, StationarityError
 from .exactlp import solve_linear_fraction_free
 from .process import ProcessTensor
+from .rationals import _scaled
 from .rng import SplitMix64, cumulative_thresholds, sample_index
 from .scenario import (
     DEFAULT_MAX_STATES,  # re-exported as dynamics.DEFAULT_MAX_STATES
@@ -100,15 +102,35 @@ def step(sigma: ProcessTensor, dist: Distribution) -> Distribution:
 
 
 def verify_stationary(sigma: ProcessTensor, dist: Distribution) -> StationaryCheck:
-    """Exact fixed-point check; reports the max-norm residual otherwise."""
+    """Exact fixed-point check; reports the max-norm residual otherwise.
+
+    On integers, independent of how `dist` was found: its weights are
+    scaled to their common denominator d, and each row r of positive weight
+    to the lcm l_r of its entries; with L the lcm of those l_r, column c
+    totals n_r (L / l_r) a_rc over the rows, which is (w M)_c d L, and is
+    compared with n_c L.  The residual is the largest gap over d L, and the
+    worst state the first one at that gap.
+    """
     dist = _aligned(sigma, dist)
-    after = step(sigma, dist)
-    gaps = [abs(a - b) for a, b in zip(after.weights, dist.weights)]
-    residual = max(gaps)
-    if not residual:
-        return StationaryCheck(True, residual, None)
-    worst = section_at(sigma.internals, gaps.index(residual)).outcomes
-    return StationaryCheck(False, residual, worst)
+    _require_closed(sigma)
+    d, nums = _scaled(dist.weights)
+    weighted = [
+        (n_r, row, _scaled([e for _, e in row]))
+        for n_r, row in zip(nums, sigma.rows)
+        if n_r
+    ]
+    common = lcm(*(scale for _, _, (scale, _) in weighted))
+    totals = [0] * len(nums)
+    for n_r, row, (scale, ints) in weighted:
+        f = n_r * (common // scale)
+        for (c, _), a in zip(row, ints):
+            totals[c] += f * a
+    gaps = [abs(t - n_c * common) for t, n_c in zip(totals, nums)]
+    top = max(gaps)
+    if not top:
+        return StationaryCheck(True, ZERO, None)
+    worst = section_at(sigma.internals, gaps.index(top)).outcomes
+    return StationaryCheck(False, Fraction(top, d * common), worst)
 
 
 def _support_graph(sigma: ProcessTensor) -> list[list[int]]:

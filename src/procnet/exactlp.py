@@ -20,7 +20,10 @@ If the optimum is positive the system is infeasible and the dual vector of
 the phase-1 optimum is returned: a y with y^T A <= 0 componentwise and
 y^T b > 0, which is a self-contained contradiction with x >= 0.
 `farkas_contradiction` re-checks a certificate mechanically, independent of
-how it was produced.
+how it was produced, on integer numerators over one denominator per row.
+
+Every Fraction is scaled to integers by `rationals._scaled`; Fractions are
+built again only for the returned values.
 """
 from __future__ import annotations
 
@@ -31,6 +34,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DomainError
+from .rationals import _scaled
 
 # The three largest primes below 2**30 (2**30 - 35, - 41, - 83): a residue
 # is one 30-bit CPython digit, so the O(n^3) factorization multiplies only
@@ -61,8 +65,7 @@ def _integer_rows(
     coeffs: list[list[int]] = []
     consts: list[int] = []
     for row in _augmented(rows, rhs):
-        scale = lcm(*(e.denominator for e in row))
-        scaled = [e.numerator * (scale // e.denominator) for e in row]
+        scaled = _scaled(row)[1]
         consts.append(scaled.pop())
         coeffs.append(scaled)
     return coeffs, consts
@@ -252,11 +255,10 @@ def feasible_point(
     n = len(aug[0]) - 1
     flipped = [row[n] < 0 for row in aug]
     normalized = [[-e for e in r] if f else r for r, f in zip(aug, flipped)]
-    scales = [lcm(*(e.denominator for e in col)) for col in zip(*normalized)]
+    scales, columns = zip(*(_scaled(col) for col in zip(*normalized)))
     tab: list[list[int]] = []
-    for i, row in enumerate(normalized):
-        ints = [e.numerator * (c // e.denominator) for e, c in zip(row, scales)]
-        tab.append(ints[:n] + [int(k == i) for k in range(m)] + ints[n:])
+    for i, ints in enumerate(zip(*columns)):
+        tab.append([*ints[:n], *(int(k == i) for k in range(m)), ints[n]])
     # row m: reduced costs for minimizing the artificial sum; artificial
     # columns start basic, so their reduced costs are zero
     tab.append([-sum(col) for col in zip(*tab)])
@@ -309,9 +311,28 @@ def farkas_contradiction(
     rhs: Sequence[Fraction],
     certificate: Sequence[Fraction],
 ) -> bool:
-    """True when y^T A <= 0 componentwise while y^T b > 0."""
+    """True when y^T A <= 0 componentwise while y^T b > 0.
+
+    On integers: y is scaled to one denominator D and each row [A_i | b_i]
+    with y_i != 0 to its own lcm l_i; with L the lcm of the l_i, every sum
+    is accumulated as y_i D * (L / l_i) * (A_ij l_i), which is the rational
+    sum times D L > 0, so every sign is the rational one.  As with zip, a
+    ragged A is read to the width of its shortest row.
+    """
     m = len(rows)
     if len(certificate) != m or m != len(rhs):
         return False
-    sums = [sum(map(mul, certificate, col)) for col in (*zip(*rows), rhs)]
+    width = min(map(len, rows), default=0)
+    weighted = [
+        (y, _scaled([*row[:width], b]))
+        for y, row, b in zip(_scaled(certificate)[1], rows, rhs)
+        if y
+    ]
+    common = lcm(*(scale for _, (scale, _) in weighted))
+    sums = [0] * (width + 1)
+    for y, (scale, ints) in weighted:
+        f = y * (common // scale)
+        for j, a in enumerate(ints):
+            if a:
+                sums[j] += f * a
     return all(s <= 0 for s in sums[:-1]) and sums[-1] > 0

@@ -10,9 +10,11 @@ variable of the contracted global process.
 A process keeps only the nonzero entries of each row.  The global entry is
 the plain product of the node entries, so contraction order cannot change
 the result; nodes are folded in declaration order and only nonzero entries
-are multiplied.  The later stages are dense in the state count, so
-`contract_network` refuses a global process of more than
-`scenario.DEFAULT_MAX_STATES` rows or columns before it builds any row.
+are multiplied.  The later stages are dense in the state count, and
+contraction builds one Fraction per nonzero, so `contract_network` refuses
+a global process of more than `scenario.DEFAULT_MAX_STATES` rows or
+columns, or of more than `scenario.DEFAULT_MAX_NONZEROS` nonzeros, before
+it builds any row.
 """
 from __future__ import annotations
 
@@ -21,12 +23,14 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CompositionError, DomainError, WiringError
+from .rationals import _scaled
 from .scenario import (
     ONE,
     ZERO,
     Variable,
     _as_fraction,
     _index_table,
+    _require_nonzero_cap,
     _require_state_cap,
     iter_outcome_tuples,
     section_count,
@@ -355,8 +359,11 @@ def contract_network(net: Network) -> ProcessTensor:
     writes its internals and outputs on the column side (time t+1), so the
     entry of the result at (row, column) is the product of the node entries
     at the correspondingly restricted sections.  Only nonzero node entries
-    are multiplied, and a row holds only their products; more rows or
-    columns than the state cap is a ResourceLimitError, raised first.
+    are multiplied, as integers: each node row is scaled once by the lcm l
+    of its denominators, and a global row's entries are Fraction(a, D), D
+    the product of its node rows' l.  More rows or columns than the state
+    cap, or more nonzeros (per row, the product of the node rows' nonzero
+    counts) than the nonzero cap, is a ResourceLimitError, raised first.
     """
     g_inputs, g_internals, g_outputs = global_variable_order(net)
     row_vars = g_inputs + g_internals
@@ -365,20 +372,34 @@ def contract_network(net: Network) -> ProcessTensor:
     n_cols = section_count(col_vars)
     _require_state_cap(n_rows)
     _require_state_cap(n_cols)
+    # at global row r, node i reads its row net.nodes[i].rows[tables[i][r]]
+    tables = [_index_table(n.row_variables, row_vars) for n in net.nodes]
+    counts = [1] * n_rows
+    for n, table in zip(net.nodes, tables):
+        sizes = [len(row) for row in n.rows]
+        counts = [k * sizes[t] for k, t in zip(counts, table)]
+    _require_nonzero_cap(sum(counts))
 
     # one node writes each column variable, so a global column is a sum of one
-    # offset per node; nonzeros[i][r] holds node i's (offset, entry) at row r
-    nonzeros = []
-    for n in net.nodes:
+    # offset per node; scaled[i][r] holds node i's row at global row r as
+    # (l, [(offset, entry * l)]), l the lcm of the row's denominators
+    scaled = []
+    for n, table in zip(net.nodes, tables):
         offsets = _index_table(col_vars, n.col_variables)
-        sparse = [[(offsets[c], e) for c, e in row] for row in n.rows]
-        nonzeros.append([sparse[t] for t in _index_table(n.row_variables, row_vars)])
+        node_rows = []
+        for row in n.rows:
+            scale, ints = _scaled([e for _, e in row])
+            node_rows.append((scale, [(offsets[c], a) for (c, _), a in zip(row, ints)]))
+        scaled.append([node_rows[t] for t in table])
     rows = []
     for r in range(n_rows):
-        terms = [(0, ONE)]
-        for node_rows in nonzeros:
-            terms = [(c + o, a * e) for c, a in terms for o, e in node_rows[r]]
-        rows.append(tuple(sorted(terms)))
+        denominator, terms = 1, [(0, 1)]
+        for node_rows in scaled:
+            scale, entries = node_rows[r]
+            denominator *= scale
+            terms = [(c + o, a * e) for c, a in terms for o, e in entries]
+        terms.sort()
+        rows.append(tuple((c, Fraction(a, denominator)) for c, a in terms))
     return ProcessTensor("global", g_inputs, g_internals, g_outputs, tuple(rows))
 
 

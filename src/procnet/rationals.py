@@ -6,11 +6,17 @@ the decimal 1/10 the author typed, not the nearest double.
 
 Strings are bounded before `Fraction` sees them: "1e999999999" would make it
 build a billion-digit power of ten.
+
+`_scaled` is the one place where rationals are scaled to integers: the
+exact checks, contraction and the linear solvers compute on its numerators
+and build a `Fraction` only for a result.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
 from .errors import ParseError
 
@@ -64,6 +70,14 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, str):
         return _parse_string(value)
     raise ParseError(f"not a rational: {echo(value)}")
+
+
+def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(l, [v * l for v in values]): l is the lcm of the denominators, so
+    every v * l is an int.  Ints count as rationals over 1; no values give
+    (1, [])."""
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def format_rational(value: Fraction) -> str:

@@ -25,6 +25,9 @@ ONE = Fraction(1)
 # state count; contraction's work follows the nonzeros, at most one row of
 # them per state.
 DEFAULT_MAX_STATES = 1024
+# Contraction builds one Fraction per nonzero of the global process; the cap
+# admits every strictly positive chain of 9 binary wires (512 x 512).
+DEFAULT_MAX_NONZEROS = 2**18
 
 
 def _require_state_cap(n: int) -> None:
@@ -32,6 +35,14 @@ def _require_state_cap(n: int) -> None:
     if n > DEFAULT_MAX_STATES:
         raise ResourceLimitError(
             f"state space of size {n} exceeds the cap of {DEFAULT_MAX_STATES}"
+        )
+
+
+def _require_nonzero_cap(n: int) -> None:
+    """Raise ResourceLimitError when n nonzeros exceed DEFAULT_MAX_NONZEROS."""
+    if n > DEFAULT_MAX_NONZEROS:
+        raise ResourceLimitError(
+            f"global process of {n} nonzeros exceeds the cap of {DEFAULT_MAX_NONZEROS}"
         )
 
 
@@ -179,7 +190,8 @@ def _index_table(
     table = [0]
     for v in space_vars:
         s = stride.get(v.name, 0)
-        table = [t + d * s for t in table for d in range(v.size)]
+        steps = [d * s for d in range(v.size)]
+        table = [t + step for t in table for step in steps]
     return table
 
 

@@ -7,19 +7,23 @@ rank-deficient systems and sets free variables to zero.
 `fraction_simplex` is the phase-1 simplex of
 `procnet.exactlp.feasible_point` on a dense Fraction tableau.
 
+`fraction_farkas_contradiction` is `procnet.exactlp.farkas_contradiction`
+as sums of Fraction products.
+
 `dense_contract` is `procnet.process.contract_network` as a triple loop
-over every (row, column, node), zero entries included.
+over every (row, column, node), zero entries included, in Fractions.
 
 `dense_step`, `dense_verify_stationary` and `dense_simulate_chain` are
 `procnet.dynamics.step`, `verify_stationary` and `simulate_chain` on the
-dense rows of the `matrix` view; the simulation samples with thresholds over
-every column, zero entries included, and clamps a draw past the row's mass
-to the last column.
+dense rows of the `matrix` view, in Fractions; the simulation samples with
+thresholds over every column, zero entries included, and clamps a draw past
+the row's mass to the last column.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from procnet.dynamics import (
@@ -174,6 +178,19 @@ def fraction_simplex(
     y = [_ONE - zrow[n + i] for i in range(m)]
     y = [-yi if flipped[i] else yi for i, yi in enumerate(y)]
     return FeasibilityResult(False, None, tuple(y))
+
+
+def fraction_farkas_contradiction(
+    rows: Sequence[Sequence[Fraction]],
+    rhs: Sequence[Fraction],
+    certificate: Sequence[Fraction],
+) -> bool:
+    """True when y^T A <= 0 componentwise while y^T b > 0."""
+    m = len(rows)
+    if len(certificate) != m or m != len(rhs):
+        return False
+    sums = [sum(map(mul, certificate, col)) for col in (*zip(*rows), rhs)]
+    return all(s <= 0 for s in sums[:-1]) and sums[-1] > 0
 
 
 def dense_contract(net: Network) -> ProcessTensor:

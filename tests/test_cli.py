@@ -311,6 +311,28 @@ class TestAnalyze:
         assert code == 3
         assert "state space of size 2048 exceeds the cap of 1024" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze",),
+            ("simulate", "--node", "mix0", "--steps", "10"),
+            ("simulate", "--node", "mix0", "--omega", "u", "--steps", "10"),
+        ],
+    )
+    def test_nonzero_cap_refuses_before_contraction(self, capsys, tmp_path, argv):
+        # 10 strictly positive wires: 1024 states, each row 1024 nonzeros;
+        # contracting them alone took tens of seconds
+        doc = identity_ring_doc(10)
+        for k, node in enumerate(doc["nodes"]):
+            node["name"] = f"mix{k}"
+            node["matrix"] = [["1/2", "1/2"], ["1/2", "1/2"]]
+        path = write(tmp_path, doc)
+        start = time.perf_counter()
+        code, _, err = run(capsys, argv[0], path, *argv[1:])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "global process of 1048576 nonzeros exceeds the cap of 262144" in err
+
 
 class TestSimulate:
     def test_reproducible_and_reports_bands(self, capsys):

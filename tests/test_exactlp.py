@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import fraction_simplex, solve_linear
+from oracle import fraction_farkas_contradiction, fraction_simplex, solve_linear
 from procnet import exactlp
 from procnet.errors import DomainError
 from procnet.exactlp import (
@@ -310,3 +310,51 @@ class TestIntegerSimplexAgainstOracle:
                 assert sum((a * v for a, v in zip(row, res.solution)), F(0)) == b
         else:
             assert farkas_contradiction(rows, rhs, res.certificate)
+
+
+class TestIntegerFarkasAgainstOracle:
+    """The integer Farkas check against the Fraction sums it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lp_systems(), st.data())
+    def test_same_verdict_as_the_fraction_sums(self, system, data):
+        rows, rhs = system
+        m = len(rows)
+        res = feasible_point(rows, rhs)
+        if res.feasible or data.draw(st.booleans()):
+            y = data.draw(st.lists(_lp_entries, min_size=m, max_size=m))
+        else:
+            # a valid certificate, rescaled to other denominators
+            factor = data.draw(st.sampled_from((F(1), F(2, 7), F(5, 3))))
+            y = [factor * v for v in res.certificate]
+            assert farkas_contradiction(rows, rhs, y)
+        edit = data.draw(st.sampled_from(("none", "alter", "zero", "short", "long")))
+        if edit == "alter":
+            y[data.draw(st.integers(0, m - 1))] += data.draw(_lp_entries)
+        elif edit == "zero":
+            y = [F(0)] * m
+        elif edit == "short":
+            y = y[:-1]
+        elif edit == "long":
+            y = y + [F(1)]
+        assert farkas_contradiction(rows, rhs, y) == fraction_farkas_contradiction(
+            rows, rhs, y
+        )
+
+    @pytest.mark.parametrize(
+        "rows, rhs, y",
+        [
+            ([], [], []),
+            ([], [], [F(1)]),
+            ([[F(1)]], [], [F(1)]),
+            ([[]], [F(1)], [F(1)]),
+            ([[]], [F(-1)], [F(1)]),
+            # a ragged A is read to the width of its shortest row
+            ([[F(0), F(1)], [F(-1)]], [F(0), F(-1, 3)], [F(1), F(-1)]),
+            ([[F(-1, 2), F(1)], [F(-1)]], [F(1, 6), F(0)], [F(2), F(1)]),
+        ],
+    )
+    def test_edge_cases_match_the_fraction_sums(self, rows, rhs, y):
+        assert farkas_contradiction(rows, rhs, y) == fraction_farkas_contradiction(
+            rows, rhs, y
+        )

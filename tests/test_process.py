@@ -523,6 +523,24 @@ class TestContract:
             contract_network(net)
         assert time.perf_counter() - start < 1.0
 
+    def test_nonzero_cap_refuses_before_any_row_is_built(self, monkeypatch):
+        # the cap is read at call time, so a small one stands in for 2**18;
+        # a uniform node on three wires gives 8 rows of 8 nonzeros
+        wires = [var(f"W{k}") for k in range(3)]
+        net = Network((uniform_process("mix", wires, [var(f"V{k}") for k in range(3)]),))
+        monkeypatch.setattr(procnet.scenario, "DEFAULT_MAX_NONZEROS", 64)
+        assert len(contract_network(net).rows) == 8
+        monkeypatch.setattr(procnet.scenario, "DEFAULT_MAX_NONZEROS", 63)
+
+        def build_a_row(values):
+            raise AssertionError("a row was built before the nonzero cap")
+
+        monkeypatch.setattr(procnet.process, "_scaled", build_a_row)
+        with pytest.raises(
+            ResourceLimitError, match="global process of 64 nonzeros exceeds the cap of 63"
+        ):
+            contract_network(net)
+
     @settings(max_examples=150, deadline=None)
     @given(networks())
     def test_equals_the_dense_loop(self, net):
