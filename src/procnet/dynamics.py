@@ -19,6 +19,7 @@ indices in the `Distribution.weights` layout of the process's internals;
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -299,21 +300,26 @@ def simulate_chain(
         state = sample_index(rng, cumulative_thresholds(_aligned(sigma, init).weights))
     else:
         state = section_index(sigma.internals, init)
-    samplers: dict[int, tuple[list[int], list[int]]] = {}
+    samplers: list[tuple[list[int], list[int]] | None] = [None] * len(sigma.rows)
     trail = [state]
-    for _ in range(steps):
-        sampler = samplers.get(state)
-        if sampler is None:
-            entries = [e for _, e in sigma.rows[state]]
-            if min(entries, default=ZERO) <= 0 or sum(entries) != 1:
-                label = section_at(sigma.internals, state).outcomes
-                raise DomainError(f"row of state {label} is not a probability row")
-            columns = [c for c, _ in sigma.rows[state]]
-            sampler = samplers[state] = (columns, cumulative_thresholds(entries))
-        columns, thresholds = sampler
-        state = columns[sample_index(rng, thresholds)]
-        trail.append(state)
+    for block in rng.blocks(steps):
+        for r in block:
+            sampler = samplers[state]
+            if sampler is None:
+                sampler = samplers[state] = _sampler(sigma, state)
+            columns, thresholds = sampler
+            state = columns[bisect_right(thresholds, r)]
+            trail.append(state)
     return tuple(trail)
+
+
+def _sampler(sigma: ProcessTensor, state: int) -> tuple[list[int], list[int]]:
+    """The row's columns and thresholds; DomainError unless a probability row."""
+    entries = [e for _, e in sigma.rows[state]]
+    if min(entries, default=ZERO) <= 0 or sum(entries) != 1:
+        label = section_at(sigma.internals, state).outcomes
+        raise DomainError(f"row of state {label} is not a probability row")
+    return [c for c, _ in sigma.rows[state]], cumulative_thresholds(entries)
 
 
 def estimate_stationary(

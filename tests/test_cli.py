@@ -335,6 +335,28 @@ class TestAnalyze:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize(
+        "name, node, steps",
+        [("product", "alpha", "100000"), ("chain", "stage1", "5000")],
+    )
+    def test_json_reports_match_the_golden_files(self, capsys, name, node, steps):
+        # both runs cross many blocks of the lane-parallel random stream
+        code, out, _ = run(
+            capsys,
+            "simulate",
+            str(bundled_network_path(name)),
+            "--node",
+            node,
+            "--steps",
+            steps,
+            "--seed",
+            "7",
+            "--json",
+        )
+        assert code == 0
+        golden = json.loads((GOLDEN_DIR / f"{name}_simulate.json").read_text())
+        assert json.loads(out) == golden
+
     def test_reproducible_and_reports_bands(self, capsys):
         argv = (
             "simulate",

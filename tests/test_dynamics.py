@@ -30,6 +30,7 @@ from oracle import (
 from procnet import scenario
 from procnet.dynamics import MAX_STEPS, _recurrent_class
 from procnet.errors import DomainError, ResourceLimitError
+from procnet.rng import _LANES as LANES
 from generators import random_closed_network, random_stochastic_rows
 
 F = Fraction
@@ -89,13 +90,20 @@ class TestAgreesWithTheDenseRows:
         assert verify_stationary(sigma, pi) == dense_verify_stationary(sigma, pi)
 
     @settings(max_examples=150, deadline=None)
-    @given(closed_chains(), st.integers(0, 2**64 - 1), st.booleans())
-    def test_simulate_chain(self, sigma, seed, from_distribution):
+    @given(
+        closed_chains(),
+        st.integers(0, 2**64 - 1),
+        st.booleans(),
+        st.sampled_from((60, LANES - 1, LANES, LANES + 1, 2 * LANES + 7)),
+    )
+    def test_simulate_chain(self, sigma, seed, from_distribution, steps):
+        # lengths around the lane blocks of the random stream; the oracle
+        # draws one scalar next_uint64 a step
         init = some_distribution(sigma, seed) if from_distribution else (
             scenario.section_at(sigma.internals, seed % len(sigma.rows))
         )
-        trail = simulate_chain(sigma, init, 60, seed)
-        assert trail == dense_simulate_chain(sigma, init, 60, seed)
+        trail = simulate_chain(sigma, init, steps, seed)
+        assert trail == dense_simulate_chain(sigma, init, steps, seed)
 
 
 def triangle_next(state):

@@ -1,6 +1,10 @@
 from collections import Counter
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from procnet.rng import _LANES as L
 from procnet.rng import SplitMix64, cumulative_thresholds, sample_index
 
 # first outputs of the published algorithm for these seeds
@@ -17,6 +21,30 @@ def test_known_answer_vectors():
     assert tuple(r.next_uint64() for _ in range(3)) == KNOWN_SEED_0
     r = SplitMix64(1234567)
     assert tuple(r.next_uint64() for _ in range(3)) == KNOWN_SEED_1234567
+
+
+def test_known_answer_vectors_through_blocks():
+    for seed, known in ((0, KNOWN_SEED_0), (1234567, KNOWN_SEED_1234567)):
+        blocks = SplitMix64(seed).blocks(3)
+        assert [r for block in blocks for r in block] == list(known)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.integers(-(2**64), 2**65 - 1), st.sampled_from((2**64 - 1, 2**63))),
+    st.one_of(st.sampled_from((0, 1, L - 1, L, L + 1, 2 * L + 7)), st.integers(0, 3 * L)),
+)
+def test_blocks_equal_the_scalar_stream(seed, count):
+    lanes, scalar = SplitMix64(seed), SplitMix64(seed)
+    blocks = lanes.blocks(count)
+    # the state has advanced past every draw before the first block is read
+    after = lanes.next_uint64()
+    blocks = list(blocks)
+    assert all(len(block) <= L for block in blocks)
+    assert [r for block in blocks for r in block] == [
+        scalar.next_uint64() for _ in range(count)
+    ]
+    assert after == scalar.next_uint64()
 
 
 def test_same_seed_same_stream():
