@@ -17,9 +17,7 @@ from .scenario import (
     Section,
     Variable,
     iter_outcome_tuples,
-    iter_sections,
     marginalize,
-    restrict_section,
     section_at,
     section_count,
     section_index,
@@ -33,12 +31,9 @@ from .process import (
     classify_network,
     compose,
     contract_network,
-    deterministic_process,
     find_reciprocities,
     global_variable_order,
     rename_variables,
-    reorder_process,
-    uniform_process,
     validate_process,
 )
 from .dynamics import (
@@ -83,7 +78,6 @@ from .netfile import (
     check_network_text,
     load_network_file,
     parse_network_text,
-    save_network_file,
     serialize_network_file,
 )
 from .errors import (
@@ -108,9 +102,7 @@ __all__ = [
     "Section",
     "Variable",
     "iter_outcome_tuples",
-    "iter_sections",
     "marginalize",
-    "restrict_section",
     "section_at",
     "section_count",
     "section_index",
@@ -122,12 +114,9 @@ __all__ = [
     "classify_network",
     "compose",
     "contract_network",
-    "deterministic_process",
     "find_reciprocities",
     "global_variable_order",
     "rename_variables",
-    "reorder_process",
-    "uniform_process",
     "validate_process",
     "DEFAULT_MAX_STATES",
     "StationaryCheck",
@@ -165,7 +154,6 @@ __all__ = [
     "check_network_text",
     "load_network_file",
     "parse_network_text",
-    "save_network_file",
     "serialize_network_file",
     "CompositionError",
     "DomainError",

@@ -32,7 +32,6 @@ from .rationals import _scaled
 from .rng import SplitMix64, cumulative_thresholds, sample_index
 from .scenario import (
     DEFAULT_MAX_STATES,  # re-exported as dynamics.DEFAULT_MAX_STATES
-    ONE,
     ZERO,
     Distribution,
     _require_state_cap,
@@ -95,10 +94,11 @@ def step(sigma: ProcessTensor, dist: Distribution) -> Distribution:
     _require_closed(sigma)
     dist = _aligned(sigma, dist)
     out = [ZERO] * len(dist.weights)
-    for w, row in zip(dist.weights, sigma.rows):
+    for w, (common, row) in zip(dist.weights, sigma.rows):
         if w:
-            for c, e in row:
-                out[c] += w * e
+            w /= common
+            for c, a in row:
+                out[c] += w * a
     return Distribution(sigma.internals, tuple(out))
 
 
@@ -106,25 +106,21 @@ def verify_stationary(sigma: ProcessTensor, dist: Distribution) -> StationaryChe
     """Exact fixed-point check; reports the max-norm residual otherwise.
 
     On integers, independent of how `dist` was found: its weights are
-    scaled to their common denominator d, and each row r of positive weight
-    to the lcm l_r of its entries; with L the lcm of those l_r, column c
-    totals n_r (L / l_r) a_rc over the rows, which is (w M)_c d L, and is
-    compared with n_c L.  The residual is the largest gap over d L, and the
-    worst state the first one at that gap.
+    scaled to their common denominator d, and row r holds its entries as
+    numerators a_rc over l_r; with L the lcm of the l_r of the rows of
+    positive weight, column c totals n_r (L / l_r) a_rc over those rows,
+    which is (w M)_c d L, and is compared with n_c L.  The residual is the
+    largest gap over d L, and the worst state the first one at that gap.
     """
     dist = _aligned(sigma, dist)
     _require_closed(sigma)
     d, nums = _scaled(dist.weights)
-    weighted = [
-        (n_r, row, _scaled([e for _, e in row]))
-        for n_r, row in zip(nums, sigma.rows)
-        if n_r
-    ]
-    common = lcm(*(scale for _, _, (scale, _) in weighted))
+    weighted = [(n_r, row) for n_r, row in zip(nums, sigma.rows) if n_r]
+    common = lcm(*(l_r for _, (l_r, _) in weighted))
     totals = [0] * len(nums)
-    for n_r, row, (scale, ints) in weighted:
-        f = n_r * (common // scale)
-        for (c, _), a in zip(row, ints):
+    for n_r, (l_r, row) in weighted:
+        f = n_r * (common // l_r)
+        for c, a in row:
             totals[c] += f * a
     gaps = [abs(t - n_c * common) for t, n_c in zip(totals, nums)]
     top = max(gaps)
@@ -135,7 +131,7 @@ def verify_stationary(sigma: ProcessTensor, dist: Distribution) -> StationaryChe
 
 
 def _support_graph(sigma: ProcessTensor) -> list[list[int]]:
-    return [[c for c, _ in row] for row in sigma.rows]
+    return [[c for c, _ in row] for _, row in sigma.rows]
 
 
 def _strongly_connected_components(succ: list[list[int]]) -> list[list[int]]:
@@ -215,22 +211,24 @@ def find_stationary(sigma: ProcessTensor) -> StationaryResult:
     _require_state_cap(n)
     cls = _recurrent_class(sigma)
     k = len(cls)
-    # balance row j is column cls[j] on the closed class, minus the identity
+    # unknowns v_i = w_i / l_i: balance row j is sum_i a_ij v_i - l_j v_j = 0
+    # over the closed class, and the last row is sum_i l_i v_i = 1
     position = {state: j for j, state in enumerate(cls)}
-    rows = [[ZERO] * k for _ in range(k)]
+    scales = [sigma.rows[state][0] for state in cls]
+    rows = [[0] * k for _ in range(k)]
     for i, state in enumerate(cls):
-        for c, e in sigma.rows[state]:
-            rows[position[c]][i] = e
-    for j in range(k):
-        rows[j][j] -= ONE
-    rows.append([ONE] * k)
-    rhs = [ZERO] * k + [ONE]
+        for c, a in sigma.rows[state][1]:
+            rows[position[c]][i] = a
+    for j, l_j in enumerate(scales):
+        rows[j][j] -= l_j
+    rows.append(scales)
+    rhs = [0] * k + [1]
     solution = solve_linear_fraction_free(rows, rhs)
-    if solution is None or any(x < 0 for x in solution):
+    if solution is None or any(v < 0 for v in solution):
         raise AssertionError("balance equations of a recurrent class must solve")
     weights = [ZERO] * n
-    for pos, state in enumerate(cls):
-        weights[state] = solution[pos]
+    for state, l_i, v in zip(cls, scales, solution):
+        weights[state] = l_i * v
     dist = Distribution(sigma.internals, tuple(weights))
     check = verify_stationary(sigma, dist)
     if not check.stationary:
@@ -297,7 +295,8 @@ def simulate_chain(
     _require_steps(steps)
     rng = SplitMix64(seed)
     if isinstance(init, Distribution):
-        state = sample_index(rng, cumulative_thresholds(_aligned(sigma, init).weights))
+        d, nums = _scaled(_aligned(sigma, init).weights)
+        state = sample_index(rng, cumulative_thresholds(nums, d))
     else:
         state = section_index(sigma.internals, init)
     samplers: list[tuple[list[int], list[int]] | None] = [None] * len(sigma.rows)
@@ -315,11 +314,12 @@ def simulate_chain(
 
 def _sampler(sigma: ProcessTensor, state: int) -> tuple[list[int], list[int]]:
     """The row's columns and thresholds; DomainError unless a probability row."""
-    entries = [e for _, e in sigma.rows[state]]
-    if min(entries, default=ZERO) <= 0 or sum(entries) != 1:
+    common, row = sigma.rows[state]
+    numerators = [a for _, a in row]
+    if min(numerators, default=0) <= 0 or sum(numerators) != common:
         label = section_at(sigma.internals, state).outcomes
         raise DomainError(f"row of state {label} is not a probability row")
-    return [c for c, _ in sigma.rows[state]], cumulative_thresholds(entries)
+    return [c for c, _ in row], cumulative_thresholds(numerators, common)
 
 
 def estimate_stationary(

@@ -112,10 +112,11 @@ def _node_delta(node: ProcessTensor, stationary: Distribution) -> NodeDistributi
     input_marginal = marginalize(stationary, input_names)
     n_cols = section_count(node.outputs)
     weights = [ZERO] * (len(node.rows) * n_cols)
-    for r, (base, row) in enumerate(zip(input_marginal.weights, node.rows)):
+    for r, (base, (common, row)) in enumerate(zip(input_marginal.weights, node.rows)):
         if base:
-            for c, e in row:
-                weights[r * n_cols + c] = e * base
+            base /= common
+            for c, a in row:
+                weights[r * n_cols + c] = base * a
     dist = Distribution(node.inputs + node.outputs, weights)
     return NodeDistribution(node.name, input_names + output_names, dist)
 

@@ -22,8 +22,8 @@ y^T b > 0, which is a self-contained contradiction with x >= 0.
 `farkas_contradiction` re-checks a certificate mechanically, independent of
 how it was produced, on integer numerators over one denominator per row.
 
-Every Fraction is scaled to integers by `rationals._scaled`; Fractions are
-built again only for the returned values.
+Int entries are taken as they are and Fractions are scaled to integers by
+`rationals._scaled`; Fractions are built again only for the returned values.
 """
 from __future__ import annotations
 
@@ -44,28 +44,26 @@ _PRIMES = (1073741789, 1073741783, 1073741741)
 
 
 def _augmented(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> list[list[Fraction]]:
-    """The rows of [A | b] as Fractions; DomainError unless the shapes fit."""
+    rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
+) -> list[list[Fraction | int]]:
+    """The rows of [A | b], entries as given; DomainError unless the shapes fit."""
     if len(rows) != len(rhs):
         raise DomainError("rhs length does not match row count")
-    aug = [
-        [e if isinstance(e, Fraction) else Fraction(e) for e in (*row, b)]
-        for row, b in zip(rows, rhs)
-    ]
+    aug = [[*row, b] for row, b in zip(rows, rhs)]
     if any(len(row) != len(aug[0]) for row in aug):
         raise DomainError("ragged coefficient matrix")
     return aug
 
 
 def _integer_rows(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+    rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
 ) -> tuple[list[list[int]], list[int]]:
-    """Scale each equation by the lcm of its denominators."""
+    """Scale each equation by the lcm of its denominators; an all-int
+    equation is taken as it is, with no lcm."""
     coeffs: list[list[int]] = []
     consts: list[int] = []
     for row in _augmented(rows, rhs):
-        scaled = _scaled(row)[1]
+        scaled = row if all(type(e) is int for e in row) else _scaled(row)[1]
         consts.append(scaled.pop())
         coeffs.append(scaled)
     return coeffs, consts
@@ -157,7 +155,7 @@ def _satisfies(coeffs, consts, which, d: int, nums: list[int]) -> bool:
 
 
 def solve_linear_fraction_free(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+    rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
 ) -> tuple[Fraction, ...] | None:
     """The solution of a (possibly redundant) linear system with full column
     rank, or None when the system is inconsistent.

@@ -275,7 +275,3 @@ def serialize_network_file(nf: NetworkFile) -> str:
             for label, dist in nf.stationary
         }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def save_network_file(nf: NetworkFile, path) -> None:
-    Path(path).write_text(serialize_network_file(nf), encoding="utf-8")

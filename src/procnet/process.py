@@ -7,46 +7,46 @@ time t+1.  Networks wire an output variable of one node to the equally
 named input variable of another; every wired variable becomes an internal
 variable of the contracted global process.
 
-A process keeps only the nonzero entries of each row.  The global entry is
-the plain product of the node entries, so contraction order cannot change
-the result; nodes are folded in declaration order and only nonzero entries
-are multiplied.  The later stages are dense in the state count, and
-contraction builds one Fraction per nonzero, so `contract_network` refuses
-a global process of more than `scenario.DEFAULT_MAX_STATES` rows or
-columns, or of more than `scenario.DEFAULT_MAX_NONZEROS` nonzeros, before
-it builds any row.
+A process stores each row as integers: a denominator l and the nonzero
+numerators over it.  The global entry is the plain product of the node
+entries, so contraction order cannot change the result; nodes are folded in
+declaration order and only nonzero numerators are multiplied.  The later
+stages are dense in the state count, and contraction's work follows the
+nonzeros, so `contract_network` refuses a global process of more than
+`scenario.DEFAULT_MAX_STATES` rows or columns, or of more than
+`scenario.DEFAULT_MAX_NONZEROS` nonzeros, before it builds any row.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from math import gcd
+from typing import Iterable, Mapping
 
 from .errors import CompositionError, DomainError, WiringError
 from .rationals import _scaled
 from .scenario import (
-    ONE,
     ZERO,
     Variable,
     _as_fraction,
     _index_table,
     _require_nonzero_cap,
     _require_state_cap,
-    iter_outcome_tuples,
     section_count,
 )
 
 
 @dataclass(frozen=True)
 class ProcessTensor:
-    """A stochastic matrix with named, role-tagged variables; `rows[r]` holds
-    row r's nonzero `(column, Fraction)` pairs, columns strictly increasing."""
+    """A stochastic matrix with named, role-tagged variables; `rows[r]` is
+    `(l, ((column, numerator), ...))`, row r's nonzero entries over l > 0,
+    columns strictly increasing and gcd(l, numerators) = 1."""
 
     name: str
     inputs: tuple[Variable, ...]
     internals: tuple[Variable, ...]
     outputs: tuple[Variable, ...]
-    rows: tuple[tuple[tuple[int, Fraction], ...], ...]
+    rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
@@ -56,20 +56,31 @@ class ProcessTensor:
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):
             raise DomainError(f"process {self.name!r} repeats a variable name")
-        rows = tuple(map(tuple, self.rows))
-        object.__setattr__(self, "rows", rows)
-        if len(rows) != section_count(self.row_variables):
+        n_rows = section_count(self.row_variables)
+        if type(self.rows) is not tuple or len(self.rows) != n_rows:
             raise DomainError(f"process {self.name!r}: wrong number of rows")
         n_cols = section_count(self.col_variables)
-        for row in rows:
-            last = -1
-            for c, e in row:
-                if not (type(c) is int and last < c < n_cols and type(e) is Fraction and e):
-                    raise DomainError(
-                        f"process {self.name!r}: a row must hold nonzero Fractions "
-                        f"at increasing columns in 0..{n_cols - 1}"
-                    )
+        malformed = DomainError(
+            f"process {self.name!r}: a row must be (l, ((column, numerator), ...)) with "
+            f"l > 0, columns increasing in 0..{n_cols - 1}, nonzero ints, gcd 1"
+        )
+        for row in self.rows:
+            if type(row) is not tuple or len(row) != 2 or type(row[1]) is not tuple:
+                raise malformed
+            common, last = row[0], -1
+            if type(common) is not int or common < 1:
+                raise malformed
+            for entry in row[1]:
+                if type(entry) is not tuple or len(entry) != 2:
+                    raise malformed
+                c, a = entry
+                if not (type(c) is int and last < c < n_cols and type(a) is int and a):
+                    raise malformed
                 last = c
+                if common != 1:
+                    common = gcd(common, a)
+            if common != 1:
+                raise malformed
 
     @classmethod
     def from_matrix(cls, name, inputs, internals, outputs, matrix) -> "ProcessTensor":
@@ -82,7 +93,11 @@ class ProcessTensor:
                 f"process {name!r}: matrix must be {n_rows}x{n_cols} "
                 f"for its declared variables"
             )
-        rows = tuple(tuple((c, e) for c, e in enumerate(row) if e) for row in matrix)
+        # the lcm of a row's reduced denominators is coprime to its numerators
+        rows = tuple(
+            (common, tuple((c, a) for c, a in enumerate(ints) if a))
+            for common, ints in map(_scaled, matrix)
+        )
         return cls(name, inputs, internals, outputs, rows)
 
     @property
@@ -90,9 +105,9 @@ class ProcessTensor:
         """The dense rows, zeros included, built afresh on each access."""
         n_cols = section_count(self.col_variables)
         dense = [[ZERO] * n_cols for _ in self.rows]
-        for entries, row in zip(dense, self.rows):
-            for c, e in row:
-                entries[c] = e
+        for entries, (common, row) in zip(dense, self.rows):
+            for c, a in row:
+                entries[c] = Fraction(a, common)
         return tuple(map(tuple, dense))
 
     @property
@@ -128,40 +143,12 @@ def validate_process(process: ProcessTensor) -> ProcessReport:
     """Report every row whose sum differs from 1 and every negative entry."""
     bad_sums = []
     negatives = []
-    for i, row in enumerate(process.rows):
-        total = sum((e for _, e in row), ZERO)
-        if total != ONE:
-            bad_sums.append((i, total))
-        negatives.extend((i, j, e) for j, e in row if e < 0)
+    for i, (common, row) in enumerate(process.rows):
+        total = sum(a for _, a in row)
+        if total != common:
+            bad_sums.append((i, Fraction(total, common)))
+        negatives.extend((i, j, Fraction(a, common)) for j, a in row if a < 0)
     return ProcessReport(tuple(bad_sums), tuple(negatives))
-
-
-def deterministic_process(
-    name: str,
-    inputs: Sequence[Variable],
-    outputs: Sequence[Variable],
-    rule,
-) -> ProcessTensor:
-    """Internal-free process with entry 1 exactly when rule(inputs) == outputs."""
-    inputs = tuple(inputs)
-    outputs = tuple(outputs)
-    column = {o: c for c, o in enumerate(iter_outcome_tuples(outputs))}
-    rows = []
-    for in_outcomes in iter_outcome_tuples(inputs):
-        c = column.get(tuple(rule(in_outcomes)))
-        rows.append(() if c is None else ((c, ONE),))
-    return ProcessTensor(name, inputs, (), outputs, tuple(rows))
-
-
-def uniform_process(
-    name: str, inputs: Sequence[Variable], outputs: Sequence[Variable]
-) -> ProcessTensor:
-    """Internal-free process whose every row is the uniform distribution."""
-    inputs = tuple(inputs)
-    outputs = tuple(outputs)
-    n_cols = section_count(outputs)
-    row = tuple((c, Fraction(1, n_cols)) for c in range(n_cols))
-    return ProcessTensor(name, inputs, (), outputs, (row,) * section_count(inputs))
 
 
 def rename_variables(process: ProcessTensor, mapping: Mapping[str, str]) -> ProcessTensor:
@@ -177,35 +164,6 @@ def rename_variables(process: ProcessTensor, mapping: Mapping[str, str]) -> Proc
         rename(process.outputs),
         process.rows,
     )
-
-
-def reorder_process(
-    process: ProcessTensor,
-    inputs: Sequence[str],
-    internals: Sequence[str],
-    outputs: Sequence[str],
-) -> ProcessTensor:
-    """Permute the variables within each role, shuffling the rows to match."""
-
-    def pick(names: Sequence[str], pool: tuple[Variable, ...]) -> tuple[Variable, ...]:
-        by_name = {v.name: v for v in pool}
-        if sorted(names) != sorted(by_name):
-            raise DomainError(
-                f"{list(names)} is not a permutation of {sorted(by_name)}"
-            )
-        return tuple(by_name[n] for n in names)
-
-    new_inputs = pick(inputs, process.inputs)
-    new_internals = pick(internals, process.internals)
-    new_outputs = pick(outputs, process.outputs)
-
-    # new row index -> old row index, and old column index -> new column index
-    row_map = _index_table(process.row_variables, new_inputs + new_internals)
-    col_map = _index_table(new_internals + new_outputs, process.col_variables)
-    rows = tuple(
-        tuple(sorted((col_map[c], e) for c, e in process.rows[r])) for r in row_map
-    )
-    return ProcessTensor(process.name, new_inputs, new_internals, new_outputs, rows)
 
 
 @dataclass(frozen=True)
@@ -359,11 +317,11 @@ def contract_network(net: Network) -> ProcessTensor:
     writes its internals and outputs on the column side (time t+1), so the
     entry of the result at (row, column) is the product of the node entries
     at the correspondingly restricted sections.  Only nonzero node entries
-    are multiplied, as integers: each node row is scaled once by the lcm l
-    of its denominators, and a global row's entries are Fraction(a, D), D
-    the product of its node rows' l.  More rows or columns than the state
-    cap, or more nonzeros (per row, the product of the node rows' nonzero
-    counts) than the nonzero cap, is a ResourceLimitError, raised first.
+    are multiplied: a global row's numerators are products of node-row
+    numerators over D, the product of the node rows' l, and the row is then
+    divided by gcd(D, numerators).  More rows or columns than the state cap,
+    or more nonzeros (per row, the product of the node rows' nonzero counts)
+    than the nonzero cap, is a ResourceLimitError, raised first.
     """
     g_inputs, g_internals, g_outputs = global_variable_order(net)
     row_vars = g_inputs + g_internals
@@ -376,30 +334,33 @@ def contract_network(net: Network) -> ProcessTensor:
     tables = [_index_table(n.row_variables, row_vars) for n in net.nodes]
     counts = [1] * n_rows
     for n, table in zip(net.nodes, tables):
-        sizes = [len(row) for row in n.rows]
+        sizes = [len(row) for _, row in n.rows]
         counts = [k * sizes[t] for k, t in zip(counts, table)]
     _require_nonzero_cap(sum(counts))
 
     # one node writes each column variable, so a global column is a sum of one
-    # offset per node; scaled[i][r] holds node i's row at global row r as
-    # (l, [(offset, entry * l)]), l the lcm of the row's denominators
-    scaled = []
+    # offset per node; shifted[i][r] holds node i's row at global row r as
+    # (l, [(offset, numerator)])
+    shifted = []
     for n, table in zip(net.nodes, tables):
         offsets = _index_table(col_vars, n.col_variables)
-        node_rows = []
-        for row in n.rows:
-            scale, ints = _scaled([e for _, e in row])
-            node_rows.append((scale, [(offsets[c], a) for (c, _), a in zip(row, ints)]))
-        scaled.append([node_rows[t] for t in table])
+        node_rows = [
+            (common, [(offsets[c], a) for c, a in row]) for common, row in n.rows
+        ]
+        shifted.append([node_rows[t] for t in table])
     rows = []
     for r in range(n_rows):
         denominator, terms = 1, [(0, 1)]
-        for node_rows in scaled:
-            scale, entries = node_rows[r]
-            denominator *= scale
+        for node_rows in shifted:
+            common, entries = node_rows[r]
+            denominator *= common
             terms = [(c + o, a * e) for c, a in terms for o, e in entries]
         terms.sort()
-        rows.append(tuple((c, Fraction(a, denominator)) for c, a in terms))
+        # g > 1 only for an empty row or for node rows that are not stochastic
+        g = gcd(denominator, *[a for _, a in terms])
+        if g != 1:
+            terms = [(c, a // g) for c, a in terms]
+        rows.append((denominator // g, tuple(terms)))
     return ProcessTensor("global", g_inputs, g_internals, g_outputs, tuple(rows))
 
 

@@ -7,9 +7,9 @@ the decimal 1/10 the author typed, not the nearest double.
 Strings are bounded before `Fraction` sees them: "1e999999999" would make it
 build a billion-digit power of ten.
 
-`_scaled` is the one place where rationals are scaled to integers: the
-exact checks, contraction and the linear solvers compute on its numerators
-and build a `Fraction` only for a result.
+`_scaled` is the one place where rationals are scaled to integers: a process
+row once, in `ProcessTensor.from_matrix`, and a distribution, linear system
+or certificate where it is read.  A `Fraction` is built only for a result.
 """
 from __future__ import annotations
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_right
-from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 from typing import Iterator, Sequence
@@ -36,7 +35,6 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_SCALE = 1 << 64
 # draws per block; 2048 timed best of 256, 1024, 2048 and 8192
 _LANES = 2048
 # the low 64-bit half of each 16-byte lane, as native-order words
@@ -98,9 +96,10 @@ def _blocks(start: int, count: int) -> Iterator[memoryview]:
         yield memoryview(z.to_bytes(width, sys.byteorder)).cast("Q")[_LOW_HALVES]
 
 
-def cumulative_thresholds(weights: Sequence[Fraction]) -> list[int]:
-    """Integer cut points in [0, 2**64] implementing the sampling rule."""
-    return [(a.numerator * _SCALE) // a.denominator for a in accumulate(weights)]
+def cumulative_thresholds(numerators: Sequence[int], denominator: int) -> list[int]:
+    """Integer cut points in [0, 2**64] implementing the sampling rule for the
+    weights numerators[j] / denominator: T_j = (cumsum_j << 64) // denominator."""
+    return [(s << 64) // denominator for s in accumulate(numerators)]
 
 
 def sample_index(rng: SplitMix64, thresholds: Sequence[int]) -> int:

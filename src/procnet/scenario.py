@@ -3,7 +3,7 @@
 A section is a joint outcome assignment for an ordered set of variables.
 Sections are indexed lexicographically by (variable order, alphabet order),
 row-major with the last variable fastest; every dense vector in the package
-uses that layout.  All probabilities are `fractions.Fraction` end to end, so
+uses that layout.  All probabilities are exact rationals end to end, so
 equality checks downstream are exact and never depend on a float tolerance.
 
 Everything here is immutable after construction and safe to share between
@@ -25,8 +25,8 @@ ONE = Fraction(1)
 # state count; contraction's work follows the nonzeros, at most one row of
 # them per state.
 DEFAULT_MAX_STATES = 1024
-# Contraction builds one Fraction per nonzero of the global process; the cap
-# admits every strictly positive chain of 9 binary wires (512 x 512).
+# Contraction forms one integer product per nonzero of the global process;
+# the cap admits every strictly positive chain of 9 binary wires (512 x 512).
 DEFAULT_MAX_NONZEROS = 2**18
 
 
@@ -129,12 +129,6 @@ def iter_outcome_tuples(variables: Sequence[Variable]) -> Iterator[tuple[str, ..
     return product(*[v.alphabet for v in variables])
 
 
-def iter_sections(variables: Sequence[Variable]) -> Iterator[Section]:
-    names = tuple(v.name for v in variables)
-    for outcomes in iter_outcome_tuples(variables):
-        yield Section(tuple(zip(names, outcomes)))
-
-
 def section_at(variables: Sequence[Variable], index: int) -> Section:
     total = section_count(variables)
     if not 0 <= index < total:
@@ -162,18 +156,6 @@ def section_index(variables: Sequence[Variable], section) -> int:
     for v, o in zip(variables, outcomes):
         idx = idx * v.size + v.index(o)
     return idx
-
-
-def restrict_section(section: Section, names: Iterable[str]) -> Section:
-    """Project a section onto a subset of its variables, in the given order."""
-    names = tuple(names)
-    lookup = section.as_dict()
-    missing = [n for n in names if n not in lookup]
-    if missing:
-        raise DomainError(f"cannot restrict: {missing} not among {sorted(lookup)}")
-    if len(set(names)) != len(names):
-        raise DomainError("restriction names must be distinct")
-    return Section(tuple((n, lookup[n]) for n in names))
 
 
 def _index_table(

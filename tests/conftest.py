@@ -10,8 +10,8 @@ from procnet import (
     Network,
     Variable,
     contract_network,
-    deterministic_process,
 )
+from builders import deterministic_process
 
 BINARY = ("0", "1")
 

@@ -14,7 +14,6 @@ from procnet import (
     build_empirical_model,
     bundled_network_path,
     contract_network,
-    deterministic_process,
     empirical_node_frequencies,
     estimate_stationary,
     find_stationary,
@@ -23,11 +22,11 @@ from procnet import (
     node_distribution,
     section_at,
     simulate_chain,
-    uniform_process,
     validate_empirical_model,
     verify_marginal_theorem,
 )
 from procnet.errors import DomainError, StationarityError, StructureError
+from builders import deterministic_process, uniform_process
 from generators import random_closed_network
 from procnet.scenario import iter_outcome_tuples
 

@@ -85,6 +85,27 @@ def nonsingular_with_extra_row(draw):
     return rows, rhs, at
 
 
+@st.composite
+def integer_systems(draw):
+    """An int system with full column rank: n x n nonsingular ("full"), plus
+    an int combination of its rows at a drawn position ("redundant"), whose
+    right-hand side is then off by one ("inconsistent")."""
+    n = draw(st.integers(1, 8))
+    ints = st.integers(-6, 6)
+    rows = [draw(st.lists(ints, min_size=n, max_size=n)) for _ in range(n)]
+    if _rank(rows) < n:
+        for i in range(n):
+            rows[i][i] += 7 * n
+    rhs = draw(st.lists(ints, min_size=n, max_size=n))
+    kind = draw(st.sampled_from(("full", "redundant", "inconsistent")))
+    if kind != "full":
+        weights = draw(st.lists(ints, min_size=n, max_size=n))
+        at = draw(st.integers(0, n))
+        rows.insert(at, [sum(w * row[j] for w, row in zip(weights, rows)) for j in range(n)])
+        rhs.insert(at, sum(w * b for w, b in zip(weights, rhs)) + (kind == "inconsistent"))
+    return rows, rhs, kind
+
+
 class TestDixonSolve:
     """The production solver against the Gauss-Jordan oracle."""
 
@@ -104,6 +125,18 @@ class TestDixonSolve:
         rhs[at] += 1
         assert solve_linear(rows, rhs) is None
         assert solve_linear_fraction_free(rows, rhs) is None
+
+    @settings(max_examples=80, deadline=None)
+    @given(integer_systems())
+    def test_int_rows_agree_with_fraction_rows_and_the_oracle(self, system):
+        rows, rhs, kind = system
+        # int equations are taken as they are, not scaled
+        assert exactlp._integer_rows(rows, rhs) == (rows, rhs)
+        x = solve_linear_fraction_free(rows, rhs)
+        assert (x is None) == (kind == "inconsistent")
+        fractions = (frac_rows(rows), [F(b) for b in rhs])
+        assert x == solve_linear_fraction_free(*fractions)
+        assert x == solve_linear(*fractions)
 
     def test_singular_modulo_the_first_prime_takes_the_next_one(self, monkeypatch):
         p = exactlp._PRIMES[0]

@@ -3,6 +3,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -20,12 +21,9 @@ from procnet import (
     classify_network,
     compose,
     contract_network,
-    deterministic_process,
     find_reciprocities,
     global_variable_order,
     rename_variables,
-    reorder_process,
-    uniform_process,
     validate_process,
 )
 from procnet.errors import (
@@ -35,6 +33,7 @@ from procnet.errors import (
     StructureError,
     WiringError,
 )
+from builders import deterministic_process, reorder_process, uniform_process
 from generators import random_closed_network, random_stochastic_rows
 from procnet.scenario import iter_outcome_tuples, section_count
 
@@ -67,7 +66,8 @@ def variables(draw, name):
 @st.composite
 def processes(draw, name, inputs, internals, outputs):
     """A process on the given variables, each role in a drawn order; about a
-    quarter of the entries are zero, and some rows are all zero."""
+    quarter of the entries are zero, some rows are all zero, and about a
+    quarter of the rows sum to less than 1."""
     inputs, internals, outputs = (
         tuple(draw(st.permutations(vs))) for vs in (inputs, internals, outputs)
     )
@@ -76,7 +76,8 @@ def processes(draw, name, inputs, internals, outputs):
     rows = []
     for _ in range(section_count(inputs + internals)):
         weights = [rng.randint(0, 3) for _ in range(n_cols)]
-        rows.append(tuple(Fraction(w, sum(weights) or 1) for w in weights))
+        total = sum(weights) + rng.choice((0, 0, 0, 1)) or 1
+        rows.append(tuple(Fraction(w, total) for w in weights))
     return ProcessTensor.from_matrix(name, inputs, internals, outputs, tuple(rows))
 
 
@@ -150,9 +151,13 @@ class TestProcessTensor:
     def test_dense_round_trip_and_equality(self, p, seed):
         matrix = p.matrix
         assert ProcessTensor.from_matrix("p", p.inputs, p.internals, p.outputs, matrix) == p
-        assert p.rows == tuple(
-            tuple((c, e) for c, e in enumerate(row) if e) for row in matrix
-        )
+        # each row over the lcm of its denominators, nonzero numerators only
+        expected = []
+        for row in matrix:
+            common = lcm(*(e.denominator for e in row))
+            entries = tuple((c, int(e * common)) for c, e in enumerate(row) if e)
+            expected.append((common, entries))
+        assert p.rows == tuple(expected)
         rng = Random(seed)
         changed = [list(row) for row in matrix]
         r, c = rng.randrange(len(changed)), rng.randrange(len(changed[0]))
@@ -164,14 +169,25 @@ class TestProcessTensor:
     @pytest.mark.parametrize(
         "rows",
         [
-            (((1, HALF), (0, HALF)), ((0, ONE),)),  # unsorted columns
-            (((0, HALF), (0, HALF)), ((0, ONE),)),  # duplicate column
-            (((0, HALF), (2, HALF)), ((0, ONE),)),  # column out of range
-            (((-1, ONE),), ((0, ONE),)),  # negative column
-            (((0, ONE), (1, Fraction(0))), ((0, ONE),)),  # zero entry
-            (((0, 1),), ((0, ONE),)),  # entry that is not a Fraction
-            (((0, ONE),),),  # one row short
-            (((0, ONE),), ((0, ONE),), ((0, ONE),)),  # one row too many
+            ((2, ((1, 1), (0, 1))), (1, ((0, 1),))),  # unsorted columns
+            ((2, ((0, 1), (0, 1))), (1, ((0, 1),))),  # duplicate column
+            ((2, ((0, 1), (2, 1))), (1, ((0, 1),))),  # column out of range
+            ((1, ((-1, 1),)), (1, ((0, 1),))),  # negative column
+            ((1, ((0, 1), (1, 0))), (1, ((0, 1),))),  # zero numerator
+            ((1, ((0, ONE),)), (1, ((0, 1),))),  # Fraction numerator
+            ((1, ((0, 1),)),),  # one row short
+            ((1, ((0, 1),)), (1, ((0, 1),)), (1, ((0, 1),))),  # one row too many
+            ((1, ((0, True),)), (1, ((0, 1),))),  # bool numerator
+            ((0, ((0, 1),)), (1, ((0, 1),))),  # l = 0
+            ((-1, ((0, -1),)), (1, ((0, 1),))),  # l < 0
+            ((True, ((0, 1),)), (1, ((0, 1),))),  # bool l
+            ((2, ((0, 2),)), (1, ((0, 1),))),  # gcd(l, numerators) = 2
+            ((4, ((0, 2), (1, 2))), (1, ((0, 1),))),  # gcd(l, numerators) = 2
+            (((0, ONE),), ((0, ONE),)),  # rows of (column, Fraction) pairs
+            ((1,), (1, ((0, 1),))),  # row without entries
+            (5, (1, ((0, 1),))),  # row that is not a pair
+            ((1, ((0, 1, 7),)), (1, ((0, 1),))),  # entry that is not a pair
+            None,  # no rows at all
         ],
     )
     def test_malformed_rows_rejected(self, rows):
@@ -201,6 +217,57 @@ class TestProcessTensor:
                 and id(node) not in allowed
             ]
         assert readers == []
+
+    def test_process_rows_are_read_as_integers(self):
+        # one representation: contraction, the stationary solve and the
+        # sampler build no Fraction, and only `from_matrix` scales a row of
+        # Fractions; every other `_scaled` call scales a distribution or a
+        # linear system, never a process row
+        fraction_free = {
+            ("process.py", "contract_network"),
+            ("dynamics.py", "find_stationary"),
+            ("dynamics.py", "_sampler"),
+        }
+        fraction_calls, scaling, scaled_rows = [], [], []
+        for path in sorted(Path(procnet.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            functions = []
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef):
+                    functions.append((node.name, node))
+                elif isinstance(node, ast.ClassDef):
+                    functions += [
+                        (f"{node.name}.{item.name}", item)
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                    ]
+            for name, function in functions:
+                for call in ast.walk(function):
+                    if not isinstance(call, ast.Call):
+                        continue
+                    called = [call.func, *call.args]
+                    named = {n.id for n in called if isinstance(n, ast.Name)}
+                    if "Fraction" in named and (path.name, name) in fraction_free:
+                        fraction_calls.append(f"{path.name}:{call.lineno}")
+                    if "_scaled" in named:
+                        # a call of `_scaled`, or a call handing it on (`map`)
+                        scaling.append((path.name, name))
+                        if name != "ProcessTensor.from_matrix" and any(
+                            isinstance(n, ast.Attribute) and n.attr == "rows"
+                            for arg in call.args
+                            for n in ast.walk(arg)
+                        ):
+                            scaled_rows.append(f"{path.name}:{call.lineno}")
+        assert fraction_calls == []
+        assert scaled_rows == []
+        assert sorted(set(scaling)) == [
+            ("dynamics.py", "simulate_chain"),
+            ("dynamics.py", "verify_stationary"),
+            ("exactlp.py", "_integer_rows"),
+            ("exactlp.py", "farkas_contradiction"),
+            ("exactlp.py", "feasible_point"),
+            ("process.py", "ProcessTensor.from_matrix"),
+        ]
 
 
 class TestValidateProcess:
@@ -532,14 +599,22 @@ class TestContract:
         assert len(contract_network(net).rows) == 8
         monkeypatch.setattr(procnet.scenario, "DEFAULT_MAX_NONZEROS", 63)
 
-        def build_a_row(values):
+        def build_a_row(*values):
             raise AssertionError("a row was built before the nonzero cap")
 
-        monkeypatch.setattr(procnet.process, "_scaled", build_a_row)
+        monkeypatch.setattr(procnet.process, "gcd", build_a_row)
         with pytest.raises(
             ResourceLimitError, match="global process of 64 nonzeros exceeds the cap of 63"
         ):
             contract_network(net)
+
+    def test_global_rows_are_reduced(self):
+        # 2/3 times 1/2 is 1/3: the product's common factor 2 is divided out
+        p = ProcessTensor("p", (var("I"),), (), (var("F"),), ((3, ((1, 2),)),) * 2)
+        q = ProcessTensor("q", (var("G"),), (), (var("O"),), ((2, ((0, 1),)),) * 2)
+        sigma = contract_network(Network((p, q)))
+        assert sigma.rows == ((3, ((2, 1),)),) * 4
+        assert sigma.matrix[0] == (0, 0, Fraction(1, 3), 0)
 
     @settings(max_examples=150, deadline=None)
     @given(networks())

@@ -4,6 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import dense_cumulative_thresholds
 from procnet.rng import _LANES as L
 from procnet.rng import SplitMix64, cumulative_thresholds, sample_index
 
@@ -58,25 +59,37 @@ def test_negative_seed_wraps():
 
 
 def test_thresholds_partition_the_range():
-    t = cumulative_thresholds((Fraction(1, 2), Fraction(1, 2)))
+    t = cumulative_thresholds((1, 1), 2)
     assert t == [1 << 63, 1 << 64]
-    t = cumulative_thresholds((Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)))
+    t = cumulative_thresholds((1, 1, 1), 3)
     assert t[-1] == 1 << 64
     assert t[0] == (1 << 64) // 3
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 50), min_size=1, max_size=12), st.integers(0, 3))
+def test_thresholds_equal_the_fraction_rule(numerators, extra):
+    # numerators over any denominator l give the cut points of the weights
+    # a / l as Fractions, also when gcd(l, numerators) > 1 or the sum is not l
+    denominator = sum(numerators) + extra or 1
+    weights = [Fraction(a, denominator) for a in numerators]
+    assert cumulative_thresholds(numerators, denominator) == dense_cumulative_thresholds(
+        weights
+    )
+
+
 def test_zero_weight_outcomes_never_drawn():
-    thresholds = cumulative_thresholds((Fraction(0), Fraction(1)))
+    thresholds = cumulative_thresholds((0, 1), 1)
     rng = SplitMix64(5)
     assert all(sample_index(rng, thresholds) == 1 for _ in range(200))
     # trailing zero weight cannot be selected either
-    thresholds = cumulative_thresholds((Fraction(1), Fraction(0)))
+    thresholds = cumulative_thresholds((1, 0), 1)
     rng = SplitMix64(6)
     assert all(sample_index(rng, thresholds) == 0 for _ in range(200))
 
 
 def test_sampling_roughly_matches_weights():
-    thresholds = cumulative_thresholds((Fraction(1, 4), Fraction(3, 4)))
+    thresholds = cumulative_thresholds((1, 3), 4)
     rng = SplitMix64(7)
     counts = Counter(sample_index(rng, thresholds) for _ in range(20_000))
     assert abs(counts[1] / 20_000 - 0.75) < 0.02

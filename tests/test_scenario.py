@@ -10,15 +10,14 @@ from procnet import (
     Section,
     Variable,
     iter_outcome_tuples,
-    iter_sections,
     marginalize,
-    restrict_section,
     section_at,
     section_count,
     section_index,
     validate_empirical_model,
 )
 from procnet.errors import DomainError
+from builders import iter_sections, restrict_section
 
 BINARY = ("0", "1")
 
