@@ -8,6 +8,15 @@ rational reconstruction of every entry (von zur Gathen and Gerhard, Modern
 Computer Algebra, section 5.10).  A reconstructed candidate is returned only
 after it satisfies every equation exactly.
 
+The factorization and the triangular solves of the lifting run on packed
+rows: one Python int holds a whole row (or column) of residues, each in its
+own byte-aligned lane of w bits, so that one elimination step on a row is a
+shift, one small-by-big multiply and an add, all inside CPython's big-int
+code (SIMD within a register, as in `rng.SplitMix64.blocks`).  Lanes are not
+reduced after each step; w is wide enough for every step to the last
+(delayed modular reduction, Dumas, Giorgi and Pernet, ACM TOMS 35, 2008),
+and a lane is reduced modulo p only where its value is read.
+
 The simplex minimizes the sum of one artificial variable per row (rows are
 sign-normalized so the right-hand side is nonnegative).  Bland's smallest
 index rule is used for both the entering and the leaving choice, so the
@@ -27,8 +36,11 @@ Int entries are taken as they are and Fractions are scaled to integers by
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, zip_longest
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Sequence
@@ -36,10 +48,14 @@ from typing import Sequence
 from .errors import DomainError
 from .rationals import _scaled
 
-# The three largest primes below 2**30 (2**30 - 35, - 41, - 83): a residue
-# is one 30-bit CPython digit, so the O(n^3) factorization multiplies only
-# two-digit products (about 40% faster than 62-bit primes at 128 states).
-# Literal so that no prime search runs at import or on the first call.
+# The three largest primes below 2**30 (2**30 - 35, - 41, - 83).  In the
+# packed elimination a prime sets only the lane width (`_lane_bytes`): below
+# 2**30 a lane is 9 bytes for every system up to 2047 unknowns, the state cap
+# included, and a residue fits the 64-bit words of `_lanes`.  A lane is about
+# 2 log2(p) + log2(n) bits and the lift count falls as 1 / log2(p), so a
+# smaller prime trades narrower lanes for more lifts; the primes were kept,
+# not re-measured, for the packed LU.  Literal so that no prime search runs
+# at import or on the first call.
 _PRIMES = (1073741789, 1073741783, 1073741741)
 
 
@@ -69,53 +85,172 @@ def _integer_rows(
     return coeffs, consts
 
 
+def _lane_bytes(n: int, p: int) -> int:
+    """Bytes per lane of a packed row of n columns modulo p.
+
+    A lane starts below p and gains less than p**2 per elimination step, of
+    which there are fewer than n, so it stays below p + (n + 1) * p**2; one
+    spare bit on top, rounded up to whole bytes.
+    """
+    return ((p + (n + 1) * p * p).bit_length() + 8) // 8
+
+
+def _lanes(values, size: int) -> bytearray:
+    """The bytes of lanes `size` bytes wide, lane j holding values[j], a
+    residue in [0, 2**64) that fits the lane: one array of words, spread by
+    strided byte copies."""
+    words = array("Q", values)
+    if sys.byteorder == "big":
+        words.byteswap()
+    raw = words.tobytes()
+    lanes = bytearray(len(words) * size)
+    for b in range(min(8, size)):
+        lanes[b::size] = raw[b::8]
+    return lanes
+
+
+def _pack(values, size: int) -> int:
+    """One int whose lane j, `size` bytes wide, holds values[j] (`_lanes`)."""
+    return int.from_bytes(_lanes(values, size), "little")
+
+
+def _unpack_mod(packed: int, count: int, size: int, p: int) -> list[int]:
+    """The lowest `count` lanes of `packed`, at most 16 bytes each, reduced
+    modulo p: each lane is copied into two words, low and high."""
+    raw = packed.to_bytes(count * size, "little")
+    slots = bytearray(16 * count)
+    for b in range(size):
+        slots[b::16] = raw[b::size]
+    words = array("Q", slots)
+    if sys.byteorder == "big":
+        words.byteswap()
+    high = (1 << 64) % p
+    return [(lo + hi * high) % p for lo, hi in zip(words[::2], words[1::2])]
+
+
 def _lu_mod(coeffs: list[list[int]], n: int, p: int):
     """LU with row pivoting modulo p of an m x n matrix (m >= n).
 
-    Crout order: every entry of L and U is one dot product of earlier
-    entries, reduced once, so the O(n^3) work runs inside `sum(map(mul))`.
+    Right-looking elimination on packed rows: each remaining row of the
+    Schur complement is one int whose lane j holds its column c + j,
+    congruent modulo p but never reduced (`_lane_bytes` bounds it).  For
+    column c the pivot is the first remaining row whose head, lane 0 modulo
+    p, is nonzero; its other lanes are unpacked once, reduced into the row
+    of U and packed again, and every other row r with head h becomes
+    (r >> w) + (p - l) * packed U row with l = h / pivot modulo p: one
+    small-by-big multiply, one add and one shift, all in C.
     Returns the indices of n pivot rows, the strict lower factor (unit
     diagonal implied) and the strict upper factor row by row, and the
     inverted diagonal of U; or None when the rank modulo p is below n.
     """
-    lower = [[] for _ in coeffs]  # L entries so far, for every row
-    upper_cols: list[list[int]] = [[] for _ in range(n)]  # U entries so far
+    size = _lane_bytes(n, p)
+    w = 8 * size
+    mask = (1 << w) - 1
+    lower: list[list[int]] = [[] for _ in coeffs]  # L entries so far, for every row
     upper: list[list[int]] = []
     diag_inv: list[int] = []
     pivots: list[int] = []
+    # the rows not yet pivots, in their original order: index, L, packed row
     rest = list(range(len(coeffs)))
+    rest_lower = list(lower)
+    packed = [_pack([a % p for a in row], size) for row in coeffs]
     for c in range(n):
-        col = upper_cols[c]
-        heads = [(coeffs[i][c] - sum(map(mul, lower[i], col))) % p for i in rest]
+        heads = [(r & mask) % p for r in packed]
         at = next((k for k, h in enumerate(heads) if h), None)
         if at is None:
             return None
-        piv = rest.pop(at)
+        pivots.append(rest.pop(at))
         inv = pow(heads.pop(at), -1, p)
-        pivots.append(piv)
         diag_inv.append(inv)
-        row_l, row_a = lower[piv], coeffs[piv]
-        urow = [
-            (row_a[j] - sum(map(mul, row_l, upper_cols[j]))) % p
-            for j in range(c + 1, n)
-        ]
+        del rest_lower[at]
+        urow = _unpack_mod(packed.pop(at) >> w, n - c - 1, size, p)
         upper.append(urow)
-        for j, u in zip(range(c + 1, n), urow):
-            upper_cols[j].append(u)
-        for i, h in zip(rest, heads):
-            lower[i].append(h * inv % p)
+        prow = _pack(urow, size)
+        factors = [h * inv % p for h in heads]
+        for row_l, l in zip(rest_lower, factors):
+            row_l.append(l)
+        packed = [(r >> w) + (p - l) * prow for r, l in zip(packed, factors)]
     return pivots, [lower[i] for i in pivots], upper, diag_inv
 
 
-def _lu_solve_mod(lower, upper, diag_inv, r: list[int], p: int) -> list[int]:
-    y: list[int] = []
-    for row, ri in zip(lower, r):
-        y.append((ri - sum(map(mul, row, y))) % p)
-    n = len(y)
-    x = [0] * n
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - sum(map(mul, upper[i], x[i + 1 :]))) * diag_inv[i] % p
-    return x
+def _lower_columns(rows: list[list[int]], size: int) -> list[int]:
+    """The columns of a strictly lower triangular n x n matrix, given as
+    rows with row t holding its t entries left of the diagonal: column k
+    from row k + 1 down, packed.  One transpose and one `_lanes` for all."""
+    n = len(rows)
+    by_column = zip_longest(*rows, fillvalue=0)
+    lanes = _lanes(chain.from_iterable(by_column), size)
+    step = n * size
+    return [
+        int.from_bytes(lanes[k * step + (k + 1) * size : (k + 1) * step], "little")
+        for k in range(n)
+    ]
+
+
+def _triangular_solver(lower, upper, diag_inv, p: int):
+    """The solve of L U x = r modulo p for the factors of `_lu_mod`, as a
+    function of r (ints of any sign and size) returning x reduced.
+
+    Both substitutions are forward, column by column on packed lanes: the
+    unsolved part of the right-hand side is one int, each step takes
+    v = lane 0 modulo p (times the inverted pivot, for U), then sets the
+    rest to (rest >> w) + (p - v) * column.  Back substitution in U is
+    forward substitution in U with rows and columns reversed, on the
+    reversed vector.  The columns are packed once, in the lanes of
+    `_lu_mod`.
+    """
+    n = len(diag_inv)
+    size = _lane_bytes(n, p)
+    w = 8 * size
+    mask = (1 << w) - 1
+    lower_cols = _lower_columns(lower, size)
+    upper_cols = _lower_columns([upper[n - 1 - t][::-1] for t in range(n)], size)
+    ones = [1] * n
+    inverted = diag_inv[::-1]
+
+    def sweep(values: list[int], columns: list[int], scales: list[int]) -> list[int]:
+        rest = _pack(values, size)
+        out = []
+        for col, s in zip(columns, scales):
+            v = (rest & mask) * s % p
+            out.append(v)
+            rest = (rest >> w) + (p - v) * col
+        return out
+
+    def solve(r: list[int]) -> list[int]:
+        y = sweep([v % p for v in r], lower_cols, ones)
+        return sweep(y[::-1], upper_cols, inverted)[::-1]
+
+    return solve
+
+
+def _residual_divider(rows: list[list[int]], p: int):
+    """The exact lift step r -> (r - A digit) / p for the n x n int matrix
+    A = rows and digits in [0, p), as a function of (r, digit).
+
+    The columns of A are packed once, each entry raised by b = max |A_ij| so
+    that every lane is nonnegative, in lanes wide enough for n (p - 1) 2 b.
+    A digit + b sum(digit) is then one sum of n small-by-big products, read
+    back lane by lane; no lane is reduced, so r stays exact.
+    """
+    n = len(rows)
+    bias = max(abs(e) for row in rows for e in row)
+    size = ((n * p * 2 * bias).bit_length() + 8) // 8
+    columns = [
+        int.from_bytes(b"".join((e + bias).to_bytes(size, "little") for e in col), "little")
+        for col in zip(*rows)
+    ]
+    offsets = range(0, n * size, size)
+
+    def divide(r: list[int], digit: list[int]) -> list[int]:
+        raw = sum(map(mul, digit, columns)).to_bytes(n * size, "little")
+        shift = bias * sum(digit)
+        return [
+            (ri + shift - int.from_bytes(raw[k : k + size], "little")) // p
+            for ri, k in zip(r, offsets)
+        ]
+
+    return divide
 
 
 def _reconstruct(residues: list[int], modulus: int, bound: int):
@@ -164,10 +299,16 @@ def solve_linear_fraction_free(
     modulo a word-size prime picks n independent rows (the next prime is
     tried when the rank modulo the first one is below n), and the solution of
     those rows is lifted one p-adic digit at a time, each lift an O(n^2)
-    triangular solve plus an exact division of the residual by p.  After each
-    lift every entry is rationally reconstructed; a candidate is accepted only
-    when two consecutive reconstructions agree and it satisfies every row of
-    the integer system exactly.  A candidate that satisfies the pivot rows is
+    triangular solve plus an exact division of the residual by p.  The
+    factorization is right-looking elimination on packed rows of residues
+    (`_lu_mod`), and each triangular solve sweeps the packed columns of L and
+    U once (`_triangular_solver`); they give the pivots, factors and digits
+    of the Crout order, which picks the same first row with a nonzero head.
+    The residual r - A digit is exact, one packed product per lift over the
+    columns of the pivot rows (`_residual_divider`).  After each lift every
+    entry is rationally reconstructed; a candidate is accepted only when two
+    consecutive reconstructions agree and it satisfies every row of the
+    integer system exactly.  A candidate that satisfies the pivot rows is
     their unique solution, so if it fails any other row the system is
     inconsistent.  The Hadamard bound of the pivot rows caps the number of
     lifts: past it the reconstruction is unique.  All arithmetic is on
@@ -189,7 +330,8 @@ def solve_linear_fraction_free(
             f"coefficient matrix has rank below {n} modulo every prime tried"
         )
     pivots, lower, upper, diag_inv = lu
-    a_piv = [coeffs[i] for i in pivots]
+    solve = _triangular_solver(lower, upper, diag_inv, p)
+    divide = _residual_divider([coeffs[i] for i in pivots], p)
     r = [consts[i] for i in pivots]
     chosen = set(pivots)
     others = [i for i in range(m) if i not in chosen]
@@ -204,8 +346,8 @@ def solve_linear_fraction_free(
     modulus = 1
     previous = None
     while True:
-        digit = _lu_solve_mod(lower, upper, diag_inv, r, p)
-        r = [(ri - sum(map(mul, row, digit))) // p for ri, row in zip(r, a_piv)]
+        digit = solve(r)
+        r = divide(r, digit)
         acc = [s + modulus * v for s, v in zip(acc, digit)]
         modulus *= p
         unique = modulus > 2 * hadamard_sq

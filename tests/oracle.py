@@ -4,6 +4,12 @@
 general than `procnet.exactlp.solve_linear_fraction_free`: it accepts
 rank-deficient systems and sets free variables to zero.
 
+`crout_lu_mod` and `row_lu_solve_mod` are the LU modulo p of
+`procnet.exactlp._lu_mod` in Crout order, every entry of L and U one dot
+product of earlier entries reduced once, and its triangular solve row by
+row: the same factors and digits as the packed-lane elimination, with no
+lanes that could overflow.
+
 `fraction_simplex` is the phase-1 simplex of
 `procnet.exactlp.feasible_point` on a dense Fraction tableau.
 
@@ -93,6 +99,57 @@ def solve_linear(
     for k, col in enumerate(pivot_cols):
         x[col] = aug[k][n]
     return tuple(x)
+
+
+def crout_lu_mod(coeffs: list[list[int]], n: int, p: int):
+    """LU with row pivoting modulo p of an m x n matrix (m >= n), in Crout
+    order: the pivot of column c is the first remaining row whose entry of
+    the Schur complement is nonzero modulo p.
+
+    Returns the indices of n pivot rows, the strict lower factor (unit
+    diagonal implied) and the strict upper factor row by row, and the
+    inverted diagonal of U; or None when the rank modulo p is below n.
+    """
+    lower = [[] for _ in coeffs]  # L entries so far, for every row
+    upper_cols: list[list[int]] = [[] for _ in range(n)]  # U entries so far
+    upper: list[list[int]] = []
+    diag_inv: list[int] = []
+    pivots: list[int] = []
+    rest = list(range(len(coeffs)))
+    for c in range(n):
+        col = upper_cols[c]
+        heads = [(coeffs[i][c] - sum(map(mul, lower[i], col))) % p for i in rest]
+        at = next((k for k, h in enumerate(heads) if h), None)
+        if at is None:
+            return None
+        piv = rest.pop(at)
+        inv = pow(heads.pop(at), -1, p)
+        pivots.append(piv)
+        diag_inv.append(inv)
+        row_l, row_a = lower[piv], coeffs[piv]
+        urow = [
+            (row_a[j] - sum(map(mul, row_l, upper_cols[j]))) % p
+            for j in range(c + 1, n)
+        ]
+        upper.append(urow)
+        for j, u in zip(range(c + 1, n), urow):
+            upper_cols[j].append(u)
+        for i, h in zip(rest, heads):
+            lower[i].append(h * inv % p)
+    return pivots, [lower[i] for i in pivots], upper, diag_inv
+
+
+def row_lu_solve_mod(lower, upper, diag_inv, r: list[int], p: int) -> list[int]:
+    """x with L U x = r modulo p, for the factors of `crout_lu_mod`: forward
+    and back substitution one row at a time."""
+    y: list[int] = []
+    for row, ri in zip(lower, r):
+        y.append((ri - sum(map(mul, row, y))) % p)
+    n = len(y)
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        x[i] = (y[i] - sum(map(mul, upper[i], x[i + 1 :]))) * diag_inv[i] % p
+    return x
 
 
 def fraction_simplex(

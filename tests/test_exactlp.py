@@ -5,9 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import fraction_farkas_contradiction, fraction_simplex, solve_linear
+from oracle import (
+    crout_lu_mod,
+    fraction_farkas_contradiction,
+    fraction_simplex,
+    row_lu_solve_mod,
+    solve_linear,
+)
 from procnet import exactlp
 from procnet.errors import DomainError
+from procnet.scenario import DEFAULT_MAX_STATES
 from procnet.exactlp import (
     farkas_contradiction,
     feasible_point,
@@ -162,6 +169,21 @@ class TestDixonSolve:
             F(3),
         )
 
+    def test_large_entries_of_both_signs_stay_exact(self):
+        # the residual's lanes are sized by n (p - 1) 2 max |A_ij|: entries of
+        # either sign near that maximum fill them
+        rng = Random(7)
+        n, top = 24, 2**70
+        rows = [
+            [rng.choice((-1, 1)) * (top - rng.randrange(1000)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        rhs = [rng.randrange(-top, top) for _ in range(n)]
+        x = solve_linear_fraction_free(rows, rhs)
+        assert x is not None
+        for row, b in zip(rows, rhs):
+            assert sum(a * v for a, v in zip(row, x)) == b
+
     def test_rank_deficient_input_raises(self):
         with pytest.raises(DomainError):
             solve_linear_fraction_free(frac_rows([[1, 1], [2, 2]]), [F(3), F(6)])
@@ -209,6 +231,114 @@ class TestDixonSolve:
         assert len(set(exactlp._PRIMES)) == len(exactlp._PRIMES) >= 2
         for p in exactlp._PRIMES:
             assert p < 2**30 and is_prime(p)
+
+
+_lu_primes = st.sampled_from((2, 3, 101, 65521, exactlp._PRIMES[0]))
+
+
+@st.composite
+def modular_systems(draw):
+    """An m x n int matrix (m >= n) and a prime.  Entries mix small values,
+    residues near p, multiples of p (zero modulo p), negatives and values
+    past p.  "lead" makes the first rows' leading entries zero modulo p, so
+    the first pivot is not row 0; "deficient" makes the last column a
+    combination of the others modulo p, so the rank modulo p is below n."""
+    p = draw(_lu_primes)
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(n, n + 3))
+    entry = st.one_of(
+        st.integers(-9, 9),
+        st.integers(p - 4, p - 1),
+        st.builds(lambda k, s: k * p + s, st.integers(-3, 3), st.integers(-2, 2)),
+        st.integers(-(p**3), p**3),
+    )
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    kind = draw(st.sampled_from(("any", "lead", "deficient")))
+    if kind == "lead":
+        for row in rows[: draw(st.integers(1, m))]:
+            row[0] = p * draw(st.integers(-3, 3))
+    elif kind == "deficient":
+        weights = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+        shift = draw(st.integers(-2, 2))
+        for row in rows:
+            row[-1] = sum(w * a for w, a in zip(weights, row)) + p * shift
+    return rows, n, p, kind
+
+
+def _lanes_of(values, size):
+    return sum(v << (8 * size * j) for j, v in enumerate(values))
+
+
+def _oracle_solve_agrees(lu, p, r):
+    pivots, lower, upper, diag_inv = lu
+    solve = exactlp._triangular_solver(lower, upper, diag_inv, p)
+    assert solve(r) == row_lu_solve_mod(lower, upper, diag_inv, r, p)
+
+
+class TestPackedLU:
+    """The packed-lane LU and triangular solve against the Crout oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(modular_systems(), st.data())
+    def test_same_factors_and_digits_as_crout(self, system, data):
+        rows, n, p, kind = system
+        lu = exactlp._lu_mod(rows, n, p)
+        assert lu == crout_lu_mod(rows, n, p)
+        if kind == "deficient":
+            assert lu is None
+        if lu is None:
+            return
+        big = st.integers(-(p**4), p**4)
+        r = data.draw(st.lists(big | st.integers(-2 * p, -1), min_size=n, max_size=n))
+        _oracle_solve_agrees(lu, p, r)
+
+    def test_leading_zero_heads_pivot_on_a_later_row(self):
+        p = exactlp._PRIMES[0]
+        rows = [[p, 1, 2], [-2 * p, 3, 1], [5, p + 1, -7], [1, 1, 1]]
+        lu = exactlp._lu_mod(rows, 3, p)
+        assert lu == crout_lu_mod(rows, 3, p)
+        assert lu[0][0] == 2
+
+    def test_rank_below_n_modulo_the_first_prime_is_none(self):
+        p = exactlp._PRIMES[0]
+        # determinant p: nonsingular over Q, singular modulo p
+        rows = [[p + 1, 1], [1, 1]]
+        assert exactlp._lu_mod(rows, 2, p) is None
+        assert crout_lu_mod(rows, 2, p) is None
+        assert exactlp._lu_mod(rows, 2, exactlp._PRIMES[1]) is not None
+
+    def test_residues_near_p_do_not_overflow_the_lanes(self):
+        # at n = 128 every lane gains close to p**2 per step for a hundred
+        # steps and more; lanes one byte narrower than _lane_bytes overflow
+        p = exactlp._PRIMES[0]
+        rng = Random(12)
+        n = 128
+        rows = [[p - rng.randint(1, 6) for _ in range(n)] for _ in range(n + 1)]
+        lu = exactlp._lu_mod(rows, n, p)
+        assert lu is not None
+        assert lu == crout_lu_mod(rows, n, p)
+        _oracle_solve_agrees(lu, p, [p - rng.randint(1, 6) for _ in range(n)])
+        _oracle_solve_agrees(lu, p, [-rng.randrange(p**2) for _ in range(n)])
+
+    def test_lane_width_covers_the_state_cap_for_every_prime(self):
+        n = DEFAULT_MAX_STATES
+        for p in exactlp._PRIMES:
+            size = exactlp._lane_bytes(n, p)
+            assert p + (n + 1) * p * p < 2 ** (8 * size)
+            # `_unpack_mod` reads a lane as two 64-bit words
+            assert size <= 16
+
+    def test_pack_and_unpack_lanes(self):
+        p = exactlp._PRIMES[0]
+        residues = [0, 1, p - 1, 2**64 - 1, 12345]
+        for size in (8, 9, 13, 16):
+            assert exactlp._pack(residues, size) == _lanes_of(residues, size)
+            # unreduced lanes use their full width, high word included
+            full = [*residues, 2 ** (8 * size) - 1, 2 ** (8 * size - 1) + 5]
+            assert exactlp._unpack_mod(_lanes_of(full, size), len(full), size, p) == [
+                v % p for v in full
+            ]
+        assert exactlp._unpack_mod(0, 0, 9, p) == []
 
 
 class TestFeasiblePoint:
