@@ -25,9 +25,9 @@ from typing import Sequence
 
 from .errors import DomainError
 from .exactlp import farkas_contradiction, feasible_point
+from .rationals import echo
 from .scenario import (
     ONE,
-    ZERO,
     Distribution,
     EmpiricalModel,
     MeasurementScenario,
@@ -67,30 +67,33 @@ class ContextualityVerdict:
 
 def global_section_system(
     em: EmpiricalModel,
-) -> tuple[list[list[Fraction]], list[Fraction], list[ConstraintRow]]:
+) -> tuple[list[list[int]], list[Fraction], list[ConstraintRow]]:
     """The exact system {A q = b} over global-section weights q >= 0.
 
     One row per (maximal context, context section) pair demanding the
     summed weight of all matching global sections, plus a final
     normalization row; rows are ordered that way so certificates can be
-    read back against the labels.
+    read back against the labels.  A is the 0/1 incidence matrix as plain
+    ints: each context's block has exactly one 1 per column, and the
+    normalization row is all ones.  b holds the context weights as given,
+    then 1, as Fractions.
     """
     variables = em.scenario.variables
     n = section_count(variables)
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     rhs: list[Fraction] = []
     labels: list[ConstraintRow] = []
     for ctx, dist in zip(em.scenario.maximal_contexts, em.context_distributions):
-        ctx_rows = [[ZERO] * n for _ in dist.weights]
+        ctx_rows = [[0] * n for _ in dist.weights]
         for g, k in enumerate(_index_table(dist.variables, variables)):
-            ctx_rows[k][g] = ONE
+            ctx_rows[k][g] = 1
         rows.extend(ctx_rows)
         rhs.extend(dist.weights)
         labels.extend(
             ConstraintRow(ctx, outcomes)
             for outcomes in iter_outcome_tuples(dist.variables)
         )
-    rows.append([ONE] * n)
+    rows.append([1] * n)
     rhs.append(ONE)
     labels.append(ConstraintRow(None, None))
     return rows, rhs, labels
@@ -132,11 +135,19 @@ def decide_contextuality(em: EmpiricalModel) -> ContextualityVerdict:
 
 
 def verify_infeasibility_certificate(
-    em: EmpiricalModel, certificate: Sequence[Fraction]
+    em: EmpiricalModel, certificate: Sequence[Fraction | int]
 ) -> bool:
-    """Re-check a certificate against a freshly built constraint system."""
+    """Re-check a certificate against a freshly built constraint system.
+
+    Every entry must be an int or a Fraction; any other entry, a bool
+    included, is a DomainError.
+    """
+    certificate = tuple(certificate)
+    for y in certificate:
+        if type(y) is bool or not isinstance(y, (int, Fraction)):
+            raise DomainError(f"certificate entry is not an int or a Fraction: {echo(y)}")
     rows, rhs, _ = global_section_system(em)
-    return farkas_contradiction(rows, rhs, tuple(certificate))
+    return farkas_contradiction(rows, rhs, certificate)
 
 
 def is_strongly_contextual(em: EmpiricalModel) -> bool:

@@ -33,6 +33,13 @@ how it was produced, on integer numerators over one denominator per row.
 
 Int entries are taken as they are and Fractions are scaled to integers by
 `rationals._scaled`; Fractions are built again only for the returned values.
+The simplex takes an all-int coefficient matrix, such as the 0/1 incidence
+matrix of `contextuality.global_section_system`, as it is, row by row, and
+scales only the right-hand side and any column that holds a Fraction.  Its
+row update skips the product by the pivot when the pivot equals the common
+denominator d, and the division too when d = 1, as on most pivots of an
+incidence system.  `farkas_contradiction` scales an all-int row only by the
+denominator of its right-hand side.
 """
 from __future__ import annotations
 
@@ -40,9 +47,9 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, zip_longest
+from itertools import chain, compress, count, repeat, zip_longest
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import add, floordiv, gt, mul, sub
 from typing import Sequence
 
 from .errors import DomainError
@@ -71,6 +78,12 @@ def _augmented(
     return aug
 
 
+def _all_int(values) -> bool:
+    """True when every value is an int (not a bool, not a Fraction); one
+    pass in C."""
+    return set(map(type, values)) <= {int}
+
+
 def _integer_rows(
     rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
 ) -> tuple[list[list[int]], list[int]]:
@@ -79,7 +92,7 @@ def _integer_rows(
     coeffs: list[list[int]] = []
     consts: list[int] = []
     for row in _augmented(rows, rhs):
-        scaled = row if all(type(e) is int for e in row) else _scaled(row)[1]
+        scaled = row if _all_int(row) else _scaled(row)[1]
         consts.append(scaled.pop())
         coeffs.append(scaled)
     return coeffs, consts
@@ -371,7 +384,7 @@ class FeasibilityResult:
 
 
 def feasible_point(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+    rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
 ) -> FeasibilityResult:
     """Decide {A x = b, x >= 0} exactly.
 
@@ -380,11 +393,16 @@ def feasible_point(
     original, un-normalized rows.
 
     The rational tableau is an integer tableau T over one common
-    denominator d, which starts at 1; every column but the artificial
-    identity is scaled by the lcm of its denominators.  A pivot on (r, s)
-    sets every other row, reduced costs included, to (T_i T_rs - T_is T_r)
-    / d, which divides exactly (Edmonds), and then d to T_rs > 0.  So signs
-    and ratio orders (cross-multiplied) are those of the rational tableau,
+    denominator d, which starts at 1.  When every coefficient is an int, A
+    is taken as it is, row by row; otherwise each column of A is scaled by
+    the lcm of its denominators (scale 1 for an all-int column).  The
+    right-hand side is scaled by the lcm of its denominators, and the
+    artificial identity is not scaled.  A pivot on (r, s) sets every other
+    row, reduced costs included, to (T_i T_rs - T_is T_r) / d, which
+    divides exactly (Edmonds), and then d to T_rs > 0.  When T_rs = d, d
+    divides T_is T_r, so the update is T_i - (T_is T_r) / d, and for d = 1
+    it is T_i - T_is T_r with no division: the same integers.  So signs and
+    ratio orders (cross-multiplied) are those of the rational tableau,
     whose column scales only change units: Bland's rule takes the same
     pivots to the same vertex and dual.
     """
@@ -393,12 +411,20 @@ def feasible_point(
     if m == 0:
         return FeasibilityResult(True, (), None)
     n = len(aug[0]) - 1
-    flipped = [row[n] < 0 for row in aug]
-    normalized = [[-e for e in r] if f else r for r, f in zip(aug, flipped)]
-    scales, columns = zip(*(_scaled(col) for col in zip(*normalized)))
+    flipped = [b < 0 for b in rhs]
+    rhs_scale, consts = _scaled([-b if f else b for b, f in zip(rhs, flipped)])
+    coeffs = [[-e for e in r] if f else r for r, f in zip(rows, flipped)]
+    scales = [1] * n
+    if not _all_int(chain.from_iterable(rows)):
+        scales, columns = zip(
+            *((1, col) if _all_int(col) else _scaled(col) for col in zip(*coeffs))
+        )
+        coeffs = zip(*columns)
     tab: list[list[int]] = []
-    for i, ints in enumerate(zip(*columns)):
-        tab.append([*ints[:n], *(int(k == i) for k in range(m)), ints[n]])
+    for i, (row, b) in enumerate(zip(coeffs, consts)):
+        art = [0] * m
+        art[i] = 1
+        tab.append([*row, *art, b])
     # row m: reduced costs for minimizing the artificial sum; artificial
     # columns start basic, so their reduced costs are zero
     tab.append([-sum(col) for col in zip(*tab)])
@@ -407,7 +433,7 @@ def feasible_point(
     basis = [n + i for i in range(m)]
     d = 1
     while True:
-        enter = next((j for j in range(n + m) if tab[m][j] < 0), None)
+        enter = next(compress(count(), map(gt, repeat(0), tab[m][: n + m])), None)
         if enter is None:
             break
         # smallest ratio value / coeff, ties to the smallest basic variable
@@ -425,8 +451,25 @@ def feasible_point(
         pivot = prow[enter]
         for i, row in enumerate(tab):
             f = row[enter]
-            if i != leave and (f or pivot != d):
-                tab[i] = [(a * pivot - f * b) // d for a, b in zip(row, prow)]
+            if i == leave or (not f and pivot == d):
+                continue
+            if pivot != d:
+                # (a pivot - f b) / d
+                tab[i] = list(
+                    map(
+                        floordiv,
+                        map(sub, map(mul, row, repeat(pivot)), map(mul, repeat(f), prow)),
+                        repeat(d),
+                    )
+                )
+            elif d != 1:
+                tab[i] = list(map(sub, row, map(floordiv, map(mul, repeat(f), prow), repeat(d))))
+            elif f == 1:
+                tab[i] = list(map(sub, row, prow))
+            elif f == -1:
+                tab[i] = list(map(add, row, prow))
+            else:
+                tab[i] = list(map(sub, row, map(mul, repeat(f), prow)))
         d = pivot
         basis[leave] = enter
 
@@ -436,7 +479,7 @@ def feasible_point(
         x = [Fraction(0)] * n
         for i, var in enumerate(basis):
             if var < n:
-                x[var] = Fraction(tab[i][-1] * scales[var], d * scales[n])
+                x[var] = Fraction(tab[i][-1] * scales[var], d * rhs_scale)
         return FeasibilityResult(True, tuple(x), None)
 
     # dual value of row i: artificial i has cost 1 and column e_i, so its
@@ -447,32 +490,43 @@ def feasible_point(
 
 
 def farkas_contradiction(
-    rows: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-    certificate: Sequence[Fraction],
+    rows: Sequence[Sequence[Fraction | int]],
+    rhs: Sequence[Fraction | int],
+    certificate: Sequence[Fraction | int],
 ) -> bool:
     """True when y^T A <= 0 componentwise while y^T b > 0.
 
-    On integers: y is scaled to one denominator D and each row [A_i | b_i]
-    with y_i != 0 to its own lcm l_i; with L the lcm of the l_i, every sum
-    is accumulated as y_i D * (L / l_i) * (A_ij l_i), which is the rational
-    sum times D L > 0, so every sign is the rational one.  As with zip, a
-    ragged A is read to the width of its shortest row.
+    On integers: y is scaled to one denominator D, and each row [A_i | b_i]
+    with y_i != 0 to the ints [a_i | c_i] = l_i [A_i | b_i], l_i the lcm of
+    its denominators.  For a row whose A_i is all ints, l_i is the
+    denominator of b_i and a_i is never built: A_i is added with its factor
+    times l_i.  With L the lcm of the l_i, every sum is accumulated as
+    y_i D (L / l_i) (a_ij, c_i), which is the rational sum times D L > 0, so
+    every sign is the rational one; each row is added to the column sums in
+    one pass in C.  As with zip, a ragged A is read to the width of its
+    shortest row.
     """
     m = len(rows)
     if len(certificate) != m or m != len(rhs):
         return False
     width = min(map(len, rows), default=0)
-    weighted = [
-        (y, _scaled([*row[:width], b]))
-        for y, row, b in zip(_scaled(certificate)[1], rows, rhs)
-        if y
-    ]
-    common = lcm(*(scale for _, (scale, _) in weighted))
-    sums = [0] * (width + 1)
-    for y, (scale, ints) in weighted:
+    # (y_i D, l_i, k_i, r_i, c_i) with a_i = k_i r_i
+    weighted = []
+    for y, row, b in zip(_scaled(certificate)[1], rows, rhs):
+        if not y:
+            continue
+        head = row[:width]
+        if _all_int(head):
+            q = b.denominator
+            weighted.append((y, q, q, head, b.numerator))
+        else:
+            scale, ints = _scaled([*head, b])
+            weighted.append((y, scale, 1, ints[:-1], ints[-1]))
+    common = lcm(*(scale for _, scale, _, _, _ in weighted))
+    sums = [0] * width
+    total = 0
+    for y, scale, multiplier, ints, c in weighted:
         f = y * (common // scale)
-        for j, a in enumerate(ints):
-            if a:
-                sums[j] += f * a
-    return all(s <= 0 for s in sums[:-1]) and sums[-1] > 0
+        sums = list(map(add, sums, map(mul, repeat(f * multiplier), ints)))
+        total += f * c
+    return all(s <= 0 for s in sums) and total > 0

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -22,6 +23,8 @@ from procnet import (
     vorobev_regular,
 )
 from procnet.errors import DomainError, ResourceLimitError
+from procnet.rationals import echo
+from procnet.scenario import section_count
 from oracle import solve_linear
 from generators import (
     family_by_elimination,
@@ -93,6 +96,16 @@ def product_model():
     return EmpiricalModel(scenario, tuple(table(c) for c in scenario.maximal_contexts))
 
 
+def ternary_model():
+    """A triangle of contexts over two binary variables and a ternary one,
+    with the marginals of a drawn global distribution."""
+    scenario = MeasurementScenario(
+        (Variable("A", BINARY), Variable("B", BINARY), Variable("C", ("a", "b", "c"))),
+        (("A", "B"), ("B", "C"), ("C", "A")),
+    )
+    return family_by_global_marginals(Random(13), scenario)
+
+
 def oracle_feasible(rows, rhs) -> bool:
     """Independent feasibility oracle: enumerate candidate support subsets.
 
@@ -101,7 +114,7 @@ def oracle_feasible(rows, rhs) -> bool:
     """
     m = len(rows)
     n = len(rows[0])
-    work = [list(r) for r in rows]
+    work = [[F(e) for e in r] for r in rows]
     rank = 0
     cols = list(range(n))
     for col in cols:
@@ -359,6 +372,35 @@ class TestCertificateShape:
         assert rhs[-1] == 1
         # context rows carry the observed weights
         assert rhs[0] == model.context_distributions[0].weights[0]
+
+    @pytest.mark.parametrize(
+        "build", [triangle_model, chsh_box, ternary_model], ids=["triangle", "chsh", "ternary"]
+    )
+    def test_rows_are_an_int_incidence_matrix(self, build):
+        model = build()
+        rows, rhs, _ = global_section_system(model)
+        n = section_count(model.scenario.variables)
+        assert all(type(e) is int and e in (0, 1) for row in rows for e in row)
+        assert all(len(row) == n for row in rows)
+        start = 0
+        for dist in model.context_distributions:
+            block = rows[start : start + len(dist.weights)]
+            # exactly one 1 per column in each context's block
+            assert all(sum(col) == 1 for col in zip(*block))
+            start += len(block)
+        assert start == len(rows) - 1
+        assert rows[-1] == [1] * n
+        weights = [w for dist in model.context_distributions for w in dist.weights]
+        assert rhs == [*weights, 1]
+        assert all(type(b) is Fraction for b in rhs)
+
+    @pytest.mark.parametrize("entry", [0.5, "1/2", None, True])
+    def test_entry_not_an_int_or_fraction_is_a_domain_error(self, entry):
+        model = triangle_model()
+        certificate = list(decide_contextuality(model).certificate)
+        certificate[1] = entry
+        with pytest.raises(DomainError, match=re.escape(echo(entry))):
+            verify_infeasibility_certificate(model, certificate)
 
     def test_certificate_with_one_entry_altered_is_rejected(self):
         model = triangle_model()

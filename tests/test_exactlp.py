@@ -1,8 +1,9 @@
 from fractions import Fraction
+from operator import mul
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import (
@@ -63,7 +64,7 @@ def _rank(rows):
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
         for i in range(rank + 1, len(work)):
-            f = work[i][col] / work[rank][col]
+            f = F(work[i][col]) / work[rank][col]
             work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
         rank += 1
     return rank
@@ -425,6 +426,40 @@ class TestFeasiblePoint:
 _lp_entries = st.builds(
     F, st.integers(-4, 4), st.sampled_from((1, 1, 1, 2, 3, 4, 6, 35))
 )
+_lp_ints = st.integers(-4, 4)
+_lp_forms = {
+    "fraction": (_lp_entries, F(0), (F(1), F(2), F(-1), F(-1, 3))),
+    "int": (_lp_ints, 0, (1, 2, -1)),
+    "mixed": (st.one_of(_lp_entries, _lp_ints), 0, (F(1), 2, -1, F(-1, 3))),
+}
+
+
+@st.composite
+def incidence_systems(draw):
+    """0/1 incidence blocks with exactly one 1 per column in each block and
+    an all-ones last row, as `global_section_system` builds them: int rows
+    and a Fraction right-hand side, either the marginals of a hidden
+    distribution (feasible) or a drawn distribution per block (contextual
+    or not), with the last entry 1."""
+    n = draw(st.integers(1, 8))
+    rows, sizes = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(1, 3))
+        owner = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        rows += [[int(o == r) for o in owner] for r in range(k)]
+        sizes.append(k)
+    rows.append([1] * n)
+    weights = st.integers(0, 4)
+    if draw(st.booleans()):
+        hidden = draw(st.lists(weights, min_size=n, max_size=n).filter(any))
+        rhs = [F(sum(map(mul, row, hidden)), sum(hidden)) for row in rows]
+    else:
+        rhs = []
+        for k in sizes:
+            drawn = draw(st.lists(weights, min_size=k, max_size=k).filter(any))
+            rhs += [F(w, sum(drawn)) for w in drawn]
+        rhs.append(F(1))
+    return rows, rhs
 
 
 @st.composite
@@ -433,12 +468,18 @@ def lp_systems(draw):
     x >= 0 with zero entries (degenerate vertices), and arbitrary ones,
     most of them infeasible.  Some rows are zero, and some are copies of
     another row scaled by a nonzero factor, so ratio tests tie and
-    negative factors flip rows."""
+    negative factors flip rows.  The coefficients are Fractions, ints, or
+    a mix of both, with a Fraction right-hand side; or the system is a 0/1
+    incidence system (`incidence_systems`)."""
+    form = draw(st.sampled_from(("fraction", "int", "mixed", "incidence")))
+    if form == "incidence":
+        return draw(incidence_systems())
+    entries, zero, factors = _lp_forms[form]
     m = draw(st.integers(1, 6))
     n = draw(st.integers(0, 7))
-    rows = [draw(st.lists(_lp_entries, min_size=n, max_size=n)) for _ in range(m)]
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(m)]
     for i in draw(st.lists(st.integers(0, m - 1), max_size=2)):
-        rows[i] = [F(0)] * n
+        rows[i] = [zero] * n
     if draw(st.booleans()):
         hidden = draw(
             st.lists(
@@ -452,7 +493,7 @@ def lp_systems(draw):
         rhs = draw(st.lists(_lp_entries, min_size=m, max_size=m))
     for _ in range(draw(st.integers(0, 2))):
         src, dst = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
-        factor = draw(st.sampled_from((F(1), F(2), F(-1), F(-1, 3))))
+        factor = draw(st.sampled_from(factors))
         rows[dst] = [factor * e for e in rows[src]]
         rhs[dst] = factor * rhs[src]
     return rows, rhs
@@ -463,6 +504,20 @@ class TestIntegerSimplexAgainstOracle:
 
     @settings(max_examples=300, deadline=None)
     @given(lp_systems())
+    # Bland's path: two pivots with pivot = d = 1 (rows with factors 1, -1
+    # and 3), then pivot != d
+    @example(([[1, 0], [1, -1], [0, 0], [1, 2]], [F(2), F(3, 2), F(0), F(3)]))
+    # pivot != d, then pivot = d > 1, then pivot != d, then pivot = d = 1;
+    # with the one above, every branch of the row update runs
+    @example(([[-1, 0, 1], [1, 0, 0], [2, -1, 2]], [F(2), F(1), F(0)]))
+    # an infeasible incidence system (three two-row blocks over three
+    # columns) whose path is two unit pivots, then pivot != d
+    @example(
+        (
+            [[1, 1, 0], [0, 0, 1], [0, 1, 1], [1, 0, 0], [0, 1, 0], [1, 0, 1], [1, 1, 1]],
+            [F(3, 4), F(1, 4), F(1, 4), F(3, 4), F(1, 2), F(1, 2), F(1)],
+        )
+    )
     def test_same_vertex_or_certificate_as_the_fraction_tableau(self, system):
         rows, rhs = system
         res = feasible_point(rows, rhs)
