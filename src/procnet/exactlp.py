@@ -35,11 +35,11 @@ Int entries are taken as they are and Fractions are scaled to integers by
 `rationals._scaled`; Fractions are built again only for the returned values.
 The simplex takes an all-int coefficient matrix, such as the 0/1 incidence
 matrix of `contextuality.global_section_system`, as it is, row by row, and
-scales only the right-hand side and any column that holds a Fraction.  Its
-row update skips the product by the pivot when the pivot equals the common
-denominator d, and the division too when d = 1, as on most pivots of an
-incidence system.  `farkas_contradiction` scales an all-int row only by the
-denominator of its right-hand side.
+scales only the right-hand side and any column that holds a Fraction.  When
+the pivot and the common denominator d are both 1, as on most pivots of an
+incidence system, its row update subtracts a multiple of the pivot row, with
+no product by the pivot and no division.  `farkas_contradiction` scales an
+all-int row only by the denominator of its right-hand side.
 """
 from __future__ import annotations
 
@@ -399,12 +399,11 @@ def feasible_point(
     right-hand side is scaled by the lcm of its denominators, and the
     artificial identity is not scaled.  A pivot on (r, s) sets every other
     row, reduced costs included, to (T_i T_rs - T_is T_r) / d, which
-    divides exactly (Edmonds), and then d to T_rs > 0.  When T_rs = d, d
-    divides T_is T_r, so the update is T_i - (T_is T_r) / d, and for d = 1
-    it is T_i - T_is T_r with no division: the same integers.  So signs and
-    ratio orders (cross-multiplied) are those of the rational tableau,
-    whose column scales only change units: Bland's rule takes the same
-    pivots to the same vertex and dual.
+    divides exactly (Edmonds), and then d to T_rs > 0.  When T_rs = d = 1
+    that is T_i - T_is T_r, computed with no product by the pivot and no
+    division.  So signs and ratio orders (cross-multiplied) are those of
+    the rational tableau, whose column scales only change units: Bland's
+    rule takes the same pivots to the same vertex and dual.
     """
     aug = _augmented(rows, rhs)
     m = len(aug)
@@ -416,9 +415,7 @@ def feasible_point(
     coeffs = [[-e for e in r] if f else r for r, f in zip(rows, flipped)]
     scales = [1] * n
     if not _all_int(chain.from_iterable(rows)):
-        scales, columns = zip(
-            *((1, col) if _all_int(col) else _scaled(col) for col in zip(*coeffs))
-        )
+        scales, columns = zip(*map(_scaled, zip(*coeffs)))
         coeffs = zip(*columns)
     tab: list[list[int]] = []
     for i, (row, b) in enumerate(zip(coeffs, consts)):
@@ -453,7 +450,7 @@ def feasible_point(
             f = row[enter]
             if i == leave or (not f and pivot == d):
                 continue
-            if pivot != d:
+            if pivot != 1 or d != 1:
                 # (a pivot - f b) / d
                 tab[i] = list(
                     map(
@@ -462,8 +459,6 @@ def feasible_point(
                         repeat(d),
                     )
                 )
-            elif d != 1:
-                tab[i] = list(map(sub, row, map(floordiv, map(mul, repeat(f), prow), repeat(d))))
             elif f == 1:
                 tab[i] = list(map(sub, row, prow))
             elif f == -1:

@@ -502,13 +502,15 @@ def lp_systems(draw):
 class TestIntegerSimplexAgainstOracle:
     """The integer tableau against the Fraction tableau it replaced."""
 
-    @settings(max_examples=300, deadline=None)
+    # lp_systems draws four kinds in equal shares, so about 300 of these
+    # are Fraction-only systems
+    @settings(max_examples=1200, deadline=None)
     @given(lp_systems())
     # Bland's path: two pivots with pivot = d = 1 (rows with factors 1, -1
     # and 3), then pivot != d
     @example(([[1, 0], [1, -1], [0, 0], [1, 2]], [F(2), F(3, 2), F(0), F(3)]))
-    # pivot != d, then pivot = d > 1, then pivot != d, then pivot = d = 1;
-    # with the one above, every branch of the row update runs
+    # pivot != d, then pivot = d > 1 (the general step), then pivot != d,
+    # then pivot = d = 1
     @example(([[-1, 0, 1], [1, 0, 0], [2, -1, 2]], [F(2), F(1), F(0)]))
     # an infeasible incidence system (three two-row blocks over three
     # columns) whose path is two unit pivots, then pivot != d
@@ -533,7 +535,8 @@ class TestIntegerSimplexAgainstOracle:
 class TestIntegerFarkasAgainstOracle:
     """The integer Farkas check against the Fraction sums it replaced."""
 
-    @settings(max_examples=300, deadline=None)
+    # about 300 Fraction-only systems, as in the simplex test above
+    @settings(max_examples=1200, deadline=None)
     @given(lp_systems(), st.data())
     def test_same_verdict_as_the_fraction_sums(self, system, data):
         rows, rhs = system
