@@ -23,7 +23,6 @@ from .empirical import (
     MarginalCheck,
     NodeDistribution,
     _assemble_model,
-    _marginal_check,
     _node_delta,
     _require_closed_reciprocity_free,
 )
@@ -83,12 +82,8 @@ def analyze(nf: NetworkFile, omega: str = "solve") -> Analysis:
     """
     net = nf.network
     sigma, stationary = stationary_regime(nf, omega)
-    omega_dist = stationary.distribution
-    deltas = tuple(_node_delta(node, omega_dist) for node in net.nodes)
-    checks = tuple(
-        _marginal_check(node, delta, omega_dist)
-        for node, delta in zip(net.nodes, deltas)
-    )
+    pairs = [_node_delta(node, stationary.distribution) for node in net.nodes]
+    deltas = tuple(delta for delta, _ in pairs)
     model, compatibility = _assemble_model(sigma, deltas)
     labeling = detect_chsh_labeling(model.scenario)
     return Analysis(
@@ -96,7 +91,7 @@ def analyze(nf: NetworkFile, omega: str = "solve") -> Analysis:
         process=sigma,
         stationary=stationary,
         node_distributions=deltas,
-        marginal_checks=checks,
+        marginal_checks=tuple(check for _, check in pairs),
         model=model,
         compatibility=compatibility,
         verdict=decide_contextuality(model),

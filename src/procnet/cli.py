@@ -48,13 +48,13 @@ def _dist_json(dist) -> dict:
     }
 
 
-def _print_distribution(dist, indent: str = "    ") -> None:
+def _print_distribution(dist) -> None:
     for outcomes, w in zip(iter_outcome_tuples(dist.variables), dist.weights):
         if w:
             pairs = ", ".join(
                 f"{v.name}={o}" for v, o in zip(dist.variables, outcomes)
             )
-            print(f"{indent}P({pairs}) = {format_rational(w)}")
+            print(f"    P({pairs}) = {format_rational(w)}")
 
 
 def cmd_validate(args) -> int:
@@ -255,7 +255,7 @@ def cmd_simulate(args) -> int:
     nf = load_network_file(args.file)
     node = nf.network.node(args.node)
     sigma, stat = stationary_regime(nf, args.omega)
-    exact = _node_delta(node, stat.distribution).distribution
+    exact = _node_delta(node, stat.distribution)[0].distribution
 
     trail = simulate_chain(sigma, stat.distribution, args.steps, args.seed)
     observed = empirical_node_frequencies(sigma, node, trail)

@@ -12,7 +12,8 @@ node's own inputs.  Collecting one such distribution per node, over the
 context inputs-union-outputs, yields a no-signalling empirical model: its
 input and output marginals both reproduce the corresponding marginals of
 the stationary distribution, which forces agreement on every overlap.  Both
-facts are checked exactly by the functions below rather than assumed.
+facts are checked exactly rather than assumed, in the one pass per node that
+builds its distribution (`_node_delta`).
 
 `empirical_node_frequencies` is the Monte Carlo counterpart: it counts the
 same (input, output) events along a trajectory of state indices from
@@ -43,8 +44,8 @@ from .scenario import (
     EmpiricalModel,
     MeasurementScenario,
     _index_table,
-    iter_outcome_tuples,
     marginalize,
+    section_at,
     section_count,
     validate_empirical_model,
 )
@@ -104,39 +105,41 @@ def _checked_setup(
     return sigma, _aligned(sigma, stationary)
 
 
-def _node_delta(node: ProcessTensor, stationary: Distribution) -> NodeDistribution:
+def _node_delta(
+    node: ProcessTensor, stationary: Distribution
+) -> tuple[NodeDistribution, MarginalCheck]:
+    """A node's distribution and its marginal check, from one stationary
+    marginal on the node's inputs (which also weights its rows) and one on
+    its outputs, compared with the node's row and column sums."""
     # without internals, rows are input sections and columns output sections,
     # so (row, col) is the section row * n_cols + col of the context
     input_names = tuple(v.name for v in node.inputs)
     output_names = tuple(v.name for v in node.outputs)
-    input_marginal = marginalize(stationary, input_names)
-    n_cols = section_count(node.outputs)
+    on_inputs = marginalize(stationary, input_names).weights
+    on_outputs = marginalize(stationary, output_names).weights
+    n_cols = len(on_outputs)
     weights = [ZERO] * (len(node.rows) * n_cols)
-    for r, (base, (common, row)) in enumerate(zip(input_marginal.weights, node.rows)):
+    for r, (base, (common, row)) in enumerate(zip(on_inputs, node.rows)):
         if base:
             base /= common
             for c, a in row:
                 weights[r * n_cols + c] = base * a
     dist = Distribution(node.inputs + node.outputs, weights)
-    return NodeDistribution(node.name, input_names + output_names, dist)
+    row_sums = [sum(weights[r : r + n_cols], ZERO) for r in range(0, len(weights), n_cols)]
+    col_sums = [sum(weights[c::n_cols], ZERO) for c in range(n_cols)]
+    check = MarginalCheck(
+        node.name,
+        _mismatches(node.inputs, row_sums, on_inputs),
+        _mismatches(node.outputs, col_sums, on_outputs),
+    )
+    return NodeDistribution(node.name, input_names + output_names, dist), check
 
 
-def _marginal_check(
-    node: ProcessTensor, delta: NodeDistribution, stationary: Distribution
-) -> MarginalCheck:
-    def compare(names: tuple[str, ...]):
-        mismatches = []
-        lhs = marginalize(delta.distribution, names)
-        rhs = marginalize(stationary, names)
-        for k, outcomes in enumerate(iter_outcome_tuples(lhs.variables)):
-            if lhs.weights[k] != rhs.weights[k]:
-                mismatches.append((outcomes, lhs.weights[k], rhs.weights[k]))
-        return tuple(mismatches)
-
-    return MarginalCheck(
-        node=node.name,
-        input_mismatches=compare(tuple(v.name for v in node.inputs)),
-        output_mismatches=compare(tuple(v.name for v in node.outputs)),
+def _mismatches(variables, lhs, rhs) -> tuple:
+    # sections are labelled only where the two marginals differ
+    return tuple(
+        (section_at(variables, k).outcomes, a, b)
+        for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b
     )
 
 
@@ -196,7 +199,7 @@ def node_distribution(
     """
     node = net.node(node_name)
     _, stationary = _checked_setup(net, stationary, sigma, verify)
-    return _node_delta(node, stationary)
+    return _node_delta(node, stationary)[0]
 
 
 def verify_marginal_theorem(
@@ -211,11 +214,12 @@ def verify_marginal_theorem(
     stationary marginals on the same variables.
 
     Expected to pass for every valid input; it exists as an executable
-    diagnostic, and any mismatch is reported coordinate by coordinate.
+    diagnostic, and reports each mismatch as (outcomes, node weight,
+    stationary weight), from the same pass as `node_distribution`.
     """
     node = net.node(node_name)
     _, stationary = _checked_setup(net, stationary, sigma, verify)
-    return _marginal_check(node, _node_delta(node, stationary), stationary)
+    return _node_delta(node, stationary)[1]
 
 
 def build_empirical_model(
@@ -233,7 +237,7 @@ def build_empirical_model(
     re-validated for overlap compatibility at tolerance zero.
     """
     sigma, stationary = _checked_setup(net, stationary, sigma, verify)
-    deltas = [_node_delta(node, stationary) for node in net.nodes]
+    deltas = [_node_delta(node, stationary)[0] for node in net.nodes]
     return _assemble_model(sigma, deltas)[0]
 
 

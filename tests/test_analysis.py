@@ -14,6 +14,7 @@ from procnet import (
     global_section_system,
     is_strongly_contextual,
     load_network_file,
+    marginalize,
     node_distribution,
     validate_empirical_model,
     verify_infeasibility_certificate,
@@ -21,6 +22,7 @@ from procnet import (
 )
 from procnet.cli import main
 from procnet.empirical import _node_delta
+from procnet.errors import StructureError
 from procnet.exactlp import farkas_contradiction
 
 
@@ -80,6 +82,36 @@ def test_one_analyze_call_runs_each_stage_once(monkeypatch, name, omega, context
             **{("_node_delta", node): 1 for node in nf.network.node_names},
         }
     )
+
+
+@pytest.mark.parametrize(
+    "name, omega",
+    [("triangle", "sixcycle"), ("chsh", "solve"), ("product", "solve"), ("chain", "exact")],
+)
+def test_one_analyze_call_marginalizes_the_stationary_distribution_twice_per_node(
+    monkeypatch, name, omega
+):
+    # once on each node's inputs and once on its outputs; the witness check
+    # also marginalizes a distribution over every state, so sources are
+    # compared by identity, and every source is kept alive until then
+    nf = load_network_file(bundled_network_path(name))
+    sources = []
+    count_calls(monkeypatch, marginalize, Counter(), key=lambda d, _: sources.append(d))
+
+    a = analyze(nf, omega)
+
+    stationary = a.stationary.distribution
+    assert sum(d is stationary for d in sources) == 2 * len(nf.network.nodes)
+
+
+def test_an_empty_network_is_a_structure_error(capsys, tmp_path):
+    path = tmp_path / "empty.network"
+    path.write_text('{"format_version": 1, "variables": [], "nodes": []}', encoding="utf-8")
+    with pytest.raises(StructureError, match="cannot build a model from an empty network"):
+        analyze(load_network_file(path))
+
+    assert main(["analyze", str(path)]) == 4
+    assert "cannot build a model from an empty network" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

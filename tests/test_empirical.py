@@ -102,6 +102,54 @@ class TestMarginalTheorem:
                 )
                 assert check.ok, (node.name, check)
 
+    def test_mismatches_of_a_moving_point_mass(self, triangle_network, triangle_sigma):
+        # (X, Y, Z) = (0, 0, 1) steps to (1, 1, 0): every output wire moves,
+        # while each node's inputs are weighted by the point mass itself
+        moving = Distribution.point_mass(triangle_sigma.internals, ("0", "0", "1"))
+        checks = [
+            verify_marginal_theorem(triangle_network, moving, n, verify=False)
+            for n in ("alpha", "beta", "gamma")
+        ]
+        assert [c.input_mismatches for c in checks] == [(), (), ()]
+        assert [c.output_mismatches for c in checks] == [
+            ((("0",), F(0), F(1)), (("1",), F(1), F(0))),  # alpha writes Y = 1
+            ((("0",), F(1), F(0)), (("1",), F(0), F(1))),  # beta writes Z = 0
+            ((("0",), F(0), F(1)), (("1",), F(1), F(0))),  # gamma writes X = 1
+        ]
+        assert not any(c.ok for c in checks)
+
+    def test_mismatches_agree_with_marginalizing_the_node_distribution(self):
+        # reference: both sides marginalized from scratch, every section labelled
+        rng = Random(33)
+        seen = 0
+        for _ in range(12):
+            net = random_closed_network(rng, allow_zeros=True)
+            sigma = contract_network(net)
+            raw = [rng.randint(0, 3) for _ in sigma.rows]
+            raw[0] += 1
+            omega = Distribution(sigma.internals, [F(r, sum(raw)) for r in raw])
+            for node in net.nodes:
+                nd = node_distribution(net, omega, node.name, sigma=sigma, verify=False)
+                check = verify_marginal_theorem(
+                    net, omega, node.name, sigma=sigma, verify=False
+                )
+                for got, side in (
+                    (check.input_mismatches, node.inputs),
+                    (check.output_mismatches, node.outputs),
+                ):
+                    names = tuple(v.name for v in side)
+                    lhs = marginalize(nd.distribution, names)
+                    rhs = marginalize(omega, names)
+                    assert got == tuple(
+                        (outcomes, a, b)
+                        for outcomes, a, b in zip(
+                            iter_outcome_tuples(side), lhs.weights, rhs.weights
+                        )
+                        if a != b
+                    )
+                    seen += len(got)
+        assert seen > 0
+
 
 class TestBuildEmpiricalModel:
     def test_triangle_reproduces_the_classic_tables(
