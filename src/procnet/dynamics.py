@@ -28,7 +28,7 @@ from math import gcd, lcm
 from .errors import DomainError, ResourceLimitError, StationarityError
 from .exactlp import solve_linear_fraction_free
 from .process import ProcessTensor
-from .rationals import _scaled
+from .rationals import _scaled, echo
 from .rng import SplitMix64, cumulative_thresholds, sample_index
 from .scenario import (
     DEFAULT_MAX_STATES,  # re-exported as dynamics.DEFAULT_MAX_STATES
@@ -268,7 +268,10 @@ def is_ergodic(sigma: ProcessTensor) -> bool:
 
 
 def _require_steps(steps: int, least: int = 0) -> None:
-    """Refuse fewer than `least` or more than MAX_STEPS steps, before work."""
+    """Refuse a `steps` that is not an int (a bool included), fewer than
+    `least` or more than MAX_STEPS steps, before work."""
+    if type(steps) is not int:
+        raise DomainError(f"steps must be an int, not {echo(steps)}")
     if steps < least:
         raise DomainError(f"steps must be >= {least}")
     if steps > MAX_STEPS:

@@ -31,15 +31,18 @@ y^T b > 0, which is a self-contained contradiction with x >= 0.
 `farkas_contradiction` re-checks a certificate mechanically, independent of
 how it was produced, on integer numerators over one denominator per row.
 
-Int entries are taken as they are and Fractions are scaled to integers by
-`rationals._scaled`; Fractions are built again only for the returned values.
-The simplex takes an all-int coefficient matrix, such as the 0/1 incidence
-matrix of `contextuality.global_section_system`, as it is, row by row, and
-scales only the right-hand side and any column that holds a Fraction.  When
-the pivot and the common denominator d are both 1, as on most pivots of an
-incidence system, its row update subtracts a multiple of the pivot row, with
-no product by the pivot and no division.  `farkas_contradiction` scales an
-all-int row only by the denominator of its right-hand side.
+The coefficient matrix A is an int matrix, such as the 0/1 incidence matrix
+of `contextuality.global_section_system` or the balance system of
+`dynamics.find_stationary`, and is read as it is, with no copy; a Fraction,
+bool or other entry in A is a DomainError.  Only the right-hand side b
+(rational for the simplex and the Farkas check, int for the solver) and the
+certificate may be rational; they are scaled to integers by
+`rationals._scaled`, and Fractions are built again only for the returned
+values.  When the pivot and the common denominator d are both 1, as on most
+pivots of an incidence system, the simplex's row update subtracts a multiple
+of the pivot row, with no product by the pivot and no division.
+`farkas_contradiction` scales a row only by the denominator of its
+right-hand side.
 """
 from __future__ import annotations
 
@@ -66,36 +69,23 @@ from .rationals import _scaled
 _PRIMES = (1073741789, 1073741783, 1073741741)
 
 
-def _augmented(
-    rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
-) -> list[list[Fraction | int]]:
-    """The rows of [A | b], entries as given; DomainError unless the shapes fit."""
-    if len(rows) != len(rhs):
-        raise DomainError("rhs length does not match row count")
-    aug = [[*row, b] for row, b in zip(rows, rhs)]
-    if any(len(row) != len(aug[0]) for row in aug):
-        raise DomainError("ragged coefficient matrix")
-    return aug
-
-
 def _all_int(values) -> bool:
     """True when every value is an int (not a bool, not a Fraction); one
     pass in C."""
     return set(map(type, values)) <= {int}
 
 
-def _integer_rows(
-    rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
-) -> tuple[list[list[int]], list[int]]:
-    """Scale each equation by the lcm of its denominators; an all-int
-    equation is taken as it is, with no lcm."""
-    coeffs: list[list[int]] = []
-    consts: list[int] = []
-    for row in _augmented(rows, rhs):
-        scaled = row if _all_int(row) else _scaled(row)[1]
-        consts.append(scaled.pop())
-        coeffs.append(scaled)
-    return coeffs, consts
+def _require_int_matrix(
+    name: str, rows: Sequence[Sequence[int]], rhs: Sequence
+) -> None:
+    """DomainError naming `name` unless rows is a rectangular int matrix with
+    one row per entry of rhs; nothing is copied."""
+    if len(rows) != len(rhs):
+        raise DomainError(f"{name}: rhs length does not match row count")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise DomainError(f"{name}: ragged coefficient matrix")
+    if not _all_int(chain.from_iterable(rows)):
+        raise DomainError(f"{name}: coefficients must be ints")
 
 
 def _lane_bytes(n: int, p: int) -> int:
@@ -303,14 +293,14 @@ def _satisfies(coeffs, consts, which, d: int, nums: list[int]) -> bool:
 
 
 def solve_linear_fraction_free(
-    rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
+    rows: Sequence[Sequence[int]], rhs: Sequence[int]
 ) -> tuple[Fraction, ...] | None:
-    """The solution of a (possibly redundant) linear system with full column
-    rank, or None when the system is inconsistent.
+    """The solution of a (possibly redundant) int linear system A x = b with
+    full column rank, or None when the system is inconsistent.
 
-    Dixon's p-adic lifting: each row is scaled to integers, an LU factorization
-    modulo a word-size prime picks n independent rows (the next prime is
-    tried when the rank modulo the first one is below n), and the solution of
+    Dixon's p-adic lifting on A and b as given: an LU factorization modulo
+    a word-size prime picks n independent rows (the next prime is tried
+    when the rank modulo the first one is below n), and the solution of
     those rows is lifted one p-adic digit at a time, each lift an O(n^2)
     triangular solve plus an exact division of the residual by p.  The
     factorization is right-looking elimination on packed rows of residues
@@ -327,15 +317,19 @@ def solve_linear_fraction_free(
     lifts: past it the reconstruction is unique.  All arithmetic is on
     integers; only the returned entries are Fractions.
 
-    Raises DomainError when the rank is below n modulo every prime tried.
+    Raises DomainError for an entry of A or b that is not an int (a
+    Fraction or a bool included) and when the rank is below n modulo every
+    prime tried.
     """
-    coeffs, consts = _integer_rows(rows, rhs)
-    m = len(coeffs)
-    n = len(coeffs[0]) if m else 0
+    _require_int_matrix("solve_linear_fraction_free", rows, rhs)
+    if not _all_int(rhs):
+        raise DomainError("solve_linear_fraction_free: rhs entries must be ints")
+    m = len(rows)
+    n = len(rows[0]) if m else 0
     if n == 0:
-        return None if any(consts) else ()
+        return None if any(rhs) else ()
     for p in _PRIMES:
-        lu = _lu_mod(coeffs, n, p)
+        lu = _lu_mod(rows, n, p)
         if lu is not None:
             break
     else:
@@ -344,8 +338,8 @@ def solve_linear_fraction_free(
         )
     pivots, lower, upper, diag_inv = lu
     solve = _triangular_solver(lower, upper, diag_inv, p)
-    divide = _residual_divider([coeffs[i] for i in pivots], p)
-    r = [consts[i] for i in pivots]
+    divide = _residual_divider([rows[i] for i in pivots], p)
+    r = [rhs[i] for i in pivots]
     chosen = set(pivots)
     others = [i for i in range(m) if i not in chosen]
 
@@ -353,7 +347,7 @@ def solve_linear_fraction_free(
     # denominator of the solution are at most sqrt(prod |row_i, b_i|^2)
     hadamard_sq = 1
     for i in pivots:
-        hadamard_sq *= sum(e * e for e in coeffs[i]) + consts[i] * consts[i]
+        hadamard_sq *= sum(e * e for e in rows[i]) + rhs[i] * rhs[i]
 
     acc = [0] * n
     modulus = 1
@@ -367,8 +361,8 @@ def solve_linear_fraction_free(
         candidate = _reconstruct(acc, modulus, isqrt((modulus - 1) // 2))
         if candidate is not None and (unique or candidate == previous):
             d, nums = candidate
-            if _satisfies(coeffs, consts, pivots, d, nums):
-                if not _satisfies(coeffs, consts, others, d, nums):
+            if _satisfies(rows, rhs, pivots, d, nums):
+                if not _satisfies(rows, rhs, others, d, nums):
                     return None
                 return tuple(Fraction(v, d) for v in nums)
         if unique:
@@ -384,7 +378,7 @@ class FeasibilityResult:
 
 
 def feasible_point(
-    rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
+    rows: Sequence[Sequence[int]], rhs: Sequence[Fraction | int]
 ) -> FeasibilityResult:
     """Decide {A x = b, x >= 0} exactly.
 
@@ -392,31 +386,26 @@ def feasible_point(
     polytope); infeasible ones yield a Farkas certificate against the
     original, un-normalized rows.
 
-    The rational tableau is an integer tableau T over one common
-    denominator d, which starts at 1.  When every coefficient is an int, A
-    is taken as it is, row by row; otherwise each column of A is scaled by
-    the lcm of its denominators (scale 1 for an all-int column).  The
-    right-hand side is scaled by the lcm of its denominators, and the
-    artificial identity is not scaled.  A pivot on (r, s) sets every other
-    row, reduced costs included, to (T_i T_rs - T_is T_r) / d, which
+    A is an int matrix, taken as it is, row by row; a Fraction, bool or
+    other entry in A is a DomainError.  b is rational.  The rational tableau
+    is an integer tableau T over one common denominator d, which starts at
+    1.  The right-hand side is scaled by the lcm of its denominators, and
+    the artificial identity is not scaled.  A pivot on (r, s) sets every
+    other row, reduced costs included, to (T_i T_rs - T_is T_r) / d, which
     divides exactly (Edmonds), and then d to T_rs > 0.  When T_rs = d = 1
     that is T_i - T_is T_r, computed with no product by the pivot and no
     division.  So signs and ratio orders (cross-multiplied) are those of
-    the rational tableau, whose column scales only change units: Bland's
-    rule takes the same pivots to the same vertex and dual.
+    the rational tableau, whose right-hand side scale only changes units:
+    Bland's rule takes the same pivots to the same vertex and dual.
     """
-    aug = _augmented(rows, rhs)
-    m = len(aug)
+    _require_int_matrix("feasible_point", rows, rhs)
+    m = len(rows)
     if m == 0:
         return FeasibilityResult(True, (), None)
-    n = len(aug[0]) - 1
+    n = len(rows[0])
     flipped = [b < 0 for b in rhs]
     rhs_scale, consts = _scaled([-b if f else b for b, f in zip(rhs, flipped)])
     coeffs = [[-e for e in r] if f else r for r, f in zip(rows, flipped)]
-    scales = [1] * n
-    if not _all_int(chain.from_iterable(rows)):
-        scales, columns = zip(*map(_scaled, zip(*coeffs)))
-        coeffs = zip(*columns)
     tab: list[list[int]] = []
     for i, (row, b) in enumerate(zip(coeffs, consts)):
         art = [0] * m
@@ -474,7 +463,7 @@ def feasible_point(
         x = [Fraction(0)] * n
         for i, var in enumerate(basis):
             if var < n:
-                x[var] = Fraction(tab[i][-1] * scales[var], d * rhs_scale)
+                x[var] = Fraction(tab[i][-1], d * rhs_scale)
         return FeasibilityResult(True, tuple(x), None)
 
     # dual value of row i: artificial i has cost 1 and column e_i, so its
@@ -485,43 +474,37 @@ def feasible_point(
 
 
 def farkas_contradiction(
-    rows: Sequence[Sequence[Fraction | int]],
+    rows: Sequence[Sequence[int]],
     rhs: Sequence[Fraction | int],
     certificate: Sequence[Fraction | int],
 ) -> bool:
     """True when y^T A <= 0 componentwise while y^T b > 0.
 
-    On integers: y is scaled to one denominator D, and each row [A_i | b_i]
-    with y_i != 0 to the ints [a_i | c_i] = l_i [A_i | b_i], l_i the lcm of
-    its denominators.  For a row whose A_i is all ints, l_i is the
-    denominator of b_i and a_i is never built: A_i is added with its factor
-    times l_i.  With L the lcm of the l_i, every sum is accumulated as
-    y_i D (L / l_i) (a_ij, c_i), which is the rational sum times D L > 0, so
-    every sign is the rational one; each row is added to the column sums in
-    one pass in C.  As with zip, a ragged A is read to the width of its
-    shortest row.
+    A is an int matrix; a Fraction, bool or other entry in A is a
+    DomainError.  On integers: y is scaled to one denominator D, and b_i,
+    for each row with y_i != 0, to its own denominator q_i.  With L the lcm
+    of those q_i, the column sums are accumulated as y_i D L A_ij and the
+    right-hand side as y_i D (L / q_i) (q_i b_i): the rational sums times
+    D L > 0, so every sign is the rational one.  Each row is added to the
+    column sums in one pass in C, never copied.  As with zip, a ragged A is
+    read to the width of its shortest row.
     """
     m = len(rows)
     if len(certificate) != m or m != len(rhs):
         return False
+    if not _all_int(chain.from_iterable(rows)):
+        raise DomainError("farkas_contradiction: coefficients must be ints")
     width = min(map(len, rows), default=0)
-    # (y_i D, l_i, k_i, r_i, c_i) with a_i = k_i r_i
-    weighted = []
-    for y, row, b in zip(_scaled(certificate)[1], rows, rhs):
-        if not y:
-            continue
-        head = row[:width]
-        if _all_int(head):
-            q = b.denominator
-            weighted.append((y, q, q, head, b.numerator))
-        else:
-            scale, ints = _scaled([*head, b])
-            weighted.append((y, scale, 1, ints[:-1], ints[-1]))
-    common = lcm(*(scale for _, scale, _, _, _ in weighted))
+    # (y_i D, q_i, A_i, q_i b_i)
+    weighted = [
+        (y, b.denominator, row, b.numerator)
+        for y, row, b in zip(_scaled(certificate)[1], rows, rhs)
+        if y
+    ]
+    common = lcm(*(q for _, q, _, _ in weighted))
     sums = [0] * width
     total = 0
-    for y, scale, multiplier, ints, c in weighted:
-        f = y * (common // scale)
-        sums = list(map(add, sums, map(mul, repeat(f * multiplier), ints)))
-        total += f * c
+    for y, q, row, c in weighted:
+        sums = list(map(add, sums, map(mul, repeat(y * common), row)))
+        total += y * (common // q) * c
     return all(s <= 0 for s in sums) and total > 0

@@ -17,6 +17,7 @@ from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, ResourceLimitError
+from .rationals import echo
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -178,10 +179,15 @@ def _index_table(
 
 
 def _as_fraction(value) -> Fraction:
+    """An int or a Fraction as a Fraction; a float, a bool, a string or any
+    other value is a DomainError (strings are parsed only, and bounded, by
+    `rationals.parse_rational`)."""
     if type(value) is Fraction:
         return value
     if isinstance(value, float):
         raise DomainError("probabilities must be exact rationals, not floats")
+    if type(value) is bool or not isinstance(value, (int, Fraction)):
+        raise DomainError(f"probabilities must be ints or Fractions, not {echo(value)}")
     return Fraction(value)
 
 

@@ -2,7 +2,9 @@
 
 `solve_linear` is Gauss-Jordan: slow but obviously correct, and more
 general than `procnet.exactlp.solve_linear_fraction_free`: it accepts
-rank-deficient systems and sets free variables to zero.
+rational coefficients and right-hand sides, where the production solver
+takes ints only, and rank-deficient systems, whose free variables it sets
+to zero.
 
 `crout_lu_mod` and `row_lu_solve_mod` are the LU modulo p of
 `procnet.exactlp._lu_mod` in Crout order, every entry of L and U one dot
@@ -15,6 +17,10 @@ lanes that could overflow.
 
 `fraction_farkas_contradiction` is `procnet.exactlp.farkas_contradiction`
 as sums of Fraction products.
+
+Both take a rational A; `feasible_point` and `farkas_contradiction` take
+an int A (b and the certificate may be rational), so the tests hand the
+oracles and the production code the same int system.
 
 `dense_contract` is `procnet.process.contract_network` as a triple loop
 over every (row, column, node), zero entries included, in Fractions.

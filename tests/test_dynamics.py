@@ -340,6 +340,14 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate_chain(triangle_sigma, ("0", "0", "0"), steps=-1, seed=1)
 
+    @pytest.mark.parametrize("steps", [2.5, "3", True, None])
+    def test_steps_that_are_not_ints_are_refused(self, triangle_sigma, steps):
+        start = ("0", "0", "0")
+        with pytest.raises(DomainError, match="steps must be an int"):
+            simulate_chain(triangle_sigma, start, steps, 1)
+        with pytest.raises(DomainError, match="steps must be an int"):
+            estimate_stationary(triangle_sigma, start, steps, 1)
+
     def test_steps_over_the_cap_refused_before_the_first_draw(self, triangle_sigma):
         uniform = Distribution.uniform(triangle_sigma.internals)
         start = time.perf_counter()

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from random import Random
 
@@ -30,28 +31,41 @@ def frac_rows(rows):
     return [[F(e) for e in row] for row in rows]
 
 
+def int_equations(rows, rhs):
+    """The system with each equation [A_i | b_i] multiplied by the lcm of
+    its denominators: int rows and an int right-hand side with the same
+    solutions, row for row (zero rows stay zero, signs of b_i are kept)."""
+    int_rows, int_rhs = [], []
+    for row, b in zip(rows, rhs):
+        equation = [F(e) for e in (*row, b)]
+        scale = lcm(*(e.denominator for e in equation))
+        *coeffs, c = (int(e * scale) for e in equation)
+        int_rows.append(coeffs)
+        int_rhs.append(c)
+    return int_rows, int_rhs
+
+
 class TestSolveLinear:
     def test_unique_solution(self):
         for solve in SOLVERS:
-            x = solve(frac_rows([[2, 1], [1, -1]]), [F(5), F(1)])
+            x = solve([[2, 1], [1, -1]], [5, 1])
             assert x == (F(2), F(1))
 
     def test_redundant_rows_ok(self):
-        x = solve_linear(frac_rows([[1, 1], [2, 2]]), [F(3), F(6)])
+        x = solve_linear([[1, 1], [2, 2]], [3, 6])
         assert x is not None
         assert x[0] + x[1] == 3
         for solve in SOLVERS:
-            x = solve(frac_rows([[1, 1], [1, -1], [2, 2]]), [F(3), F(1), F(6)])
+            x = solve([[1, 1], [1, -1], [2, 2]], [3, 1, 6])
             assert x == (F(2), F(1))
 
     def test_inconsistent_returns_none(self):
-        assert solve_linear(frac_rows([[1, 1], [1, 1]]), [F(1), F(2)]) is None
+        assert solve_linear([[1, 1], [1, 1]], [1, 2]) is None
         for solve in SOLVERS:
-            rows = frac_rows([[1, 0], [0, 1], [1, 1]])
-            assert solve(rows, [F(1), F(1), F(3)]) is None
+            assert solve([[1, 0], [0, 1], [1, 1]], [1, 1, 3]) is None
 
     def test_free_variables_default_to_zero(self):
-        x = solve_linear(frac_rows([[1, 0, 1]]), [F(4)])
+        x = solve_linear([[1, 0, 1]], [4])
         assert x == (F(4), F(0), F(0))
 
 
@@ -75,8 +89,9 @@ _rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 7))
 
 @st.composite
 def nonsingular_with_extra_row(draw):
-    """A nonsingular n x n system plus one row that is a rational
-    combination of its rows, inserted at a drawn position."""
+    """A nonsingular n x n rational system plus one row that is a rational
+    combination of its rows, inserted at a drawn position; each equation is
+    then scaled to ints (`int_equations`)."""
     n = draw(st.integers(1, 10))
     rows = [draw(st.lists(_rationals, min_size=n, max_size=n)) for _ in range(n)]
     if _rank(rows) < n:
@@ -90,7 +105,7 @@ def nonsingular_with_extra_row(draw):
     at = draw(st.integers(0, n))
     rows.insert(at, extra)
     rhs.insert(at, extra_rhs)
-    return rows, rhs, at
+    return (*int_equations(rows, rhs), at)
 
 
 @st.composite
@@ -138,20 +153,20 @@ class TestDixonSolve:
     @given(integer_systems())
     def test_int_rows_agree_with_fraction_rows_and_the_oracle(self, system):
         rows, rhs, kind = system
-        # int equations are taken as they are, not scaled
-        assert exactlp._integer_rows(rows, rhs) == (rows, rhs)
         x = solve_linear_fraction_free(rows, rhs)
         assert (x is None) == (kind == "inconsistent")
         fractions = (frac_rows(rows), [F(b) for b in rhs])
-        assert x == solve_linear_fraction_free(*fractions)
+        # the same rows as Fractions are refused, not scaled
+        with pytest.raises(DomainError, match="solve_linear_fraction_free"):
+            solve_linear_fraction_free(*fractions)
         assert x == solve_linear(*fractions)
 
     def test_singular_modulo_the_first_prime_takes_the_next_one(self, monkeypatch):
         p = exactlp._PRIMES[0]
         systems = [
-            (frac_rows([[p, 0], [0, 1]]), [F(p), F(3)], (F(1), F(3))),
+            ([[p, 0], [0, 1]], [p, 3], (F(1), F(3))),
             # determinant exactly p: singular modulo p, not over Q
-            (frac_rows([[p + 1, 1], [1, 1]]), [F(p + 2), F(2)], (F(1), F(1))),
+            ([[p + 1, 1], [1, 1]], [p + 2, 2], (F(1), F(1))),
         ]
         for rows, rhs, expected in systems:
             assert solve_linear_fraction_free(rows, rhs) == expected
@@ -164,8 +179,8 @@ class TestDixonSolve:
         # modulo p and p**2 the residues of 1 + p**2 both reconstruct to 1,
         # so only the exact check stops the solver from returning 1
         p = exactlp._PRIMES[0]
-        rows = frac_rows([[1, 0], [0, 1]])
-        assert solve_linear_fraction_free(rows, [F(1 + p * p), F(3)]) == (
+        rows = [[1, 0], [0, 1]]
+        assert solve_linear_fraction_free(rows, [1 + p * p, 3]) == (
             F(1 + p * p),
             F(3),
         )
@@ -187,20 +202,36 @@ class TestDixonSolve:
 
     def test_rank_deficient_input_raises(self):
         with pytest.raises(DomainError):
-            solve_linear_fraction_free(frac_rows([[1, 1], [2, 2]]), [F(3), F(6)])
+            solve_linear_fraction_free([[1, 1], [2, 2]], [3, 6])
         with pytest.raises(DomainError):
-            solve_linear_fraction_free(frac_rows([[1, 0, 1]]), [F(4)])
+            solve_linear_fraction_free([[1, 0, 1]], [4])
 
     def test_empty_and_zero_width_systems(self):
         assert solve_linear_fraction_free([], []) == ()
-        assert solve_linear_fraction_free([[], []], [F(0), F(0)]) == ()
-        assert solve_linear_fraction_free([[], []], [F(0), F(1)]) is None
+        assert solve_linear_fraction_free([[], []], [0, 0]) == ()
+        assert solve_linear_fraction_free([[], []], [0, 1]) is None
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DomainError):
-            solve_linear_fraction_free(frac_rows([[1, 1]]), [F(1), F(2)])
+            solve_linear_fraction_free([[1, 1]], [1, 2])
         with pytest.raises(DomainError):
-            solve_linear_fraction_free(frac_rows([[1, 1], [1]]), [F(1), F(2)])
+            solve_linear_fraction_free([[1, 1], [1]], [1, 2])
+
+    @pytest.mark.parametrize(
+        "rows, rhs",
+        [
+            ([[F(2), 1], [1, -1]], [5, 1]),
+            ([[2, 1], [1, F(-1, 2)]], [5, 1]),
+            ([[2, 1], [1, True]], [5, 1]),
+            ([[2, 1], [1, -1]], [F(5), 1]),
+            ([[2, 1], [1, -1]], [5, F(1, 2)]),
+            ([[2, 1], [1, -1]], [5, True]),
+        ],
+        ids=["fraction", "fraction-half", "bool", "fraction-rhs", "half-rhs", "bool-rhs"],
+    )
+    def test_non_int_coefficient_or_rhs_is_a_domain_error(self, rows, rhs):
+        with pytest.raises(DomainError, match="solve_linear_fraction_free"):
+            solve_linear_fraction_free(rows, rhs)
 
     def test_every_prime_passes_deterministic_miller_rabin(self):
         # these bases decide primality for every n < 3.3 * 10**24
@@ -344,20 +375,20 @@ class TestPackedLU:
 
 class TestFeasiblePoint:
     def test_simplex_face_is_feasible(self):
-        res = feasible_point(frac_rows([[1, 1, 1]]), [F(1)])
+        res = feasible_point([[1, 1, 1]], [F(1)])
         assert res.feasible
         assert sum(res.solution) == 1
         assert all(v >= 0 for v in res.solution)
 
     def test_negative_sum_is_infeasible_with_certificate(self):
-        rows = frac_rows([[1, 1]])
+        rows = [[1, 1]]
         rhs = [F(-1)]
         res = feasible_point(rows, rhs)
         assert not res.feasible
         assert farkas_contradiction(rows, rhs, res.certificate)
 
     def test_conflicting_equalities_yield_certificate(self):
-        rows = frac_rows([[1, 0], [1, 0]])
+        rows = [[1, 0], [1, 0]]
         rhs = [F(1), F(2)]
         res = feasible_point(rows, rhs)
         assert not res.feasible
@@ -365,14 +396,14 @@ class TestFeasiblePoint:
 
     def test_equality_with_upper_bound_conflict(self):
         # x1 + x2 = 1 and x1 + x2 = 3 cannot both hold
-        rows = frac_rows([[1, 1], [1, 1]])
+        rows = [[1, 1], [1, 1]]
         rhs = [F(1), F(3)]
         res = feasible_point(rows, rhs)
         assert not res.feasible
         assert farkas_contradiction(rows, rhs, res.certificate)
 
     def test_zero_rows_and_zero_rhs(self):
-        rows = frac_rows([[0, 0], [1, 2]])
+        rows = [[0, 0], [1, 2]]
         rhs = [F(0), F(4)]
         res = feasible_point(rows, rhs)
         assert res.feasible
@@ -386,7 +417,19 @@ class TestFeasiblePoint:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DomainError):
-            feasible_point(frac_rows([[1, 1]]), [F(1), F(2)])
+            feasible_point([[1, 1]], [F(1), F(2)])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[F(1), 1], [1, 0]], [[1, 1], [1, F(1, 2)]], [[1, 1], [True, 0]], [[1, 1.0]]],
+        ids=["fraction-one", "fraction-half", "bool", "float"],
+    )
+    def test_non_int_coefficient_is_a_domain_error(self, rows):
+        rhs = [F(1)] * len(rows)
+        with pytest.raises(DomainError, match="feasible_point"):
+            feasible_point(rows, rhs)
+        with pytest.raises(DomainError, match="farkas_contradiction"):
+            farkas_contradiction(rows, rhs, [F(1)] * len(rows))
 
     def test_random_systems_agree_with_construction(self):
         # systems built from a known nonnegative solution must be feasible,
@@ -396,9 +439,7 @@ class TestFeasiblePoint:
             n = rng.randint(2, 6)
             m = rng.randint(1, 4)
             hidden = [F(rng.randint(0, 5), rng.randint(1, 4)) for _ in range(n)]
-            rows = [
-                [F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)
-            ]
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
             rhs = [sum(r[j] * hidden[j] for j in range(n)) for r in rows]
             res = feasible_point(rows, rhs)
             assert res.feasible
@@ -412,9 +453,7 @@ class TestFeasiblePoint:
         for _ in range(60):
             n = rng.randint(1, 4)
             m = rng.randint(2, 4)
-            rows = [
-                [F(rng.randint(0, 2)) for _ in range(n)] for _ in range(m)
-            ]
+            rows = [[rng.randint(0, 2) for _ in range(n)] for _ in range(m)]
             rhs = [F(rng.randint(-2, 4)) for _ in range(m)]
             res = feasible_point(rows, rhs)
             if not res.feasible:
@@ -470,7 +509,9 @@ def lp_systems(draw):
     another row scaled by a nonzero factor, so ratio tests tie and
     negative factors flip rows.  The coefficients are Fractions, ints, or
     a mix of both, with a Fraction right-hand side; or the system is a 0/1
-    incidence system (`incidence_systems`)."""
+    incidence system (`incidence_systems`).  A Fraction or mixed system is
+    scaled to ints equation by equation (`int_equations`), so its ties,
+    flipped rows and zero rows reach the int tableau."""
     form = draw(st.sampled_from(("fraction", "int", "mixed", "incidence")))
     if form == "incidence":
         return draw(incidence_systems())
@@ -496,6 +537,8 @@ def lp_systems(draw):
         factor = draw(st.sampled_from(factors))
         rows[dst] = [factor * e for e in rows[src]]
         rhs[dst] = factor * rhs[src]
+    if form != "int":
+        rows, rhs = int_equations(rows, rhs)
     return rows, rhs
 
 
@@ -503,7 +546,7 @@ class TestIntegerSimplexAgainstOracle:
     """The integer tableau against the Fraction tableau it replaced."""
 
     # lp_systems draws four kinds in equal shares, so about 300 of these
-    # are Fraction-only systems
+    # are Fraction-only systems, scaled to ints equation by equation
     @settings(max_examples=1200, deadline=None)
     @given(lp_systems())
     # Bland's path: two pivots with pivot = d = 1 (rows with factors 1, -1
@@ -535,7 +578,8 @@ class TestIntegerSimplexAgainstOracle:
 class TestIntegerFarkasAgainstOracle:
     """The integer Farkas check against the Fraction sums it replaced."""
 
-    # about 300 Fraction-only systems, as in the simplex test above
+    # about 300 Fraction-only systems scaled to ints, as in the simplex
+    # test above
     @settings(max_examples=1200, deadline=None)
     @given(lp_systems(), st.data())
     def test_same_verdict_as_the_fraction_sums(self, system, data):
@@ -567,12 +611,12 @@ class TestIntegerFarkasAgainstOracle:
         [
             ([], [], []),
             ([], [], [F(1)]),
-            ([[F(1)]], [], [F(1)]),
+            ([[1]], [], [F(1)]),
             ([[]], [F(1)], [F(1)]),
             ([[]], [F(-1)], [F(1)]),
             # a ragged A is read to the width of its shortest row
-            ([[F(0), F(1)], [F(-1)]], [F(0), F(-1, 3)], [F(1), F(-1)]),
-            ([[F(-1, 2), F(1)], [F(-1)]], [F(1, 6), F(0)], [F(2), F(1)]),
+            ([[0, 1], [-1]], [F(0), F(-1, 3)], [F(1), F(-1)]),
+            ([[-1, 2], [-1]], [F(1, 3), F(0)], [F(2), F(1)]),
         ],
     )
     def test_edge_cases_match_the_fraction_sums(self, rows, rhs, y):

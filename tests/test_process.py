@@ -132,6 +132,15 @@ class TestProcessTensor:
                 ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
             )
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [(("1/2", "1/2"), (HALF, HALF)), ((True, False), (HALF, HALF))],
+        ids=["str", "bool"],
+    )
+    def test_matrix_entries_must_be_ints_or_fractions(self, matrix):
+        with pytest.raises(DomainError, match="ints or Fractions"):
+            ProcessTensor.from_matrix("p", (var("I"),), (), (var("O"),), matrix)
+
     def test_row_and_col_variables(self):
         p = ProcessTensor.from_matrix(
             "p",
@@ -219,16 +228,20 @@ class TestProcessTensor:
         assert readers == []
 
     def test_process_rows_are_read_as_integers(self):
-        # one representation: contraction, the stationary solve and the
-        # sampler build no Fraction, and only `from_matrix` scales a row of
-        # Fractions; every other `_scaled` call scales a distribution or a
-        # linear system, never a process row
+        # one representation: contraction, the stationary solve (its LU,
+        # triangular solves and lift steps included) and the sampler build
+        # no Fraction, and only `from_matrix` scales a row of Fractions;
+        # every other `_scaled` call scales a distribution, the right-hand
+        # side of an LP or a certificate, never a process row
         fraction_free = {
             ("process.py", "contract_network"),
             ("dynamics.py", "find_stationary"),
             ("dynamics.py", "_sampler"),
+            ("exactlp.py", "_lu_mod"),
+            ("exactlp.py", "_triangular_solver"),
+            ("exactlp.py", "_residual_divider"),
         }
-        fraction_calls, scaling, scaled_rows = [], [], []
+        fraction_calls, scaling, scaled_rows, seen = [], [], [], set()
         for path in sorted(Path(procnet.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
             functions = []
@@ -242,6 +255,7 @@ class TestProcessTensor:
                         if isinstance(item, ast.FunctionDef)
                     ]
             for name, function in functions:
+                seen.add((path.name, name))
                 for call in ast.walk(function):
                     if not isinstance(call, ast.Call):
                         continue
@@ -258,12 +272,12 @@ class TestProcessTensor:
                             for n in ast.walk(arg)
                         ):
                             scaled_rows.append(f"{path.name}:{call.lineno}")
+        assert fraction_free <= seen
         assert fraction_calls == []
         assert scaled_rows == []
         assert sorted(set(scaling)) == [
             ("dynamics.py", "simulate_chain"),
             ("dynamics.py", "verify_stationary"),
-            ("exactlp.py", "_integer_rows"),
             ("exactlp.py", "farkas_contradiction"),
             ("exactlp.py", "feasible_point"),
             ("process.py", "ProcessTensor.from_matrix"),

@@ -90,6 +90,17 @@ class TestDistribution:
         with pytest.raises(DomainError):
             Distribution((x,), (Fraction(3, 2), Fraction(-1, 2)))
 
+    @pytest.mark.parametrize(
+        "weights",
+        [("1/2", "1/2"), ("1e2000000", Fraction(0)), (True, 0), (1, False)],
+        ids=["str", "str-huge-exponent", "bool-true", "bool-false"],
+    )
+    def test_weights_must_be_ints_or_fractions(self, weights):
+        # a string never reaches Fraction(): the bounds of
+        # `rationals.parse_rational` are the only way in for text
+        with pytest.raises(DomainError, match="ints or Fractions"):
+            Distribution((Variable("X", BINARY),), weights)
+
     def test_point_mass_and_weight_lookup(self):
         x, y = Variable("X", BINARY), Variable("Y", BINARY)
         d = Distribution.point_mass((x, y), ("1", "0"))
@@ -245,3 +256,6 @@ class TestValidateEmpiricalModel:
         model = EmpiricalModel(scenario, (Distribution.uniform((x, y)), slightly_off))
         assert not validate_empirical_model(model).ok
         assert validate_empirical_model(model, tol=Fraction(1, 50)).ok
+        for tol in ("1/50", True):
+            with pytest.raises(DomainError, match="ints or Fractions"):
+                validate_empirical_model(model, tol=tol)
