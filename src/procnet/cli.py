@@ -15,20 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .analysis import Analysis, analyze, stationary_regime
 from .dynamics import _require_steps, is_ergodic, simulate_chain
 from .empirical import _node_delta, empirical_node_frequencies
-from .errors import (
-    DomainError,
-    ParseError,
-    ProcnetError,
-    ResourceLimitError,
-    StationarityError,
-    StructureError,
-    WiringError,
-)
+from .errors import ParseError, ProcnetError, StationarityError, StructureError
 from .netfile import check_network_text, load_network_file
 from .process import classify_network
 from .rationals import format_rational
@@ -39,6 +32,16 @@ EXIT_PARSE = 2
 EXIT_SEMANTIC = 3
 EXIT_STRUCTURE = 4
 EXIT_STATIONARY = 5
+
+# the exit code of an error caught by `main`: the first class that matches;
+# any other ProcnetError (a domain, wiring or size-cap error) is semantic
+_EXIT_FOR_ERROR = (
+    (ParseError, EXIT_PARSE),
+    (StructureError, EXIT_STRUCTURE),
+    (StationarityError, EXIT_STATIONARY),
+    (OSError, EXIT_PARSE),  # a missing file, a directory, no permission
+    (ProcnetError, EXIT_SEMANTIC),
+)
 
 
 def _dist_json(dist) -> dict:
@@ -320,7 +323,10 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; `parse_args` reads it
+    without changing it."""
     parser = argparse.ArgumentParser(
         prog="procnet",
         description=(
@@ -368,24 +374,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ProcnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except StructureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURE
-    except StationarityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STATIONARY
-    except (DomainError, WiringError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
-    except OSError as exc:  # a missing file, a directory, no permission
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ProcnetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
+        return next(code for kind, code in _EXIT_FOR_ERROR if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -15,7 +15,10 @@ shift, one small-by-big multiply and an add, all inside CPython's big-int
 code (SIMD within a register, as in `rng.SplitMix64.blocks`).  Lanes are not
 reduced after each step; w is wide enough for every step to the last
 (delayed modular reduction, Dumas, Giorgi and Pernet, ACM TOMS 35, 2008),
-and a lane is reduced modulo p only where its value is read.
+and a lane is reduced modulo p only where its value is read.  Ints enter
+lanes only through `_pack` (one `int.to_bytes` per value, joined) and leave
+them only through `_unpack_mod` (slices of one `int.to_bytes`), for lanes of
+any width.
 
 The simplex minimizes the sum of one artificial variable per row (rows are
 sign-normalized so the right-hand side is nonnegative).  Bland's smallest
@@ -46,11 +49,9 @@ right-hand side.
 """
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, count, repeat, zip_longest
+from itertools import chain, compress, count, repeat
 from math import gcd, isqrt, lcm
 from operator import add, floordiv, gt, mul, sub
 from typing import Sequence
@@ -61,9 +62,9 @@ from .rationals import _scaled
 # The three largest primes below 2**30 (2**30 - 35, - 41, - 83).  In the
 # packed elimination a prime sets only the lane width (`_lane_bytes`): below
 # 2**30 a lane is 9 bytes for every system up to 2047 unknowns, the state cap
-# included, and a residue fits the 64-bit words of `_lanes`.  A lane is about
-# 2 log2(p) + log2(n) bits and the lift count falls as 1 / log2(p), so a
-# smaller prime trades narrower lanes for more lifts; the primes were kept,
+# included (`_pack` and `_unpack_mod` take lanes of any width).  A lane is
+# about 2 log2(p) + log2(n) bits and the lift count falls as 1 / log2(p), so
+# a smaller prime trades narrower lanes for more lifts; the primes were kept,
 # not re-measured, for the packed LU.  Literal so that no prime search runs
 # at import or on the first call.
 _PRIMES = (1073741789, 1073741783, 1073741741)
@@ -98,37 +99,23 @@ def _lane_bytes(n: int, p: int) -> int:
     return ((p + (n + 1) * p * p).bit_length() + 8) // 8
 
 
-def _lanes(values, size: int) -> bytearray:
-    """The bytes of lanes `size` bytes wide, lane j holding values[j], a
-    residue in [0, 2**64) that fits the lane: one array of words, spread by
-    strided byte copies."""
-    words = array("Q", values)
-    if sys.byteorder == "big":
-        words.byteswap()
-    raw = words.tobytes()
-    lanes = bytearray(len(words) * size)
-    for b in range(min(8, size)):
-        lanes[b::size] = raw[b::8]
-    return lanes
-
-
 def _pack(values, size: int) -> int:
-    """One int whose lane j, `size` bytes wide, holds values[j] (`_lanes`)."""
-    return int.from_bytes(_lanes(values, size), "little")
+    """One int whose lane j, `size` bytes wide, holds values[j], a
+    nonnegative int that fits the lane: the little-endian bytes of every
+    value, joined."""
+    return int.from_bytes(
+        b"".join(map(int.to_bytes, values, repeat(size), repeat("little"))), "little"
+    )
 
 
 def _unpack_mod(packed: int, count: int, size: int, p: int) -> list[int]:
-    """The lowest `count` lanes of `packed`, at most 16 bytes each, reduced
-    modulo p: each lane is copied into two words, low and high."""
+    """The lowest `count` lanes of `packed`, `size` bytes each, reduced
+    modulo p: slices of one `to_bytes`, each read back and reduced."""
     raw = packed.to_bytes(count * size, "little")
-    slots = bytearray(16 * count)
-    for b in range(size):
-        slots[b::16] = raw[b::size]
-    words = array("Q", slots)
-    if sys.byteorder == "big":
-        words.byteswap()
-    high = (1 << 64) % p
-    return [(lo + hi * high) % p for lo, hi in zip(words[::2], words[1::2])]
+    return [
+        int.from_bytes(raw[k : k + size], "little") % p
+        for k in range(0, count * size, size)
+    ]
 
 
 def _lu_mod(coeffs: list[list[int]], n: int, p: int):
@@ -138,10 +125,10 @@ def _lu_mod(coeffs: list[list[int]], n: int, p: int):
     Schur complement is one int whose lane j holds its column c + j,
     congruent modulo p but never reduced (`_lane_bytes` bounds it).  For
     column c the pivot is the first remaining row whose head, lane 0 modulo
-    p, is nonzero; its other lanes are unpacked once, reduced into the row
-    of U and packed again, and every other row r with head h becomes
-    (r >> w) + (p - l) * packed U row with l = h / pivot modulo p: one
-    small-by-big multiply, one add and one shift, all in C.
+    p, is nonzero; its other lanes are read once, reduced, into the row of U
+    (`_unpack_mod`) and packed again (`_pack`), and every other row r with
+    head h becomes (r >> w) + (p - l) * packed U row with l = h / pivot
+    modulo p: one small-by-big multiply, one add and one shift, all in C.
     Returns the indices of n pivot rows, the strict lower factor (unit
     diagonal implied) and the strict upper factor row by row, and the
     inverted diagonal of U; or None when the rank modulo p is below n.
@@ -179,15 +166,8 @@ def _lu_mod(coeffs: list[list[int]], n: int, p: int):
 def _lower_columns(rows: list[list[int]], size: int) -> list[int]:
     """The columns of a strictly lower triangular n x n matrix, given as
     rows with row t holding its t entries left of the diagonal: column k
-    from row k + 1 down, packed.  One transpose and one `_lanes` for all."""
-    n = len(rows)
-    by_column = zip_longest(*rows, fillvalue=0)
-    lanes = _lanes(chain.from_iterable(by_column), size)
-    step = n * size
-    return [
-        int.from_bytes(lanes[k * step + (k + 1) * size : (k + 1) * step], "little")
-        for k in range(n)
-    ]
+    from row k + 1 down, each packed by `_pack`."""
+    return [_pack([row[k] for row in rows[k + 1 :]], size) for k in range(len(rows))]
 
 
 def _triangular_solver(lower, upper, diag_inv, p: int):
@@ -231,18 +211,16 @@ def _residual_divider(rows: list[list[int]], p: int):
     """The exact lift step r -> (r - A digit) / p for the n x n int matrix
     A = rows and digits in [0, p), as a function of (r, digit).
 
-    The columns of A are packed once, each entry raised by b = max |A_ij| so
-    that every lane is nonnegative, in lanes wide enough for n (p - 1) 2 b.
+    The columns of A are packed once by `_pack`, each entry raised by
+    b = max |A_ij| so that every lane is nonnegative, in lanes wide enough
+    for n (p - 1) 2 b, which pass 64 bits when A's entries are large.
     A digit + b sum(digit) is then one sum of n small-by-big products, read
     back lane by lane; no lane is reduced, so r stays exact.
     """
     n = len(rows)
     bias = max(abs(e) for row in rows for e in row)
     size = ((n * p * 2 * bias).bit_length() + 8) // 8
-    columns = [
-        int.from_bytes(b"".join((e + bias).to_bytes(size, "little") for e in col), "little")
-        for col in zip(*rows)
-    ]
+    columns = [_pack([e + bias for e in col], size) for col in zip(*rows)]
     offsets = range(0, n * size, size)
 
     def divide(r: list[int], digit: list[int]) -> list[int]:

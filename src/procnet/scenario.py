@@ -47,6 +47,14 @@ def _require_nonzero_cap(n: int) -> None:
         )
 
 
+def _names(values, what: str) -> tuple:
+    """values as a tuple; a bare str, which would split into its characters,
+    or a value that is not iterable is a DomainError naming `what`."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise DomainError(f"{what} must be a sequence other than a str, not {echo(values)}")
+    return tuple(values)
+
+
 @dataclass(frozen=True)
 class Variable:
     """A named observable with a finite, ordered outcome alphabet."""
@@ -57,7 +65,9 @@ class Variable:
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
             raise DomainError("variable name must be a nonempty string")
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
+        object.__setattr__(
+            self, "alphabet", _names(self.alphabet, f"alphabet of {self.name!r}")
+        )
         if not self.alphabet:
             raise DomainError(f"variable {self.name!r} needs at least one outcome")
         if any(not isinstance(o, str) for o in self.alphabet):
@@ -246,7 +256,7 @@ class Distribution:
 
     def reorder(self, names: Sequence[str]) -> "Distribution":
         """Same distribution with the variables permuted into the given order."""
-        names = tuple(names)
+        names = _names(names, "reorder names")
         if sorted(names) != sorted(self.variable_names):
             raise DomainError("reorder requires a permutation of the variable names")
         return marginalize(self, names)
@@ -258,7 +268,7 @@ def marginalize(dist: Distribution, names: Iterable[str]) -> Distribution:
     The weight of a target section is the total weight of all source sections
     restricting to it.  Total mass is preserved exactly.
     """
-    names = tuple(names)
+    names = _names(names, "marginalization names")
     if len(set(names)) != len(names):
         raise DomainError("marginalization names must be distinct")
     position = {v.name: k for k, v in enumerate(dist.variables)}
@@ -293,7 +303,10 @@ class MeasurementScenario:
         object.__setattr__(
             self,
             "maximal_contexts",
-            tuple(tuple(ctx) for ctx in self.maximal_contexts),
+            tuple(
+                _names(ctx, "a maximal context")
+                for ctx in _names(self.maximal_contexts, "maximal contexts")
+            ),
         )
         _check_distinct_names(self.variables)
         declared = {v.name for v in self.variables}

@@ -357,7 +357,7 @@ class TestPackedLU:
         for p in exactlp._PRIMES:
             size = exactlp._lane_bytes(n, p)
             assert p + (n + 1) * p * p < 2 ** (8 * size)
-            # `_unpack_mod` reads a lane as two 64-bit words
+            # the LU's lanes stay within two 64-bit words at the state cap
             assert size <= 16
 
     def test_pack_and_unpack_lanes(self):
@@ -370,6 +370,13 @@ class TestPackedLU:
             assert exactlp._unpack_mod(_lanes_of(full, size), len(full), size, p) == [
                 v % p for v in full
             ]
+        # lanes wider than two words hold values past 2**64 (the residual's
+        # biased columns)
+        for size in (17, 24):
+            wide = [*residues, 2**64, 2**100 + 7, 2 ** (8 * size) - 1]
+            packed = exactlp._pack(wide, size)
+            assert packed == _lanes_of(wide, size)
+            assert exactlp._unpack_mod(packed, len(wide), size, p) == [v % p for v in wide]
         assert exactlp._unpack_mod(0, 0, 9, p) == []
 
 

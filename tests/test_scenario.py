@@ -38,6 +38,12 @@ class TestVariable:
         with pytest.raises(DomainError):
             Variable("X", ("a", "a"))
 
+    @pytest.mark.parametrize("alphabet", ["heads", "", None, 2])
+    def test_alphabet_must_be_a_sequence_other_than_a_str(self, alphabet):
+        # a bare str would be split into one outcome per character
+        with pytest.raises(DomainError, match="alphabet of 'coin'"):
+            Variable("coin", alphabet)
+
     def test_index(self):
         v = Variable("X", ("lo", "mid", "hi"))
         assert v.index("mid") == 1
@@ -115,6 +121,12 @@ class TestDistribution:
         for s in iter_sections((x, y)):
             assert swapped.weight(s.as_dict()) == d.weight(s)
 
+    @pytest.mark.parametrize("names", ["YX", None])
+    def test_reorder_names_must_be_a_sequence_other_than_a_str(self, names):
+        d = Distribution.uniform((Variable("X", BINARY), Variable("Y", BINARY)))
+        with pytest.raises(DomainError, match="reorder names"):
+            d.reorder(names)
+
 
 class TestMarginalize:
     def test_sixcycle_pair_marginal(self, triangle_sigma, sixcycle_omega):
@@ -134,6 +146,18 @@ class TestMarginalize:
     def test_rejects_non_subset(self, sixcycle_omega):
         with pytest.raises(DomainError):
             marginalize(sixcycle_omega, ("X", "W"))
+
+    @pytest.mark.parametrize("names", ["YX", "X", 3])
+    def test_names_must_be_a_sequence_other_than_a_str(self, sixcycle_omega, names):
+        with pytest.raises(DomainError, match="marginalization names"):
+            marginalize(sixcycle_omega, names)
+
+    def test_a_multi_character_name_is_one_name(self):
+        xy = Variable("XY", BINARY)
+        d = Distribution.uniform((xy, Variable("Z", BINARY)))
+        assert marginalize(d, ("XY",)).variables == (xy,)
+        with pytest.raises(DomainError, match="marginalization names"):
+            marginalize(d, "XY")
 
     def test_composition_of_marginalizations(self):
         # marginalizing in two hops equals the direct marginal
@@ -180,6 +204,15 @@ class TestScenario:
             MeasurementScenario((x, y, z), (("X", "Y"),))  # Z uncovered
         with pytest.raises(DomainError):
             MeasurementScenario((x, y), (("X", "Y"), ("Y",)))  # nested contexts
+
+    def test_contexts_must_be_sequences_other_than_a_str(self):
+        x, y = Variable("X", BINARY), Variable("Y", BINARY)
+        with pytest.raises(DomainError, match="a maximal context"):
+            MeasurementScenario((x, y), ("XY",))
+        with pytest.raises(DomainError, match="maximal contexts"):
+            MeasurementScenario((x, y), "XY")
+        with pytest.raises(DomainError, match="maximal contexts"):
+            MeasurementScenario((x, y), None)
 
     def test_distribution_context_alignment_enforced(self):
         x, y = Variable("X", BINARY), Variable("Y", BINARY)
