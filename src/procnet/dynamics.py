@@ -11,6 +11,11 @@ reads only the process and the distribution and compares integers.  Power
 iteration is deliberately not used: the interesting chains here are
 periodic permutations on which it does not converge.
 
+`step` and `verify_stationary` share one integer product of a distribution
+and the process rows, `_integer_product`: it reads the distribution's own
+integer form (`Distribution._integers`, scaled once when it was built) and
+the rows' numerators, and adds and multiplies no Fraction.
+
 The Monte Carlo side (`simulate_chain`, `estimate_stationary`) exists as an
 independent oracle; it uses the documented generator from `rng` so runs are
 reproducible from the seed alone.  A trajectory is a tuple of state
@@ -28,7 +33,7 @@ from math import gcd, lcm
 from .errors import DomainError, ResourceLimitError, StationarityError
 from .exactlp import solve_linear_fraction_free
 from .process import ProcessTensor
-from .rationals import _scaled, echo
+from .rationals import echo
 from .rng import SplitMix64, cumulative_thresholds, sample_index
 from .scenario import (
     DEFAULT_MAX_STATES,  # re-exported as dynamics.DEFAULT_MAX_STATES
@@ -89,39 +94,50 @@ def _aligned(sigma: ProcessTensor, dist: Distribution) -> Distribution:
     )
 
 
+def _integer_product(sigma: ProcessTensor, dist: Distribution) -> tuple[int, list[int]]:
+    """(L, totals) with totals[c] / (d L) = (w M)_c, for `dist` aligned with
+    the closed `sigma` and `(d, n)` its integers.
+
+    Row r holds its entries as numerators a_rc over l_r; L is the lcm of
+    the l_r of the rows of positive weight, and column c totals
+    n_r (L / l_r) a_rc over those rows.
+    """
+    weighted = [(n_r, row) for n_r, row in zip(dist._integers[1], sigma.rows) if n_r]
+    common = lcm(*(l_r for _, (l_r, _) in weighted))
+    totals = [0] * len(sigma.rows)
+    for n_r, (l_r, row) in weighted:
+        f = n_r * (common // l_r)
+        for c, a in row:
+            totals[c] += f * a
+    return common, totals
+
+
 def step(sigma: ProcessTensor, dist: Distribution) -> Distribution:
-    """One synchronous update: new weight of x is sum_x' M[x'][x] * w[x']."""
+    """One synchronous update: new weight of x is sum_x' M[x'][x] * w[x'].
+
+    The sums are the integer totals of `_integer_product`; each new weight
+    is its total over d L.
+    """
     _require_closed(sigma)
     dist = _aligned(sigma, dist)
-    out = [ZERO] * len(dist.weights)
-    for w, (common, row) in zip(dist.weights, sigma.rows):
-        if w:
-            w /= common
-            for c, a in row:
-                out[c] += w * a
-    return Distribution(sigma.internals, tuple(out))
+    common, totals = _integer_product(sigma, dist)
+    scale = dist._integers[0] * common
+    return Distribution(sigma.internals, tuple(Fraction(t, scale) for t in totals))
 
 
 def verify_stationary(sigma: ProcessTensor, dist: Distribution) -> StationaryCheck:
     """Exact fixed-point check; reports the max-norm residual otherwise.
 
-    On integers, independent of how `dist` was found: its weights are
-    scaled to their common denominator d, and row r holds its entries as
-    numerators a_rc over l_r; with L the lcm of the l_r of the rows of
-    positive weight, column c totals n_r (L / l_r) a_rc over those rows,
-    which is (w M)_c d L, and is compared with n_c L.  The residual is the
-    largest gap over d L, and the worst state the first one at that gap.
+    On integers, independent of how `dist` was found: with `(d, n)` the
+    distribution's integers and `(L, totals)` the integer product of
+    `_integer_product`, column c's total is (w M)_c d L and is compared
+    with n_c L.  The residual is the largest gap over d L, and the worst
+    state the first one at that gap.
     """
     dist = _aligned(sigma, dist)
     _require_closed(sigma)
-    d, nums = _scaled(dist.weights)
-    weighted = [(n_r, row) for n_r, row in zip(nums, sigma.rows) if n_r]
-    common = lcm(*(l_r for _, (l_r, _) in weighted))
-    totals = [0] * len(nums)
-    for n_r, (l_r, row) in weighted:
-        f = n_r * (common // l_r)
-        for c, a in row:
-            totals[c] += f * a
+    d, nums = dist._integers
+    common, totals = _integer_product(sigma, dist)
     gaps = [abs(t - n_c * common) for t, n_c in zip(totals, nums)]
     top = max(gaps)
     if not top:
@@ -204,7 +220,9 @@ def find_stationary(sigma: ProcessTensor) -> StationaryResult:
     point before it is returned.  Reducible chains have several recurrent
     classes; the one containing the smallest state index is used, making the
     output deterministic.  A hand-built tensor over the state cap is refused
-    (ResourceLimitError); contraction never builds one.
+    (ResourceLimitError); contraction never builds one.  A hand-built tensor
+    whose balance equations do not solve because a row of the class is not
+    a probability row is a DomainError naming that row's state.
     """
     _require_closed(sigma)
     n = section_count(sigma.internals)
@@ -225,6 +243,10 @@ def find_stationary(sigma: ProcessTensor) -> StationaryResult:
     rhs = [0] * k + [1]
     solution = solve_linear_fraction_free(rows, rhs)
     if solution is None or any(v < 0 for v in solution):
+        # only a row that is not a probability row can leave the balance
+        # equations of a closed class without a solution
+        for state in cls:
+            _sampler(sigma, state)
         raise AssertionError("balance equations of a recurrent class must solve")
     weights = [ZERO] * n
     for state, l_i, v in zip(cls, scales, solution):
@@ -292,13 +314,16 @@ def simulate_chain(
     of outcome labels.  The state at t+1 is sampled from the row of the
     state at t, per the rule documented in `rng`; a row reached whose
     entries are not positive with sum exactly 1 is a DomainError.  More than
-    MAX_STEPS steps is a ResourceLimitError, raised before the first draw.
+    MAX_STEPS steps is a ResourceLimitError, and a `seed` that is not an int
+    (a bool included) a DomainError, both raised before the first draw.
     """
     _require_closed(sigma)
     _require_steps(steps)
+    if type(seed) is not int:
+        raise DomainError(f"seed must be an int, not {echo(seed)}")
     rng = SplitMix64(seed)
     if isinstance(init, Distribution):
-        d, nums = _scaled(_aligned(sigma, init).weights)
+        d, nums = _aligned(sigma, init)._integers
         state = sample_index(rng, cumulative_thresholds(nums, d))
     else:
         state = section_index(sigma.internals, init)

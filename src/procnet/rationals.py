@@ -8,10 +8,12 @@ Strings are bounded before `Fraction` sees them: "1e999999999" would make it
 build a billion-digit power of ten.
 
 `_scaled` is the one place where rationals are scaled to integers: a process
-row once, in `ProcessTensor.from_matrix`, and a distribution, the right-hand
-side of an LP or a certificate where it is read.  The coefficient matrices
-that `exactlp` takes are int matrices already, and the stationary solve's
-right-hand side is int too.  A `Fraction` is built only for a result.
+row once, in `ProcessTensor.from_matrix`; a distribution once, when it is
+built (`scenario.Distribution` keeps the pair for every later reader); and
+the right-hand side of an LP or a certificate where it is read.  The
+coefficient matrices that `exactlp` takes are int matrices already, and the
+stationary solve's right-hand side is int too.  A `Fraction` is built only
+for a result.
 """
 from __future__ import annotations
 

@@ -5,19 +5,23 @@ Sections are indexed lexicographically by (variable order, alphabet order),
 row-major with the last variable fastest; every dense vector in the package
 uses that layout.  All probabilities are exact rationals end to end, so
 equality checks downstream are exact and never depend on a float tolerance.
+A `Distribution` has one integer form, its weights over their common
+denominator, computed once when it is built; its checks, `marginalize` and
+the chain updates in `dynamics` work on those integers and build Fractions
+only for the weights of a new distribution.
 
 Everything here is immutable after construction and safe to share between
 threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, ResourceLimitError
-from .rationals import echo
+from .rationals import _scaled, echo
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -203,10 +207,19 @@ def _as_fraction(value) -> Fraction:
 
 @dataclass(frozen=True)
 class Distribution:
-    """Exact probability weights over the sections of a variable list."""
+    """Exact probability weights over the sections of a variable list.
+
+    The constructor scales the weights once to their common denominator d
+    and keeps `(d, numerators)` in the private `_integers` (left out of
+    `__init__`, `==`, `hash` and `repr`): the sign and sum-to-one checks run
+    on those integers, and `marginalize`, `dynamics.step`,
+    `verify_stationary` and `simulate_chain` read them instead of scaling
+    or adding the weights again.
+    """
 
     variables: tuple[Variable, ...]
     weights: tuple[Fraction, ...]
+    _integers: tuple[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -217,10 +230,12 @@ class Distribution:
             raise DomainError(
                 f"expected {section_count(self.variables)} weights, got {len(weights)}"
             )
-        if any(w < 0 for w in weights):
+        d, numerators = _scaled(weights)
+        if min(numerators) < 0:
             raise DomainError("weights must be nonnegative")
-        if sum(weights, ZERO) != ONE:
+        if sum(numerators) != d:
             raise DomainError("weights must sum to exactly 1")
+        object.__setattr__(self, "_integers", (d, tuple(numerators)))
 
     @classmethod
     def from_function(cls, variables: Sequence[Variable], weight_of) -> "Distribution":
@@ -266,7 +281,9 @@ def marginalize(dist: Distribution, names: Iterable[str]) -> Distribution:
     """Sum out every variable not listed; the result follows the given order.
 
     The weight of a target section is the total weight of all source sections
-    restricting to it.  Total mass is preserved exactly.
+    restricting to it.  The sums run on the source's integers `(d,
+    numerators)`, and each target weight is its numerator total over d, so
+    total mass is preserved exactly.
     """
     names = _names(names, "marginalization names")
     if len(set(names)) != len(names):
@@ -280,11 +297,11 @@ def marginalize(dist: Distribution, names: Iterable[str]) -> Distribution:
     if target_vars == dist.variables:
         return dist
 
-    out = [ZERO] * section_count(target_vars)
-    for t, w in zip(_index_table(target_vars, dist.variables), dist.weights):
-        if w:
-            out[t] += w
-    return Distribution(target_vars, tuple(out))
+    d, nums = dist._integers
+    totals = [0] * section_count(target_vars)
+    for t, n in compress(zip(_index_table(target_vars, dist.variables), nums), nums):
+        totals[t] += n
+    return Distribution(target_vars, tuple(Fraction(total, d) for total in totals))
 
 
 @dataclass(frozen=True)
@@ -405,9 +422,12 @@ def validate_empirical_model(
 
     For contexts U, V with nonempty intersection the two marginals on
     U ∩ V are compared coordinate-wise; entries differing by more than
-    `tol` (0 for exact agreement) are reported.
+    `tol` (0 for exact agreement) are reported.  A negative `tol` is a
+    DomainError.
     """
     tol = _as_fraction(tol)
+    if tol < 0:
+        raise DomainError("tol must be nonnegative")
     order = [v.name for v in em.scenario.variables]
     ctxs = em.scenario.maximal_contexts
     violations: list[OverlapViolation] = []

@@ -25,6 +25,10 @@ oracles and the production code the same int system.
 `dense_contract` is `procnet.process.contract_network` as a triple loop
 over every (row, column, node), zero entries included, in Fractions.
 
+`fraction_marginalize` is `procnet.scenario.marginalize` as Fraction sums
+over the weights, where the production code sums the distribution's
+integer numerators over its common denominator.
+
 `dense_step`, `dense_verify_stationary` and `dense_simulate_chain` are
 `procnet.dynamics.step`, `verify_stationary` and `simulate_chain` on the
 dense rows of the `matrix` view, in Fractions; the simulation samples with
@@ -36,7 +40,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from procnet.dynamics import (
     StationaryCheck,
@@ -53,6 +57,7 @@ from procnet.scenario import (
     ZERO,
     Distribution,
     _index_table,
+    _names,
     _require_state_cap,
     section_at,
     section_count,
@@ -287,6 +292,27 @@ def dense_contract(net: Network) -> ProcessTensor:
     return ProcessTensor.from_matrix(
         "global", g_inputs, g_internals, g_outputs, tuple(rows)
     )
+
+
+def fraction_marginalize(dist: Distribution, names: Iterable[str]) -> Distribution:
+    """Sum out every variable not listed; the result follows the given order."""
+    names = _names(names, "marginalization names")
+    if len(set(names)) != len(names):
+        raise DomainError("marginalization names must be distinct")
+    position = {v.name: k for k, v in enumerate(dist.variables)}
+    try:
+        positions = [position[n] for n in names]
+    except KeyError as exc:
+        raise DomainError(f"variable {exc.args[0]!r} not in distribution") from None
+    target_vars = tuple(dist.variables[p] for p in positions)
+    if target_vars == dist.variables:
+        return dist
+
+    out = [ZERO] * section_count(target_vars)
+    for t, w in zip(_index_table(target_vars, dist.variables), dist.weights):
+        if w:
+            out[t] += w
+    return Distribution(target_vars, tuple(out))
 
 
 def dense_step(sigma: ProcessTensor, dist: Distribution) -> Distribution:

@@ -268,6 +268,18 @@ class TestFindStationary:
         with pytest.raises(ResourceLimitError, match="size 8 exceeds the cap of 4"):
             find_stationary(sigma)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [((2, ((1, 1),)), (2, ((0, 1),))), ((1, ((1, 2),)), (1, ((0, 1),)))],
+        ids=["halves", "double"],
+    )
+    def test_class_without_probability_rows_is_a_domain_error(self, rows):
+        # the balance equations of the class {0, 1} have no solution; that is
+        # a fault of the input, not an internal AssertionError
+        sigma = ProcessTensor("bad", (), (Variable("S", BINARY),), (), rows)
+        with pytest.raises(DomainError, match=r"state \('0',\) is not a probability row"):
+            find_stationary(sigma)
+
 
 class TestStructure:
     def test_triangle_permutation_is_reducible(self, triangle_sigma):
@@ -347,6 +359,21 @@ class TestSimulate:
             simulate_chain(triangle_sigma, start, steps, 1)
         with pytest.raises(DomainError, match="steps must be an int"):
             estimate_stationary(triangle_sigma, start, steps, 1)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", None, True])
+    def test_seeds_that_are_not_ints_are_refused(self, triangle_sigma, seed):
+        # unchecked, True would run as seed 1 and the others raise TypeError
+        start = ("0", "0", "0")
+        with pytest.raises(DomainError, match=f"seed must be an int, not {seed!r}"):
+            simulate_chain(triangle_sigma, start, 5, seed)
+        with pytest.raises(DomainError, match=f"seed must be an int, not {seed!r}"):
+            estimate_stationary(triangle_sigma, start, 5, seed)
+
+    def test_negative_seed_wraps(self):
+        sigma = closed_tensor("mix", 1, ((F(1, 2), F(1, 2)), (F(1, 3), F(2, 3))))
+        assert simulate_chain(sigma, ("0",), 40, -1) == simulate_chain(
+            sigma, ("0",), 40, 2**64 - 1
+        )
 
     def test_steps_over_the_cap_refused_before_the_first_draw(self, triangle_sigma):
         uniform = Distribution.uniform(triangle_sigma.internals)

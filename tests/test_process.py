@@ -231,12 +231,15 @@ class TestProcessTensor:
         # one representation: contraction, the stationary solve (its LU,
         # triangular solves and lift steps included) and the sampler build
         # no Fraction, and only `from_matrix` scales a row of Fractions;
-        # every other `_scaled` call scales a distribution, the right-hand
-        # side of an LP or a certificate, never a process row
+        # every other `_scaled` call scales a distribution (once, when it is
+        # built), the right-hand side of an LP or a certificate, never a
+        # process row; `step` and `verify_stationary` share one integer
+        # product of a distribution and the rows
         fraction_free = {
             ("process.py", "contract_network"),
             ("dynamics.py", "find_stationary"),
             ("dynamics.py", "_sampler"),
+            ("dynamics.py", "_integer_product"),
             ("exactlp.py", "_lu_mod"),
             ("exactlp.py", "_triangular_solver"),
             ("exactlp.py", "_residual_divider"),
@@ -276,11 +279,10 @@ class TestProcessTensor:
         assert fraction_calls == []
         assert scaled_rows == []
         assert sorted(set(scaling)) == [
-            ("dynamics.py", "simulate_chain"),
-            ("dynamics.py", "verify_stationary"),
             ("exactlp.py", "farkas_contradiction"),
             ("exactlp.py", "feasible_point"),
             ("process.py", "ProcessTensor.from_matrix"),
+            ("scenario.py", "Distribution.__post_init__"),
         ]
 
 

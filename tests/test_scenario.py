@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from procnet import (
     Distribution,
@@ -18,8 +20,12 @@ from procnet import (
 )
 from procnet.errors import DomainError
 from builders import iter_sections, restrict_section
+from oracle import fraction_marginalize
 
 BINARY = ("0", "1")
+# large primes, so weights over them have large coprime denominators
+P, Q = 2**61 - 1, 10**9 + 7
+PRIMES = (P, Q, 2**31 - 1, 998244353, 2**89 - 1)
 
 
 def make_distribution(rng: Random, variables) -> Distribution:
@@ -97,6 +103,26 @@ class TestDistribution:
             Distribution((x,), (Fraction(3, 2), Fraction(-1, 2)))
 
     @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ((-Fraction(1, P), Fraction(1, Q), 1 + Fraction(1, P) - Fraction(1, Q)),
+             "weights must be nonnegative"),
+            ((Fraction(1, P), Fraction(1, Q), 1 - Fraction(1, P)),
+             "weights must sum to exactly 1"),
+            ((-Fraction(1, P), Fraction(1, Q), Fraction(1, Q)),
+             "weights must be nonnegative"),
+        ],
+        ids=["negative", "sum", "both"],
+    )
+    def test_checks_keep_their_messages_over_large_coprime_denominators(
+        self, weights, message
+    ):
+        # the checks run on the weights scaled to one denominator, P Q here;
+        # the sign is checked before the sum
+        with pytest.raises(DomainError, match=message):
+            Distribution((Variable("X", ("a", "b", "c")),), weights)
+
+    @pytest.mark.parametrize(
         "weights",
         [("1/2", "1/2"), ("1e2000000", Fraction(0)), (True, 0), (1, False)],
         ids=["str", "str-huge-exponent", "bool-true", "bool-false"],
@@ -128,7 +154,44 @@ class TestDistribution:
             d.reorder(names)
 
 
+@st.composite
+def distributions_and_targets(draw):
+    """A distribution over 1-4 variables of 1-3 outcomes, its weights with
+    zeros and large coprime denominators, and a target: a prefix of a
+    permutation of the names, so empty, identity, permuted or a subset."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    variables = tuple(
+        Variable(f"V{k}", ("0", "1", "2")[:size]) for k, size in enumerate(sizes)
+    )
+    n = section_count(variables)
+    raw = draw(
+        st.lists(
+            st.one_of(
+                st.just(Fraction(0)),
+                st.builds(Fraction, st.integers(1, 10**12), st.sampled_from(PRIMES)),
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    if not any(raw):
+        raw[0] = Fraction(1, P)
+    total = sum(raw)
+    dist = Distribution(variables, tuple(w / total for w in raw))
+    order = draw(st.permutations([v.name for v in variables]))
+    return dist, tuple(order[: draw(st.integers(0, len(order)))])
+
+
 class TestMarginalize:
+    @settings(max_examples=300, deadline=None)
+    @given(distributions_and_targets())
+    def test_equals_the_fraction_sums(self, case):
+        dist, names = case
+        result = marginalize(dist, names)
+        assert result == fraction_marginalize(dist, names)
+        assert result.variable_names == names
+        assert all(type(w) is Fraction for w in result.weights)
+
     def test_sixcycle_pair_marginal(self, triangle_sigma, sixcycle_omega):
         # 1/6 when the two coordinates agree, 1/3 otherwise
         pair = marginalize(sixcycle_omega, ("X", "Y"))
@@ -292,3 +355,15 @@ class TestValidateEmpiricalModel:
         for tol in ("1/50", True):
             with pytest.raises(DomainError, match="ints or Fractions"):
                 validate_empirical_model(model, tol=tol)
+
+    @pytest.mark.parametrize("tol", [Fraction(-1), -1, Fraction(-1, 10**30)])
+    def test_negative_tolerance_is_refused(self, xyz, tol):
+        # every coordinate, agreeing ones included, differs by more than a
+        # negative tol, so it would report each one as a violation
+        x, y, z = xyz
+        scenario = MeasurementScenario((x, y, z), (("X", "Y"), ("Y", "Z")))
+        model = EmpiricalModel(
+            scenario, (Distribution.uniform((x, y)), Distribution.uniform((y, z)))
+        )
+        with pytest.raises(DomainError, match="tol must be nonnegative"):
+            validate_empirical_model(model, tol=tol)
