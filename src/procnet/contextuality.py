@@ -32,6 +32,7 @@ from .scenario import (
     EmpiricalModel,
     MeasurementScenario,
     _index_table,
+    _names,
     _require_state_cap,
     iter_outcome_tuples,
     marginalize,
@@ -76,10 +77,12 @@ def global_section_system(
     read back against the labels.  A is the 0/1 incidence matrix as plain
     ints: each context's block has exactly one 1 per column, and the
     normalization row is all ones.  b holds the context weights as given,
-    then 1, as Fractions.
+    then 1, as Fractions.  More global sections than the state cap is a
+    ResourceLimitError, raised before any row is built.
     """
     variables = em.scenario.variables
     n = section_count(variables)
+    _require_state_cap(n)
     rows: list[list[int]] = []
     rhs: list[Fraction] = []
     labels: list[ConstraintRow] = []
@@ -104,9 +107,8 @@ def decide_contextuality(em: EmpiricalModel) -> ContextualityVerdict:
 
     Strong contextuality is enumerated only for infeasible models; a
     witness rules it out.  More global sections than the state cap is a
-    ResourceLimitError.
+    ResourceLimitError (from `global_section_system`).
     """
-    _require_state_cap(section_count(em.scenario.variables))
     rows, rhs, labels = global_section_system(em)
     result = feasible_point(rows, rhs)
     if result.feasible:
@@ -140,7 +142,8 @@ def verify_infeasibility_certificate(
     """Re-check a certificate against a freshly built constraint system.
 
     Every entry must be an int or a Fraction; any other entry, a bool
-    included, is a DomainError.
+    included, is a DomainError.  More global sections than the state cap is
+    a ResourceLimitError, as in `global_section_system`.
     """
     certificate = tuple(certificate)
     for y in certificate:
@@ -245,12 +248,17 @@ def chsh_value(
     context (A_i, B_j), outcomes taken by alphabet position.  All four
     sign patterns with exactly one negated term are tried and the best kept,
     so the verdict does not depend on which context carries the
-    anti-correlation.
+    anti-correlation.  A labeling passed in must be a sequence of exactly
+    four names (A1, A2, B1, B2); a bare str, a value that is not iterable
+    or another count is a DomainError.
     """
     if labeling is None:
         labeling = detect_chsh_labeling(em.scenario)
         if labeling is None:
             raise DomainError("scenario is not a two-outcome square; pass a labeling")
+    labeling = _names(labeling, "a CHSH labeling")
+    if len(labeling) != 4:
+        raise DomainError(f"a CHSH labeling needs 4 names, not {len(labeling)}")
     a1, a2, b1, b2 = labeling
 
     def correlator(a_name: str, b_name: str) -> Fraction:

@@ -13,7 +13,12 @@ context inputs-union-outputs, yields a no-signalling empirical model: its
 input and output marginals both reproduce the corresponding marginals of
 the stationary distribution, which forces agreement on every overlap.  Both
 facts are checked exactly rather than assumed, in the one pass per node that
-builds its distribution (`_node_delta`).
+builds its distribution (`_node_delta`).  That pass reads the stationary
+distribution once, as the integers of its marginal on the node's context:
+the row and column sums of that marginal are the stationary marginals on the
+inputs and on the outputs, and the node weights and both checks are integer
+sums over one denominator.  Fractions are built only for the returned
+weights and the reported mismatches.
 
 `empirical_node_frequencies` is the Monte Carlo counterpart: it counts the
 same (input, output) events along a trajectory of state indices from
@@ -26,6 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
+from math import lcm
 from typing import Sequence
 
 from .errors import DomainError, StructureError
@@ -109,36 +115,48 @@ def _node_delta(
     node: ProcessTensor, stationary: Distribution
 ) -> tuple[NodeDistribution, MarginalCheck]:
     """A node's distribution and its marginal check, from one stationary
-    marginal on the node's inputs (which also weights its rows) and one on
-    its outputs, compared with the node's row and column sums."""
-    # without internals, rows are input sections and columns output sections,
-    # so (row, col) is the section row * n_cols + col of the context
-    input_names = tuple(v.name for v in node.inputs)
-    output_names = tuple(v.name for v in node.outputs)
-    on_inputs = marginalize(stationary, input_names).weights
-    on_outputs = marginalize(stationary, output_names).weights
-    n_cols = len(on_outputs)
-    weights = [ZERO] * (len(node.rows) * n_cols)
-    for r, (base, (common, row)) in enumerate(zip(on_inputs, node.rows)):
-        if base:
-            base /= common
-            for c, a in row:
-                weights[r * n_cols + c] = base * a
-    dist = Distribution(node.inputs + node.outputs, weights)
-    row_sums = [sum(weights[r : r + n_cols], ZERO) for r in range(0, len(weights), n_cols)]
-    col_sums = [sum(weights[c::n_cols], ZERO) for c in range(n_cols)]
+    marginal on the node's context, read as its integers `(d, joint)`.
+
+    Without internals, rows are input sections and columns output sections,
+    so section r * n_cols + c of the context is (row r, column c), and the
+    row and column sums of `joint` are the stationary marginals on the
+    inputs and on the outputs.  Row r, entries a_rc over l_r, is weighted by
+    its input sum n_r: the node weights are n_r (L / l_r) a_rc over d L, L
+    the lcm of the l_r of the rows with n_r > 0 (a row with n_r = 0 adds
+    zeros).  The checks compare the integer row and column sums of those
+    weights with the stationary sums times L; Fractions are built only for
+    the node weights and the mismatches.
+    """
+    context = tuple(v.name for v in node.inputs + node.outputs)
+    d, joint = marginalize(stationary, context)._integers
+    n_cols = section_count(node.outputs)
+    on_inputs, on_outputs = _margins(joint, n_cols)
+    common = lcm(*(l for n, (l, _) in zip(on_inputs, node.rows) if n))
+    nums = [0] * len(joint)
+    for r, (n, (l, row)) in enumerate(zip(on_inputs, node.rows)):
+        for c, a in row:
+            nums[r * n_cols + c] = n * common // l * a
+    dist = Distribution(node.inputs + node.outputs, [Fraction(n, d * common) for n in nums])
+    row_sums, col_sums = _margins(nums, n_cols)
     check = MarginalCheck(
         node.name,
-        _mismatches(node.inputs, row_sums, on_inputs),
-        _mismatches(node.outputs, col_sums, on_outputs),
+        _mismatches(node.inputs, row_sums, [n * common for n in on_inputs], d * common),
+        _mismatches(node.outputs, col_sums, [m * common for m in on_outputs], d * common),
     )
-    return NodeDistribution(node.name, input_names + output_names, dist), check
+    return NodeDistribution(node.name, context, dist), check
 
 
-def _mismatches(variables, lhs, rhs) -> tuple:
-    # sections are labelled only where the two marginals differ
+def _margins(values: Sequence[int], n_cols: int) -> tuple[list[int], list[int]]:
+    """The row sums and the column sums of values, read as rows of n_cols."""
+    rows = [sum(values[r : r + n_cols]) for r in range(0, len(values), n_cols)]
+    return rows, [sum(values[c::n_cols]) for c in range(n_cols)]
+
+
+def _mismatches(variables, lhs, rhs, scale) -> tuple:
+    # lhs and rhs are numerators over scale; sections are labelled and
+    # weights built only where the two differ
     return tuple(
-        (section_at(variables, k).outcomes, a, b)
+        (section_at(variables, k).outcomes, Fraction(a, scale), Fraction(b, scale))
         for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b
     )
 

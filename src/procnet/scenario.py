@@ -157,14 +157,19 @@ def section_at(variables: Sequence[Variable], index: int) -> Section:
 
 
 def section_index(variables: Sequence[Variable], section) -> int:
-    """Index of a section given as a Section, mapping or outcome tuple."""
+    """Index of a section given as a Section, mapping or outcome tuple.
+
+    The outcomes must be a sequence such as a tuple or a list; a bare str,
+    which would split into one-character outcomes, or a value that is not
+    iterable is a DomainError.
+    """
     if isinstance(section, Section):
         section = section.as_dict()
     if isinstance(section, Mapping):
         if set(section) != {v.name for v in variables}:
             raise DomainError("section does not cover exactly the given variables")
         section = [section[v.name] for v in variables]
-    outcomes = tuple(section)
+    outcomes = _names(section, "a section's outcomes")
     if len(outcomes) != len(variables):
         raise DomainError("outcome tuple length does not match variable list")
     idx = 0

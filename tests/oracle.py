@@ -29,6 +29,12 @@ over every (row, column, node), zero entries included, in Fractions.
 over the weights, where the production code sums the distribution's
 integer numerators over its common denominator.
 
+`fraction_node_delta` is `procnet.empirical._node_delta` on Fractions: it
+marginalizes the stationary distribution onto the node's inputs and onto
+its outputs, weights each row by its input weight over the row's
+denominator, and sums the node's rows and columns in Fractions, where the
+production code reads one integer marginal on the node's context.
+
 `dense_step`, `dense_verify_stationary` and `dense_simulate_chain` are
 `procnet.dynamics.step`, `verify_stationary` and `simulate_chain` on the
 dense rows of the `matrix` view, in Fractions; the simulation samples with
@@ -48,6 +54,7 @@ from procnet.dynamics import (
     _require_closed,
     _require_steps,
 )
+from procnet.empirical import MarginalCheck, NodeDistribution
 from procnet.errors import DomainError
 from procnet.exactlp import FeasibilityResult
 from procnet.process import Network, ProcessTensor, global_variable_order
@@ -59,6 +66,7 @@ from procnet.scenario import (
     _index_table,
     _names,
     _require_state_cap,
+    marginalize,
     section_at,
     section_count,
     section_index,
@@ -313,6 +321,44 @@ def fraction_marginalize(dist: Distribution, names: Iterable[str]) -> Distributi
         if w:
             out[t] += w
     return Distribution(target_vars, tuple(out))
+
+
+def fraction_node_delta(
+    node: ProcessTensor, stationary: Distribution
+) -> tuple[NodeDistribution, MarginalCheck]:
+    """A node's distribution and its marginal check, from one stationary
+    marginal on the node's inputs (which also weights its rows) and one on
+    its outputs, compared with the node's row and column sums."""
+    # without internals, rows are input sections and columns output sections,
+    # so (row, col) is the section row * n_cols + col of the context
+    input_names = tuple(v.name for v in node.inputs)
+    output_names = tuple(v.name for v in node.outputs)
+    on_inputs = marginalize(stationary, input_names).weights
+    on_outputs = marginalize(stationary, output_names).weights
+    n_cols = len(on_outputs)
+    weights = [ZERO] * (len(node.rows) * n_cols)
+    for r, (base, (common, row)) in enumerate(zip(on_inputs, node.rows)):
+        if base:
+            base /= common
+            for c, a in row:
+                weights[r * n_cols + c] = base * a
+    dist = Distribution(node.inputs + node.outputs, weights)
+    row_sums = [sum(weights[r : r + n_cols], ZERO) for r in range(0, len(weights), n_cols)]
+    col_sums = [sum(weights[c::n_cols], ZERO) for c in range(n_cols)]
+    check = MarginalCheck(
+        node.name,
+        _mismatches(node.inputs, row_sums, on_inputs),
+        _mismatches(node.outputs, col_sums, on_outputs),
+    )
+    return NodeDistribution(node.name, input_names + output_names, dist), check
+
+
+def _mismatches(variables, lhs, rhs) -> tuple:
+    # sections are labelled only where the two marginals differ
+    return tuple(
+        (section_at(variables, k).outcomes, a, b)
+        for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b
+    )
 
 
 def dense_step(sigma: ProcessTensor, dist: Distribution) -> Distribution:

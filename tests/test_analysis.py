@@ -88,20 +88,24 @@ def test_one_analyze_call_runs_each_stage_once(monkeypatch, name, omega, context
     "name, omega",
     [("triangle", "sixcycle"), ("chsh", "solve"), ("product", "solve"), ("chain", "exact")],
 )
-def test_one_analyze_call_marginalizes_the_stationary_distribution_twice_per_node(
+def test_one_analyze_call_marginalizes_the_stationary_distribution_once_per_node(
     monkeypatch, name, omega
 ):
-    # once on each node's inputs and once on its outputs; the witness check
-    # also marginalizes a distribution over every state, so sources are
-    # compared by identity, and every source is kept alive until then
+    # once per node, onto its context (inputs then outputs); the witness
+    # check also marginalizes a distribution over every state, so sources
+    # are compared by identity, and every source is kept alive until then
     nf = load_network_file(bundled_network_path(name))
-    sources = []
-    count_calls(monkeypatch, marginalize, Counter(), key=lambda d, _: sources.append(d))
+    calls = []
+    count_calls(
+        monkeypatch, marginalize, Counter(), key=lambda d, names: calls.append((d, names))
+    )
 
     a = analyze(nf, omega)
 
     stationary = a.stationary.distribution
-    assert sum(d is stationary for d in sources) == 2 * len(nf.network.nodes)
+    assert [tuple(names) for d, names in calls if d is stationary] == [
+        tuple(v.name for v in node.inputs + node.outputs) for node in nf.network.nodes
+    ]
 
 
 def test_an_empty_network_is_a_structure_error(capsys, tmp_path):

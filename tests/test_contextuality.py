@@ -287,6 +287,21 @@ class TestChsh:
         with pytest.raises(DomainError):
             chsh_value(triangle_model())
 
+    @pytest.mark.parametrize(
+        "labeling",
+        [("A1",), ("A1", "A2", "B1", "B2", "A1"), (), "abcd", "A1A2B1B2", 4],
+    )
+    def test_a_labeling_must_be_a_sequence_of_four_names(self, labeling):
+        # a str would split into one-character names, and a wrong count
+        # failed to unpack
+        with pytest.raises(DomainError, match="a CHSH labeling"):
+            chsh_value(chsh_box(), labeling)
+
+    def test_a_labeling_may_be_a_list(self):
+        report = chsh_value(chsh_box(), ["A1", "A2", "B1", "B2"])
+        assert report.value == 4
+        assert report.labeling == ("A1", "A2", "B1", "B2")
+
 
 class TestVorobev:
     def test_triangle_is_irregular(self):
@@ -361,6 +376,27 @@ class TestSectionCap:
         with pytest.raises(ResourceLimitError, match=message):
             is_strongly_contextual(model)
         assert not is_strongly_contextual(chain_model(10))  # 1024 is admitted
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            global_section_system,
+            decide_contextuality,
+            lambda model: verify_infeasibility_certificate(model, [0] * 23),
+        ],
+        ids=["system", "decide", "certificate"],
+    )
+    def test_every_constraint_system_is_capped(self, build):
+        # 11 singleton contexts: 23 rows over 2048 global sections, refused
+        # before any row is built
+        variables = tuple(Variable(f"X{k}", BINARY) for k in range(11))
+        model = EmpiricalModel(
+            MeasurementScenario(variables, tuple((v.name,) for v in variables)),
+            tuple(Distribution.uniform((v,)) for v in variables),
+        )
+        message = "state space of size 2048 exceeds the cap of 1024"
+        with pytest.raises(ResourceLimitError, match=message):
+            build(model)
 
 
 class TestCertificateShape:

@@ -315,6 +315,12 @@ class TestSimulate:
             trail = simulate_chain(triangle_sigma, start, steps=3, seed=seed)
             assert list(trail) == expected
 
+    @pytest.mark.parametrize("init", ["0000", "0", 5])
+    def test_initial_outcomes_must_be_a_sequence_other_than_a_str(self, chsh_sigma, init):
+        # "0000" would split into the four outcomes of state 0
+        with pytest.raises(DomainError, match="a section's outcomes"):
+            simulate_chain(chsh_sigma, init, 5, 1)
+
     def test_flip_chain_alternates(self):
         sigma = closed_tensor("flip", 1, ((F(0), F(1)), (F(1), F(0))))
         trail = simulate_chain(sigma, ("0",), steps=4, seed=11)

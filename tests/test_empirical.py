@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 from random import Random
@@ -25,9 +26,11 @@ from procnet import (
     validate_empirical_model,
     verify_marginal_theorem,
 )
+from procnet.empirical import _node_delta
 from procnet.errors import DomainError, StationarityError, StructureError
 from builders import deterministic_process, uniform_process
-from generators import random_closed_network
+from generators import random_closed_network, random_distribution
+from oracle import fraction_node_delta
 from procnet.scenario import iter_outcome_tuples
 
 F = Fraction
@@ -149,6 +152,82 @@ class TestMarginalTheorem:
                     )
                     seen += len(got)
         assert seen > 0
+
+
+def hand_built_node(rng: Random, node: ProcessTensor, omega: Distribution) -> ProcessTensor:
+    """node with some rows that are not probability rows: two rows of
+    positive input weight w_i, w_j scaled by 1 + x / w_i and 1 - x / w_j, so
+    the node weights still sum to 1 while its row and column sums move; or
+    one such row doubled or negated, so they do not."""
+    weights = marginalize(omega, [v.name for v in node.inputs]).weights
+    positive = [r for r, w in enumerate(weights) if w]
+    matrix = [list(row) for row in node.matrix]
+    if len(positive) >= 2 and rng.random() < 0.8:
+        i, j = rng.sample(positive, 2)
+        x = weights[j] * F(rng.randint(1, 4), 5)
+        matrix[i] = [e * (1 + x / weights[i]) for e in matrix[i]]
+        matrix[j] = [e * (1 - x / weights[j]) for e in matrix[j]]
+    else:
+        r = rng.choice(positive)
+        matrix[r] = [e * rng.choice((2, -1)) for e in matrix[r]]
+    return ProcessTensor.from_matrix(node.name, node.inputs, (), node.outputs, matrix)
+
+
+def node_delta_cases(seed: int):
+    """(node, omega) pairs on one random closed network: stationary, random
+    and point-mass omegas, each with the network's nodes and hand-built ones."""
+    rng = Random(seed)
+    net = random_closed_network(rng, allow_zeros=rng.random() < 0.5)
+    sigma = contract_network(net)
+    omegas = (
+        find_stationary(sigma).distribution,
+        random_distribution(rng, sigma.internals),
+        Distribution.point_mass(sigma.internals, section_at(sigma.internals, 0)),
+    )
+    for omega in omegas:
+        for node in net.nodes:
+            yield node, omega
+            yield hand_built_node(rng, node, omega), omega
+
+
+def same_as_the_fraction_node_delta(node: ProcessTensor, omega: Distribution):
+    """_node_delta's result, required equal to the oracle's; None where both
+    raise the same DomainError."""
+    try:
+        expected = fraction_node_delta(node, omega)
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+            _node_delta(node, omega)
+        return None
+    got = _node_delta(node, omega)
+    assert got == expected
+    nd, check = got
+    assert all(type(w) is Fraction for w in nd.distribution.weights)
+    for _, a, b in check.input_mismatches + check.output_mismatches:
+        assert type(a) is Fraction and type(b) is Fraction
+    return got
+
+
+class TestNodeDeltaAgainstFractions:
+    def test_equal_results_on_random_networks_and_hand_built_nodes(self):
+        seen = Counter()
+        for seed in range(30):
+            for node, omega in node_delta_cases(seed):
+                got = same_as_the_fraction_node_delta(node, omega)
+                if got is None:
+                    seen["error"] += 1
+                    continue
+                seen["input"] += bool(got[1].input_mismatches)
+                seen["output"] += bool(got[1].output_mismatches)
+                seen["both"] += bool(got[1].input_mismatches and got[1].output_mismatches)
+                seen["ok"] += got[1].ok
+        assert min(seen[k] for k in ("error", "input", "output", "both", "ok")) > 0, seen
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_equal_results_for_any_seed(self, seed):
+        for node, omega in node_delta_cases(seed):
+            same_as_the_fraction_node_delta(node, omega)
 
 
 class TestBuildEmpiricalModel:

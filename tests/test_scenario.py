@@ -81,6 +81,20 @@ class TestSections:
             with pytest.raises(DomainError, match="must be strings"):
                 Section(assignment)
 
+    @pytest.mark.parametrize("outcomes", ["01", "0a", 5, None])
+    def test_outcomes_must_be_a_sequence_other_than_a_str(self, outcomes):
+        # a str would split into one outcome per character
+        xy = (Variable("X", BINARY), Variable("Y", BINARY))
+        with pytest.raises(DomainError, match="a section's outcomes"):
+            section_index(xy, outcomes)
+        with pytest.raises(DomainError, match="a section's outcomes"):
+            Distribution.point_mass(xy, outcomes)
+
+    def test_outcomes_may_be_a_list_a_mapping_or_a_section(self):
+        xy = (Variable("X", BINARY), Variable("Y", BINARY))
+        for section in (["1", "0"], {"Y": "0", "X": "1"}, Section((("X", "1"), ("Y", "0")))):
+            assert section_index(xy, section) == 2
+
     def test_enumeration_is_lexicographic(self):
         x = Variable("X", BINARY)
         y = Variable("Y", ("a", "b", "c"))
