@@ -215,9 +215,8 @@ def detect_chsh_labeling(
         return None
     if any(len(ctx) != 2 for ctx in scenario.maximal_contexts):
         return None
+    # four distinct edges: a scenario's maximal contexts are incomparable
     edges = {frozenset(ctx) for ctx in scenario.maximal_contexts}
-    if len(edges) != 4:
-        return None
     names = [v.name for v in scenario.variables]
     a1 = names[0]
     neighbors = sorted(

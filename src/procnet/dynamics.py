@@ -3,13 +3,15 @@
 A closed process is a Markov chain on the sections of its internal
 variables: row = state at time t, column = state at time t+1.  Stationary
 distributions are computed exactly by restricting the chain to a recurrent
-communicating class and solving the balance equations by p-adic lifting with
-rational reconstruction (`exactlp.solve_linear_fraction_free`); the result
-is a vertex of the polytope {w (M - Id) = 0, w >= 0, sum w = 1} and is
-returned only after the exact fixed-point check `verify_stationary`, which
-reads only the process and the distribution and compares integers.  Power
-iteration is deliberately not used: the interesting chains here are
-periodic permutations on which it does not converge.
+communicating class (the classes come from Kosaraju's two iterative
+depth-first passes, `_strongly_connected_components`) and solving the
+balance equations by p-adic lifting with rational reconstruction
+(`exactlp.solve_linear_fraction_free`); the result is a vertex of the
+polytope {w (M - Id) = 0, w >= 0, sum w = 1} and is returned only after the
+exact fixed-point check `verify_stationary`, which reads only the process
+and the distribution and compares integers.  Power iteration is
+deliberately not used: the interesting chains here are periodic
+permutations on which it does not converge.
 
 `step` and `verify_stationary` share one integer product of a distribution
 and the process rows, `_integer_product`: it reads the distribution's own
@@ -151,50 +153,49 @@ def _support_graph(sigma: ProcessTensor) -> list[list[int]]:
 
 
 def _strongly_connected_components(succ: list[list[int]]) -> list[list[int]]:
+    """The communicating classes of the graph `succ`, each sorted (Kosaraju).
+
+    A depth-first search over `succ` lists the states in the order their
+    searches finish.  Walking that list backwards, each state not yet
+    labelled collects, over the reversed edges, every unlabelled state that
+    reaches it: one class per such root.  Both searches keep explicit
+    stacks, so a long path does not run into the recursion limit.
+    """
     n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = 0
-    components: list[list[int]] = []
+    seen = [False] * n
+    finished: list[int] = []
     for root in range(n):
-        if index[root] != -1:
+        if seen[root]:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, edge = work[-1]
-            if edge == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            for k in range(edge, len(succ[v])):
-                w = succ[v][k]
-                if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    descended = True
+        seen[root] = True
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            v, edges = stack[-1]
+            for w in edges:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(succ[w])))
                     break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if descended:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
+            else:
+                finished.append(v)
+                stack.pop()
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for v, targets in enumerate(succ):
+        for w in targets:
+            pred[w].append(v)
+    labelled = [False] * n
+    components: list[list[int]] = []
+    for root in reversed(finished):
+        if labelled[root]:
+            continue
+        labelled[root] = True
+        comp = [root]
+        for v in comp:  # also visits the states appended below
+            for w in pred[v]:
+                if not labelled[w]:
+                    labelled[w] = True
                     comp.append(w)
-                    if w == v:
-                        break
-                components.append(sorted(comp))
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
+        components.append(sorted(comp))
     return components
 
 

@@ -50,6 +50,7 @@ from .scenario import (
     EmpiricalModel,
     MeasurementScenario,
     _index_table,
+    _require_structure_caps,
     marginalize,
     section_at,
     section_count,
@@ -84,7 +85,12 @@ class MarginalCheck:
 
 
 def _require_closed_reciprocity_free(net: Network) -> None:
-    """The structure check every analysis starts with (StructureError)."""
+    """The structure check every analysis starts with: a network over the
+    node or variable cap is a ResourceLimitError, before any pairwise work;
+    an open network or one with reciprocities a StructureError."""
+    _require_structure_caps(
+        len(net.nodes), len({v.name for node in net.nodes for v in node.variables})
+    )
     shape = classify_network(net)
     if not shape.closed:
         raise StructureError(

@@ -16,9 +16,12 @@ code (SIMD within a register, as in `rng.SplitMix64.blocks`).  Lanes are not
 reduced after each step; w is wide enough for every step to the last
 (delayed modular reduction, Dumas, Giorgi and Pernet, ACM TOMS 35, 2008),
 and a lane is reduced modulo p only where its value is read.  Ints enter
-lanes only through `_pack` (one `int.to_bytes` per value, joined) and leave
-them only through `_unpack_mod` (slices of one `int.to_bytes`), for lanes of
-any width.
+lanes only through `_pack` (one `int.to_bytes` per value, joined), for
+lanes of any width.  They leave by three reads: `_unpack_mod` reduces the
+lowest lanes of a row, slices of one `int.to_bytes`; `_lu_mod` and the
+triangular `sweep` read lane 0 alone, by a mask, and reduce it; and
+`_residual_divider` reads its own biased lanes back by slicing one
+`to_bytes`, exact and unreduced.
 
 The simplex minimizes the sum of one artificial variable per row (rows are
 sign-normalized so the right-hand side is nonnegative).  Bland's smallest

@@ -33,6 +33,11 @@ DEFAULT_MAX_STATES = 1024
 # Contraction forms one integer product per nonzero of the global process;
 # the cap admits every strictly positive chain of 9 binary wires (512 x 512).
 DEFAULT_MAX_NONZEROS = 2**18
+# The structure stages compare nodes and contexts pairwise, and variables of
+# one outcome leave the state count at 1; a ring of 128 nodes and 4 such
+# wires per arrow (512 variables) is analyzed in about 0.3 s.
+DEFAULT_MAX_NODES = 128
+DEFAULT_MAX_VARIABLES = 512
 
 
 def _require_state_cap(n: int) -> None:
@@ -49,6 +54,17 @@ def _require_nonzero_cap(n: int) -> None:
         raise ResourceLimitError(
             f"global process of {n} nonzeros exceeds the cap of {DEFAULT_MAX_NONZEROS}"
         )
+
+
+def _require_structure_caps(n_nodes: int, n_variables: int) -> None:
+    """Raise ResourceLimitError when a network's nodes or global variables
+    exceed DEFAULT_MAX_NODES or DEFAULT_MAX_VARIABLES."""
+    for n, cap, what in (
+        (n_nodes, DEFAULT_MAX_NODES, "nodes"),
+        (n_variables, DEFAULT_MAX_VARIABLES, "global variables"),
+    ):
+        if n > cap:
+            raise ResourceLimitError(f"structure check: {n} {what} exceed the cap of {cap}")
 
 
 def _names(values, what: str) -> tuple:
@@ -435,12 +451,14 @@ def validate_empirical_model(
         raise DomainError("tol must be nonnegative")
     order = [v.name for v in em.scenario.variables]
     ctxs = em.scenario.maximal_contexts
+    name_sets = [set(ctx) for ctx in ctxs]
     violations: list[OverlapViolation] = []
     for i in range(len(ctxs)):
         for j in range(i + 1, len(ctxs)):
-            common = [n for n in order if n in set(ctxs[i]) and n in set(ctxs[j])]
-            if not common:
+            shared = name_sets[i] & name_sets[j]
+            if not shared:
                 continue
+            common = [n for n in order if n in shared]
             mi = marginalize(em.context_distributions[i], common)
             mj = marginalize(em.context_distributions[j], common)
             for k, outcomes in enumerate(iter_outcome_tuples(mi.variables)):

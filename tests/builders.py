@@ -2,9 +2,10 @@
 
 `deterministic_process` and `uniform_process` build internal-free
 processes from a rule or as uniform rows, `reorder_process` permutes the
-variables within each role, and `iter_sections` and `restrict_section`
-list and project sections.  None of them is needed for a verdict, so they
-live here rather than in the package.
+variables within each role, `iter_sections` and `restrict_section` list
+and project sections, and `one_outcome_cycle_doc` writes a network file
+document of any size over one state.  None of them is needed for a
+verdict, so they live here rather than in the package.
 """
 from __future__ import annotations
 
@@ -95,3 +96,23 @@ def restrict_section(section: Section, names: Iterable[str]) -> Section:
     if len(set(names)) != len(names):
         raise DomainError("restriction names must be distinct")
     return Section(tuple((n, lookup[n]) for n in names))
+
+
+def one_outcome_cycle_doc(n_nodes: int, wires: int):
+    """A directed cycle of n_nodes relays, each arrow `wires` variables of one
+    outcome: one state whatever the size, so the state cap never refuses it."""
+    names = [[f"W{k}_{j}" for j in range(wires)] for k in range(n_nodes)]
+    return {
+        "format_version": 1,
+        "variables": [{"name": n, "alphabet": ["0"]} for arrow in names for n in arrow],
+        "nodes": [
+            {
+                "name": f"relay{k}",
+                "inputs": names[k],
+                "internals": [],
+                "outputs": names[(k + 1) % n_nodes],
+                "matrix": [["1"]],
+            }
+            for k in range(n_nodes)
+        ],
+    }

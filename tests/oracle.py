@@ -40,6 +40,12 @@ production code reads one integer marginal on the node's context.
 dense rows of the `matrix` view, in Fractions; the simulation samples with
 thresholds over every column, zero entries included, and clamps a draw past
 the row's mass to the last column.
+
+`tarjan_components` is the iterative Tarjan that
+`procnet.dynamics._strongly_connected_components` replaced (low-links,
+on-stack flags and a work stack of edge indices): the same partition of a
+successor-list graph into strongly connected classes, each sorted, found in
+one pass instead of Kosaraju's two.
 """
 from __future__ import annotations
 
@@ -438,3 +444,51 @@ def dense_simulate_chain(
         state = dense_sample_index(rng, t)
         trail.append(state)
     return tuple(trail)
+
+
+def tarjan_components(succ: list[list[int]]) -> list[list[int]]:
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    counter = 0
+    components: list[list[int]] = []
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work: list[tuple[int, int]] = [(root, 0)]
+        while work:
+            v, edge = work[-1]
+            if edge == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            descended = False
+            for k in range(edge, len(succ[v])):
+                w = succ[v][k]
+                if index[w] == -1:
+                    work[-1] = (v, k + 1)
+                    work.append((w, 0))
+                    descended = True
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            if descended:
+                continue
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                components.append(sorted(comp))
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+    return components

@@ -1,9 +1,12 @@
+import json
 import sys
+import time
 from collections import Counter
 
 import pytest
 
 from procnet import (
+    Distribution,
     analyze,
     build_empirical_model,
     bundled_network_path,
@@ -16,14 +19,17 @@ from procnet import (
     load_network_file,
     marginalize,
     node_distribution,
+    parse_network_text,
     validate_empirical_model,
     verify_infeasibility_certificate,
     verify_marginal_theorem,
 )
+from procnet import scenario
 from procnet.cli import main
 from procnet.empirical import _node_delta
-from procnet.errors import StructureError
+from procnet.errors import ResourceLimitError, StructureError
 from procnet.exactlp import farkas_contradiction
+from builders import one_outcome_cycle_doc
 
 
 def count_calls(monkeypatch, func, calls: Counter, key=lambda *args: None):
@@ -116,6 +122,48 @@ def test_an_empty_network_is_a_structure_error(capsys, tmp_path):
 
     assert main(["analyze", str(path)]) == 4
     assert "cannot build a model from an empty network" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "shape, message",
+    [
+        ((1000, 1), "structure check: 1000 nodes exceed the cap of 128"),
+        ((3, 3000), "structure check: 9000 global variables exceed the cap of 512"),
+    ],
+    ids=["ring-1000", "cycle-9000-wires"],
+)
+def test_structure_caps_refuse_analyze_and_the_stage_functions(shape, message):
+    # one state each, so only the node and variable caps can refuse them
+    nf = parse_network_text(json.dumps(one_outcome_cycle_doc(*shape)))
+    net = nf.network
+    # never read: the caps refuse before the distribution is looked at
+    omega = Distribution.uniform(net.nodes[0].inputs)
+    calls = [
+        lambda: analyze(nf),
+        lambda: node_distribution(net, omega, "relay0"),
+        lambda: verify_marginal_theorem(net, omega, "relay0"),
+        lambda: build_empirical_model(net, omega),
+    ]
+    start = time.perf_counter()
+    for call in calls:
+        with pytest.raises(ResourceLimitError, match=message):
+            call()
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "cap, value, message",
+    [
+        ("DEFAULT_MAX_NODES", 3, "4 nodes exceed the cap of 3"),
+        ("DEFAULT_MAX_VARIABLES", 3, "4 global variables exceed the cap of 3"),
+    ],
+)
+def test_structure_caps_are_read_at_call_time(monkeypatch, cap, value, message):
+    # triangle has 3 nodes and 3 variables, chsh 4 and 4
+    monkeypatch.setattr(scenario, cap, value)
+    assert analyze(load_network_file(bundled_network_path("triangle"))).verdict
+    with pytest.raises(ResourceLimitError, match=message):
+        analyze(load_network_file(bundled_network_path("chsh")))
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from procnet import bundled_network_path
 from procnet.cli import build_parser, main
+from builders import one_outcome_cycle_doc
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -220,6 +221,15 @@ class TestAnalyze:
         assert "strongly contextual: yes" in out
         assert "Vorobev-regular: no" in out
 
+    def test_human_report_renders_an_applicable_chsh(self, capsys):
+        code, out, _ = run(capsys, "analyze", str(bundled_network_path("chsh")))
+        assert code == 0
+        assert (
+            "CHSH: value 4 (labeling A1, A2, B1, B2; classical bound 2, "
+            "quantum bound squared 8, box bound 4)\n"
+            "  violates classical bound: yes; violates quantum bound: yes\n"
+        ) in out
+
     def test_unknown_omega_name_exits_5(self, capsys):
         code, _, err = run(
             capsys,
@@ -332,6 +342,34 @@ class TestAnalyze:
         assert time.perf_counter() - start < 1.0
         assert code == 3
         assert "global process of 1048576 nonzeros exceeds the cap of 262144" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ((1000, 1), "structure check: 1000 nodes exceed the cap of 128"),
+            ((3, 3000), "structure check: 9000 global variables exceed the cap of 512"),
+        ],
+        ids=["ring-1000", "cycle-9000-wires"],
+    )
+    def test_structure_caps_refuse_before_pairwise_work(
+        self, capsys, tmp_path, command, shape, message
+    ):
+        # one state each; without the caps, analyze spent 80 s on the ring
+        # and 14 s on the cycle in the pairwise structure checks
+        path = write(tmp_path, one_outcome_cycle_doc(*shape))
+        argv = ("--node", "relay0", "--steps", "10") if command == "simulate" else ()
+        start = time.perf_counter()
+        code, _, err = run(capsys, command, path, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert message in err
+
+    def test_structure_caps_admit_a_network_at_both_caps(self, capsys, tmp_path):
+        # 128 nodes and 4 wires per arrow: exactly 128 nodes, 512 variables
+        code, out, _ = run(capsys, "analyze", write(tmp_path, one_outcome_cycle_doc(128, 4)))
+        assert code == 0
+        assert "contextual: no" in out
 
 
 class TestSimulate:

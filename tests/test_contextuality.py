@@ -6,6 +6,8 @@ from random import Random
 import pytest
 
 from procnet import (
+    ChshReport,
+    ContextualityVerdict,
     Distribution,
     EmpiricalModel,
     MeasurementScenario,
@@ -104,6 +106,17 @@ def ternary_model():
         (("A", "B"), ("B", "C"), ("C", "A")),
     )
     return family_by_global_marginals(Random(13), scenario)
+
+
+def ternary_square():
+    """The CHSH square with A1 ternary, uniform in every context."""
+    variables = (Variable("A1", ("0", "1", "2")),) + tuple(
+        Variable(n, BINARY) for n in ("B1", "A2", "B2")
+    )
+    scenario = MeasurementScenario(variables, chsh_scenario().maximal_contexts)
+    contexts = scenario.maximal_contexts
+    uniform = [Distribution.uniform(scenario.context_variables(c)) for c in contexts]
+    return EmpiricalModel(scenario, uniform)
 
 
 def oracle_feasible(rows, rhs) -> bool:
@@ -296,6 +309,44 @@ class TestChsh:
         # failed to unpack
         with pytest.raises(DomainError, match="a CHSH labeling"):
             chsh_value(chsh_box(), labeling)
+
+    @pytest.mark.parametrize(
+        "sizes, contexts",
+        [
+            ((2, 2, 2, 3), (("A", "B"), ("B", "C"), ("C", "D"), ("D", "A"))),
+            ((2, 2, 2, 2), (("A", "B", "C"), ("A", "D"), ("B", "D"), ("C", "D"))),
+            ((2, 2, 2, 2), (("A", "B"), ("A", "C"), ("A", "D"), ("B", "C"))),
+            ((2, 2, 2, 2), (("A", "B"), ("A", "C"), ("B", "C"), ("C", "D"))),
+        ],
+        ids=["ternary-variable", "three-variable-context", "three-neighbours", "not-a-cycle"],
+    )
+    def test_detection_rejects_every_other_shape(self, sizes, contexts):
+        variables = tuple(
+            Variable(name, ("0", "1", "2")[:size]) for name, size in zip("ABCD", sizes)
+        )
+        assert detect_chsh_labeling(MeasurementScenario(variables, contexts)) is None
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: chsh_value(ternary_square(), ("A1", "A2", "B1", "B2")),
+                "CHSH needs two-outcome variables",
+            ),
+            (
+                lambda: ContextualityVerdict(False, True, None, None, None, ""),
+                "strong contextuality implies contextuality",
+            ),
+            (
+                lambda: ChshReport(F(5), (F(1),) * 4, (1, 1, 1, -1), ("A1", "A2", "B1", "B2")),
+                r"CHSH value must lie in \[0, 4\]",
+            ),
+        ],
+        ids=["non-binary", "verdict", "report"],
+    )
+    def test_domain_errors(self, call, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            call()
 
     def test_a_labeling_may_be_a_list(self):
         report = chsh_value(chsh_box(), ["A1", "A2", "B1", "B2"])

@@ -3,7 +3,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from procnet import (
@@ -26,9 +26,17 @@ from oracle import (
     dense_step,
     dense_verify_stationary,
     solve_linear,
+    tarjan_components,
 )
 from procnet import scenario
-from procnet.dynamics import MAX_STEPS, _recurrent_class
+from procnet.dynamics import (
+    MAX_STEPS,
+    StationaryResult,
+    _recurrent_class,
+    _strongly_connected_components,
+    _support_graph,
+    require_stationary,
+)
 from procnet.errors import DomainError, ResourceLimitError
 from procnet.rng import _LANES as LANES
 from generators import random_closed_network, random_stochastic_rows
@@ -281,9 +289,43 @@ class TestFindStationary:
             find_stationary(sigma)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        step,
+        verify_stationary,
+        require_stationary,
+        lambda sigma, dist: simulate_chain(sigma, dist, 50, 9),
+    ],
+    ids=["step", "verify_stationary", "require_stationary", "simulate_chain"],
+)
+def test_a_distribution_over_permuted_variables_is_aligned(run):
+    # the same distribution with its variables in reverse order gives the
+    # same result as in the process's order
+    sigma = contract_network(random_closed_network(Random(25), near_uniform=True))
+    pi = find_stationary(sigma).distribution
+    permuted = pi.reorder(tuple(reversed(pi.variable_names)))
+    assert permuted.variable_names != pi.variable_names
+    assert run(sigma, permuted) == run(sigma, pi)
+
+
+@pytest.mark.parametrize(
+    "method, residual, message",
+    [
+        ("guess", F(0), "unknown method 'guess'"),
+        ("lp_vertex", F(1, 2), "method 'lp_vertex' requires residual 0"),
+    ],
+)
+def test_stationary_result_checks_its_provenance(triangle_sigma, method, residual, message):
+    dist = Distribution.uniform(triangle_sigma.internals)
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        StationaryResult(dist, method, residual)
+
 class TestStructure:
     def test_triangle_permutation_is_reducible(self, triangle_sigma):
         assert not is_irreducible(triangle_sigma)
+        with pytest.raises(DomainError, match="only defined for irreducible chains"):
+            chain_period(triangle_sigma)
 
     def test_flip_chain_period_two(self):
         sigma = closed_tensor("flip", 1, ((F(0), F(1)), (F(1), F(0))))
@@ -295,6 +337,80 @@ class TestStructure:
         rng = Random(24)
         net = random_closed_network(rng, near_uniform=True)
         assert is_ergodic(contract_network(net))
+
+
+@st.composite
+def successor_lists(draw):
+    """A graph as successor lists under shuffled state labels: closed cycles
+    of 1-6 states (a 1-cycle is a self-loop), a path of up to 40 transient
+    states into them, states with no successor, and up to 8 random edges,
+    which may merge classes or let a cycle leak."""
+    cycles = draw(st.lists(st.integers(1, 6), max_size=4))
+    path = draw(st.integers(0, 40))
+    sinks = draw(st.integers(0 if cycles or path else 1, 3))
+    n = sum(cycles) + path + sinks
+    state = st.integers(0, n - 1)
+    succ: list[list[int]] = [[] for _ in range(n)]
+    base = 0
+    for size in cycles:
+        for k in range(size):
+            succ[base + k].append(base + (k + 1) % size)
+        base += size
+    for k in range(base, base + path):
+        succ[k].append(k + 1 if k + 1 < base + path else draw(state))
+    for a, b in draw(st.lists(st.tuples(state, state), max_size=8)):
+        if b not in succ[a]:
+            succ[a].append(b)
+    label = draw(st.permutations(range(n)))
+    relabelled: list[list[int]] = [[] for _ in range(n)]
+    for v, targets in enumerate(succ):
+        relabelled[label[v]] = [label[w] for w in targets]
+    return relabelled
+
+
+def partition(components):
+    return sorted(tuple(comp) for comp in components)
+
+
+class TestComponents:
+    @settings(max_examples=300, deadline=None)
+    @given(successor_lists())
+    def test_same_partition_as_tarjan(self, succ):
+        assert partition(_strongly_connected_components(succ)) == partition(
+            tarjan_components(succ)
+        )
+
+    def test_long_path_needs_no_recursion(self):
+        # far deeper than the interpreter's default recursion limit of 1000
+        n = 5000
+        succ = [[v + 1] for v in range(n - 1)] + [[n - 1]]
+        assert partition(_strongly_connected_components(succ)) == [(v,) for v in range(n)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), st.booleans())
+    def test_recurrent_class_is_the_oracle_closed_class(self, seed, contracted):
+        # the closed class with the smallest first state, on reducible chains:
+        # sparse rows (denominators 2 or 3, zeros allowed) of a contracted
+        # network or of a hand-built tensor
+        rng = Random(seed)
+        if contracted:
+            net = random_closed_network(
+                rng, allow_zeros=True, max_denominator=rng.choice((2, 3))
+            )
+            sigma = contract_network(net)
+        else:
+            n_vars = rng.randint(1, 4)
+            rows = random_stochastic_rows(
+                rng, 2**n_vars, 2**n_vars, rng.choice((2, 3)), allow_zeros=True
+            )
+            sigma = closed_tensor("rand", n_vars, rows)
+        succ = _support_graph(sigma)
+        classes = tarjan_components(succ)
+        assume(len(classes) > 1)
+        closed = [
+            comp for comp in classes if all(w in comp for v in comp for w in succ[v])
+        ]
+        assert _recurrent_class(sigma) == min(closed, key=lambda comp: comp[0])
 
 
 class TestSimulate:

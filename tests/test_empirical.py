@@ -26,7 +26,7 @@ from procnet import (
     validate_empirical_model,
     verify_marginal_theorem,
 )
-from procnet.empirical import _node_delta
+from procnet.empirical import NodeDistribution, _node_delta
 from procnet.errors import DomainError, StationarityError, StructureError
 from builders import deterministic_process, uniform_process
 from generators import random_closed_network, random_distribution
@@ -324,6 +324,28 @@ class TestNodeVersusGlobalPair:
         assert nd.distribution.weights != pair.weights
         assert pair.weight(("0", "0")) == F(1, 6)
         assert nd.distribution.weight(("0", "0")) == F(0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda net, sigma: empirical_node_frequencies(sigma, net.node("alpha"), (5,)),
+            "need at least one transition to count frequencies",
+        ),
+        (
+            # the context names the variables in the other order
+            lambda net, sigma: NodeDistribution(
+                "alpha", ("Y", "X"), Distribution.uniform(sigma.internals[:2])
+            ),
+            "distribution variables must equal the context",
+        ),
+    ],
+    ids=["one-state-trajectory", "context-mismatch"],
+)
+def test_domain_errors(triangle_network, triangle_sigma, call, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call(triangle_network, triangle_sigma)
 
 
 class TestEmpiricalFrequencies:

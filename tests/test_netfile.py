@@ -124,6 +124,44 @@ class TestParseErrors:
 
 
 class TestSemanticIssues:
+    @pytest.mark.parametrize(
+        "edit, issues",
+        [
+            (
+                lambda doc: doc["variables"].append({"name": "X", "alphabet": ["0", "1"]}),
+                ("variable 'X' declared twice",),
+            ),
+            (
+                lambda doc: doc["nodes"].append(dict(doc["nodes"][0])),
+                ("node 'a' declared twice",),
+            ),
+            (
+                # the structure check admits it; the Variable constructor does
+                # not, so the nodes reading Y see it undeclared
+                lambda doc: doc["variables"][1].update(alphabet=["0", "0"]),
+                (
+                    "outcomes of 'Y' must be distinct",
+                    "node 'a': undeclared variables ['Y']",
+                    "node 'b': undeclared variables ['Y']",
+                ),
+            ),
+            (
+                lambda doc: doc["nodes"][0].update(matrix=[["-1/2", "3/2"], ["1/2", "1/2"]]),
+                ("node 'a': negative entry -1/2 at (0, 0)",),
+            ),
+            (
+                lambda doc: doc.update(stationary={"w": ["1/4", "1/4", "x", "1/4"]}),
+                ("stationary 'w': not a rational: 'x'",),
+            ),
+        ],
+        ids=["variable-twice", "node-twice", "bad-alphabet", "negative-entry", "bad-weight"],
+    )
+    def test_each_issue_is_reported(self, edit, issues):
+        doc = minimal_doc()
+        edit(doc)
+        check = check_network_text(json.dumps(doc))
+        assert (check.stage, check.issues, check.file) == ("semantic", issues, None)
+
     def test_row_sum_violation_identifies_the_row(self):
         doc = minimal_doc()
         doc["nodes"][0]["matrix"] = [["0.5", "0.4"], ["1/2", "1/2"]]
@@ -221,6 +259,10 @@ class TestEntryFormats:
         nf = parse_network_text(json.dumps(doc))
         node = nf.network.node("a")
         assert node.matrix[1] == (Fraction(1, 4), Fraction(3, 4))
+
+    def test_unknown_bundled_name_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="^no bundled network named 'square'$"):
+            bundled_network_path("square")
 
     def test_bundled_files_load_and_expose_stationary(self):
         nf = load_network_file(bundled_network_path("triangle"))

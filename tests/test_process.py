@@ -482,6 +482,67 @@ class TestNetworkWiring:
             Network((p, q))
 
 
+def internal_node(name, internal="M"):
+    return ProcessTensor.from_matrix(name, (), (var(internal),), (), [[ONE, 0], [0, ONE]])
+
+
+def relay(name, inputs, outputs):
+    return deterministic_process(name, [var(n) for n in inputs], [var(n) for n in outputs], copy)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: relay("", ["I"], ["O"]), DomainError, "process name must be a nonempty string"),
+        (
+            lambda: Network((relay("n", ["X"], ["Y"]), relay("n", ["Y"], ["X"]))),
+            WiringError,
+            "node names must be distinct",
+        ),
+        (
+            lambda: Network((internal_node("a"), internal_node("b"))),
+            WiringError,
+            "internal variable 'M' appears in two nodes",
+        ),
+        (
+            lambda: Network((internal_node("a"), relay("b", ["I"], ["M"]))),
+            WiringError,
+            "internal variable 'M' of 'a' collides with an arrow name",
+        ),
+        (
+            lambda: compose(
+                relay("p", ["I"], ["F"]), relay("q", ["G", "H"], ["O"]), [("F", "G"), ("F", "H")]
+            ),
+            CompositionError,
+            "a variable may appear in at most one link",
+        ),
+        (
+            lambda: compose(relay("p", ["I"], ["F"]), relay("q", ["G"], ["F"]), [("F", "G")]),
+            CompositionError,
+            r"link names \['F'\] already occur in 'q'",
+        ),
+        (
+            # the wiring of the pair is checked by Network, whose error compose
+            # reports as its own
+            lambda: compose(relay("n", ["I"], ["F"]), relay("n", ["G"], ["O"]), []),
+            CompositionError,
+            "node names must be distinct",
+        ),
+    ],
+    ids=[
+        "empty-name",
+        "node-names",
+        "internal-twice",
+        "internal-arrow",
+        "link-twice",
+        "link-name-in-q",
+        "compose-wiring",
+    ],
+)
+def test_constructor_wiring_and_compose_refusals(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
+
 class TestClassify:
     def test_triangle_is_closed(self, triangle_network):
         shape = classify_network(triangle_network)

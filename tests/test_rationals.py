@@ -20,6 +20,8 @@ def test_parse_decimal_string_is_exact():
 
 def test_parse_int_and_float():
     assert parse_rational(3) == Fraction(3)
+    half = Fraction(1, 2)
+    assert parse_rational(half) is half
     # floats go through their shortest repr, recovering the typed decimal
     assert parse_rational(0.1) == Fraction(1, 10)
 

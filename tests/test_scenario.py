@@ -301,6 +301,95 @@ class TestScenario:
             EmpiricalModel(scenario, (bad,))
 
 
+X, Y, Z = (Variable(n, BINARY) for n in "XYZ")
+XY = MeasurementScenario((X, Y), (("X", "Y"),))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Variable("X", ()), "variable 'X' needs at least one outcome"),
+        (lambda: Variable("X", (0, 1)), "outcomes of 'X' must be strings"),
+        (lambda: Section((("X", "0"), ("X", "1"))), "section assigns a variable more than once"),
+        (lambda: Section((("X", "0"),)).outcome("Y"), "section does not cover variable 'Y'"),
+        (lambda: Distribution.uniform((X, X)), "variable names must be distinct"),
+        (lambda: section_at((X, Y), 4), r"section index 4 out of range 0\.\.3"),
+        (
+            lambda: section_index((X, Y), {"X": "0"}),
+            "section does not cover exactly the given variables",
+        ),
+        (
+            lambda: section_index((X, Y), ("0",)),
+            "outcome tuple length does not match variable list",
+        ),
+        (
+            lambda: Distribution((X,), (0.5, 0.5)),
+            "probabilities must be exact rationals, not floats",
+        ),
+        (
+            lambda: Distribution.uniform((X, Y)).reorder(("X", "Z")),
+            "reorder requires a permutation of the variable names",
+        ),
+        (
+            lambda: marginalize(Distribution.uniform((X, Y)), ("X", "X")),
+            "marginalization names must be distinct",
+        ),
+        (lambda: MeasurementScenario((X,), ()), "a scenario needs at least one maximal context"),
+        (lambda: MeasurementScenario((X,), (("X",), ())), "contexts must be nonempty"),
+        (
+            lambda: MeasurementScenario((X,), (("X", "X"),)),
+            r"context \('X', 'X'\) repeats a variable",
+        ),
+        (
+            lambda: MeasurementScenario((X,), (("X", "Y"),)),
+            r"context \('X', 'Y'\) uses undeclared variables \['Y'\]",
+        ),
+        (lambda: XY.variable("Z"), "unknown variable 'Z'"),
+        (lambda: EmpiricalModel(XY, ()), "need exactly one distribution per maximal context"),
+        (
+            lambda: EmpiricalModel(XY, (Distribution.uniform((Variable("X", ("a", "b")), Y)),)),
+            "variable 'X' disagrees with the scenario's declaration",
+        ),
+        (
+            lambda: EmpiricalModel(XY, (Distribution.uniform((X, Y)),)).distribution_for(("X",)),
+            r"no maximal context with variables \['X'\]",
+        ),
+    ],
+    ids=[
+        "empty-alphabet",
+        "non-str-outcomes",
+        "section-twice",
+        "section-outcome",
+        "distinct-names",
+        "section-at-range",
+        "section-mapping",
+        "section-length",
+        "float-weight",
+        "reorder",
+        "marginalize-twice",
+        "no-context",
+        "empty-context",
+        "context-repeats",
+        "context-undeclared",
+        "unknown-variable",
+        "model-count",
+        "model-declaration",
+        "distribution-for",
+    ],
+)
+def test_constructor_and_lookup_domain_errors(call, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
+
+
+def test_section_names_and_outcome_and_distribution_support():
+    section = Section((("Y", "1"), ("X", "0")))
+    assert section.names == ("Y", "X")
+    assert (section.outcome("X"), section.outcome("Y")) == ("0", "1")
+    dist = Distribution((X, Y), (Fraction(1, 2), 0, 0, Fraction(1, 2)))
+    assert dist.support() == (section_at((X, Y), 0), section_at((X, Y), 3))
+    assert [s.outcomes for s in dist.support()] == [("0", "0"), ("1", "1")]
+
 class TestValidateEmpiricalModel:
     def test_triangle_model_is_consistent(self, xyz):
         x, y, z = xyz

@@ -32,7 +32,7 @@ _LAYOUT = {
 }
 
 
-def _docstring_lines(tree: ast.AST) -> set[int]:
+def docstring_lines(tree: ast.AST) -> set[int]:
     """The line numbers spanned by the docstrings of tree."""
     lines: set[int] = set()
     for node in ast.walk(tree):
@@ -50,7 +50,7 @@ def _docstring_lines(tree: ast.AST) -> set[int]:
 
 def code_lines(text: str) -> int:
     """The number of code lines of the Python source text."""
-    docstrings = _docstring_lines(ast.parse(text))
+    docstrings = docstring_lines(ast.parse(text))
     lines: set[int] = set()
     for tok in tokenize.generate_tokens(io.StringIO(text).readline):
         if tok.type not in _LAYOUT:
