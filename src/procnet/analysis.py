@@ -84,7 +84,7 @@ def analyze(nf: NetworkFile, omega: str = "solve") -> Analysis:
     sigma, stationary = stationary_regime(nf, omega)
     pairs = [_node_delta(node, stationary.distribution) for node in net.nodes]
     deltas = tuple(delta for delta, _ in pairs)
-    model, compatibility = _assemble_model(sigma, deltas)
+    model, compatibility = _assemble_model(sigma.internals, deltas)
     labeling = detect_chsh_labeling(model.scenario)
     return Analysis(
         network=net,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from .errors import DomainError
 from .exactlp import farkas_contradiction, feasible_point
@@ -176,17 +176,18 @@ def is_strongly_contextual(em: EmpiricalModel) -> bool:
 class ChshReport:
     """Correlator analysis of a four-context, two-outcome square scenario.
 
-    The quantum bound 2*sqrt(2) is irrational, so it is stored squared:
-    a value v violates it exactly when v*v > tsirelson_squared.
+    The bounds are constants of the class, read as attributes but not
+    arguments.  The quantum bound 2*sqrt(2) is irrational, so it is stored
+    squared: a value v violates it exactly when v*v > tsirelson_squared.
     """
 
     value: Fraction
     correlators: tuple[Fraction, Fraction, Fraction, Fraction]
     term_signs: tuple[int, int, int, int]
     labeling: tuple[str, str, str, str]
-    classical_bound: Fraction = Fraction(2)
-    pr_bound: Fraction = Fraction(4)
-    tsirelson_squared: Fraction = Fraction(8)
+    classical_bound: ClassVar[Fraction] = Fraction(2)
+    pr_bound: ClassVar[Fraction] = Fraction(4)
+    tsirelson_squared: ClassVar[Fraction] = Fraction(8)
 
     def __post_init__(self):
         if not (0 <= self.value <= 4):

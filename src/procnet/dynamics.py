@@ -85,14 +85,20 @@ def _require_closed(sigma: ProcessTensor) -> None:
 
 
 def _aligned(sigma: ProcessTensor, dist: Distribution) -> Distribution:
-    names = tuple(v.name for v in sigma.internals)
-    if dist.variable_names == names:
+    """dist in the variable order of `sigma.internals`.
+
+    Its variables must be those of the process, compared as Variables (name
+    and alphabet) and reordered when only their order differs; anything
+    else, a variable of the same name over another alphabet included, is a
+    DomainError, so no weight is ever read against a row it does not index.
+    """
+    if dist.variables == sigma.internals:
         return dist
-    if set(dist.variable_names) == set(names):
-        return dist.reorder(names)
+    if set(dist.variables) == set(sigma.internals):
+        return dist.reorder(tuple(v.name for v in sigma.internals))
     raise DomainError(
-        f"distribution over {dist.variable_names} does not match "
-        f"the process variables {names}"
+        f"distribution over {echo(dist.variables)} does not match "
+        f"the process variables {echo(sigma.internals)}"
     )
 
 
@@ -259,16 +265,16 @@ def find_stationary(sigma: ProcessTensor) -> StationaryResult:
     return StationaryResult(dist, "lp_vertex", ZERO)
 
 
-def is_irreducible(sigma: ProcessTensor) -> bool:
+def _irreducible_support(sigma: ProcessTensor) -> list[list[int]] | None:
+    """The support graph of the closed sigma, or None when the chain is
+    reducible: one graph and one pass of `_strongly_connected_components`."""
     _require_closed(sigma)
-    return len(_strongly_connected_components(_support_graph(sigma))) == 1
-
-
-def chain_period(sigma: ProcessTensor) -> int:
-    """Period of an irreducible chain (gcd of its cycle lengths)."""
-    if not is_irreducible(sigma):
-        raise DomainError("period is only defined for irreducible chains")
     succ = _support_graph(sigma)
+    return succ if len(_strongly_connected_components(succ)) == 1 else None
+
+
+def _period(succ: list[list[int]]) -> int:
+    """Period of an irreducible support graph (gcd of its cycle lengths)."""
     level = {0: 0}
     frontier = [0]
     g = 0
@@ -285,9 +291,22 @@ def chain_period(sigma: ProcessTensor) -> int:
     return abs(g) if g else 1
 
 
+def is_irreducible(sigma: ProcessTensor) -> bool:
+    return _irreducible_support(sigma) is not None
+
+
+def chain_period(sigma: ProcessTensor) -> int:
+    """Period of an irreducible chain (gcd of its cycle lengths)."""
+    succ = _irreducible_support(sigma)
+    if succ is None:
+        raise DomainError("period is only defined for irreducible chains")
+    return _period(succ)
+
+
 def is_ergodic(sigma: ProcessTensor) -> bool:
     """Irreducible and aperiodic, hence convergent from every start."""
-    return is_irreducible(sigma) and chain_period(sigma) == 1
+    succ = _irreducible_support(sigma)
+    return succ is not None and _period(succ) == 1
 
 
 def _require_steps(steps: int, least: int = 0) -> None:

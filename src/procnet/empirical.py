@@ -20,6 +20,14 @@ inputs and on the outputs, and the node weights and both checks are integer
 sums over one denominator.  Fractions are built only for the returned
 weights and the reported mismatches.
 
+The three stage functions (`node_distribution`, `verify_marginal_theorem`,
+`build_empirical_model`) take only a network and a distribution, and each
+runs the one checked path `_checked_setup` before it reads a node: the
+structure check, contraction, and the exact fixed-point check of the
+distribution against that network's own global process.  So only a
+stationary regime reaches a node distribution or a model; `analyze` runs
+the same checks once for all the nodes of a network file.
+
 `empirical_node_frequencies` is the Monte Carlo counterpart: it counts the
 same (input, output) events along a trajectory of state indices from
 `dynamics.simulate_chain`, through restriction index tables, without
@@ -41,14 +49,16 @@ from .process import (
     classify_network,
     contract_network,
     find_reciprocities,
+    global_variable_order,
 )
-from .dynamics import _aligned, require_stationary
+from .dynamics import require_stationary
 from .scenario import (
     ZERO,
     CompatibilityReport,
     Distribution,
     EmpiricalModel,
     MeasurementScenario,
+    Variable,
     _index_table,
     _require_structure_caps,
     marginalize,
@@ -88,9 +98,7 @@ def _require_closed_reciprocity_free(net: Network) -> None:
     """The structure check every analysis starts with: a network over the
     node or variable cap is a ResourceLimitError, before any pairwise work;
     an open network or one with reciprocities a StructureError."""
-    _require_structure_caps(
-        len(net.nodes), len({v.name for node in net.nodes for v in node.variables})
-    )
+    _require_structure_caps(len(net.nodes), sum(map(len, global_variable_order(net))))
     shape = classify_network(net)
     if not shape.closed:
         raise StructureError(
@@ -102,19 +110,13 @@ def _require_closed_reciprocity_free(net: Network) -> None:
         raise StructureError(f"network has reciprocities: {list(reciprocities)}")
 
 
-def _checked_setup(
-    net: Network,
-    stationary: Distribution,
-    sigma: ProcessTensor | None,
-    verify: bool,
-) -> tuple[ProcessTensor, Distribution]:
+def _checked_setup(net: Network, stationary: Distribution) -> Distribution:
+    """stationary aligned with the global process of net, checked exactly:
+    the structure check, contraction and the fixed-point check, in the order
+    `analyze --omega NAME` runs them."""
     # a node with internals is a self-reciprocity, so none survives this
     _require_closed_reciprocity_free(net)
-    if sigma is None:
-        sigma = contract_network(net)
-    if verify:
-        return sigma, require_stationary(sigma, stationary)
-    return sigma, _aligned(sigma, stationary)
+    return require_stationary(contract_network(net), stationary)
 
 
 def _node_delta(
@@ -168,9 +170,10 @@ def _mismatches(variables, lhs, rhs, scale) -> tuple:
 
 
 def _assemble_model(
-    sigma: ProcessTensor, deltas: Sequence[NodeDistribution]
+    variables: tuple[Variable, ...], deltas: Sequence[NodeDistribution]
 ) -> tuple[EmpiricalModel, CompatibilityReport]:
-    """The model of the node distributions and its (passing) overlap check."""
+    """The model over variables (the states' variables) of the node
+    distributions and its (passing) overlap check."""
     if not deltas:
         raise StructureError("cannot build a model from an empty network")
     keep: list[NodeDistribution] = []
@@ -194,7 +197,7 @@ def _assemble_model(
             keep.append(cand)
 
     scenario = MeasurementScenario(
-        variables=sigma.internals,
+        variables=variables,
         maximal_contexts=tuple(nd.context for nd in keep),
     )
     model = EmpiricalModel(scenario, tuple(nd.distribution for nd in keep))
@@ -208,61 +211,46 @@ def _assemble_model(
 
 
 def node_distribution(
-    net: Network,
-    stationary: Distribution,
-    node_name: str,
-    *,
-    sigma: ProcessTensor | None = None,
-    verify: bool = True,
+    net: Network, stationary: Distribution, node_name: str
 ) -> NodeDistribution:
     """The joint input/output distribution of one node.
 
-    Requires a closed, reciprocity-free network and a stationary
-    distribution (checked exactly unless verify=False; pass sigma to reuse
-    an already contracted global process).
+    Requires a closed, reciprocity-free network and a distribution that is
+    an exact fixed point of its global process (StationarityError
+    otherwise); to read many nodes of one network, `analyze` contracts and
+    checks once.
     """
     node = net.node(node_name)
-    _, stationary = _checked_setup(net, stationary, sigma, verify)
-    return _node_delta(node, stationary)[0]
+    return _node_delta(node, _checked_setup(net, stationary))[0]
 
 
 def verify_marginal_theorem(
-    net: Network,
-    stationary: Distribution,
-    node_name: str,
-    *,
-    sigma: ProcessTensor | None = None,
-    verify: bool = True,
+    net: Network, stationary: Distribution, node_name: str
 ) -> MarginalCheck:
     """Check exactly that a node's input and output marginals equal the
     stationary marginals on the same variables.
 
-    Expected to pass for every valid input; it exists as an executable
-    diagnostic, and reports each mismatch as (outcomes, node weight,
-    stationary weight), from the same pass as `node_distribution`.
+    The inputs are checked as in `node_distribution`, so the check passes
+    for every input it accepts; it exists as an executable diagnostic, and
+    reports each mismatch as (outcomes, node weight, stationary weight),
+    from the same pass as `node_distribution`.
     """
     node = net.node(node_name)
-    _, stationary = _checked_setup(net, stationary, sigma, verify)
-    return _node_delta(node, stationary)[1]
+    return _node_delta(node, _checked_setup(net, stationary))[1]
 
 
-def build_empirical_model(
-    net: Network,
-    stationary: Distribution,
-    *,
-    sigma: ProcessTensor | None = None,
-    verify: bool = True,
-) -> EmpiricalModel:
+def build_empirical_model(net: Network, stationary: Distribution) -> EmpiricalModel:
     """Assemble the empirical model of a closed, reciprocity-free network.
 
-    One maximal context per node (its inputs plus outputs); a node whose
-    context is contained in another's is absorbed after an exact agreement
-    check, keeping the context family an antichain.  The finished model is
-    re-validated for overlap compatibility at tolerance zero.
+    The inputs are checked as in `node_distribution`.  One maximal context
+    per node (its inputs plus outputs); a node whose context is contained in
+    another's is absorbed after an exact agreement check, keeping the
+    context family an antichain.  The finished model is re-validated for
+    overlap compatibility at tolerance zero.
     """
-    sigma, stationary = _checked_setup(net, stationary, sigma, verify)
+    stationary = _checked_setup(net, stationary)
     deltas = [_node_delta(node, stationary)[0] for node in net.nodes]
-    return _assemble_model(sigma, deltas)[0]
+    return _assemble_model(stationary.variables, deltas)[0]
 
 
 def empirical_node_frequencies(

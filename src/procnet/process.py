@@ -18,7 +18,7 @@ nonzeros, so `contract_network` refuses a global process of more than
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping
@@ -174,9 +174,17 @@ class Network:
     one node; a name appearing in both roles is a wire and becomes internal
     to the global process.  Node-internal names must not occur anywhere
     else.  Wired endpoints must declare identical alphabets.
+
+    The constructor derives the wiring once, in two private fields outside
+    `__init__`, `==`, `hash` and `repr`: `_roles`, the global (inputs,
+    internals, outputs) that `global_variable_order` returns, and `_links`,
+    the (producer index, consumer index) pair of every wire, which
+    `find_reciprocities` reads.
     """
 
     nodes: tuple[ProcessTensor, ...]
+    _roles: tuple[tuple[Variable, ...], ...] = field(init=False, repr=False, compare=False)
+    _links: frozenset[tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -226,6 +234,18 @@ class Network:
                 raise WiringError(
                     f"internal variable {name!r} of {owner!r} collides with an arrow name"
                 )
+        # keys by first appearance; variables of one name are equal by now.
+        # The sign is +1 for a global input, -1 for an output, 0 for an
+        # internal (a wire or a node internal)
+        order = {v.name: v for n in self.nodes for v in n.variables}
+        sign = {name: (name in consumers) - (name in producers) for name in order}
+        roles = tuple(
+            tuple(v for name, v in order.items() if sign[name] == s) for s in (1, 0, -1)
+        )
+        index = {name: i for i, name in enumerate(names)}
+        links = {(index[producers[w]], index[consumers[w]]) for w in producers if w in consumers}
+        object.__setattr__(self, "_roles", roles)
+        object.__setattr__(self, "_links", frozenset(links))
 
     def node(self, name: str) -> ProcessTensor:
         for n in self.nodes:
@@ -259,25 +279,17 @@ def classify_network(net: Network) -> NetworkShape:
     )
 
 
-def _provides(a: ProcessTensor, b: ProcessTensor) -> bool:
-    out_names = {v.name for v in a.outputs}
-    return any(v.name in out_names for v in b.inputs)
-
-
 def find_reciprocities(net: Network) -> tuple[tuple[str, str], ...]:
-    """All unordered node pairs that provide each other.
+    """All unordered node pairs that provide each other, by node position:
+    each node's pair with itself first, then its pairs with later nodes.
 
     A node with an internal variable is a reciprocity with itself: its
     internal state plays both roles at once.
     """
-    pairs = []
-    for i, a in enumerate(net.nodes):
-        if a.internals:
-            pairs.append((a.name, a.name))
-        for b in net.nodes[i + 1 :]:
-            if _provides(a, b) and _provides(b, a):
-                pairs.append((a.name, b.name))
-    return tuple(pairs)
+    links = net._links
+    pairs = [(i, i) for i, n in enumerate(net.nodes) if n.internals]
+    pairs += [(i, j) for i, j in links if i < j and (j, i) in links]
+    return tuple((net.nodes[i].name, net.nodes[j].name) for i, j in sorted(pairs))
 
 
 def global_variable_order(
@@ -289,25 +301,7 @@ def global_variable_order(
     order and each node's (inputs, internals, outputs) in declared order.
     This fixes the file layout of stationary vectors, so keep it stable.
     """
-    produced = {v.name for n in net.nodes for v in n.outputs}
-    consumed = {v.name for n in net.nodes for v in n.inputs}
-    node_internal = {v.name for n in net.nodes for v in n.internals}
-
-    seen: dict[str, Variable] = {}
-    for n in net.nodes:
-        for v in n.variables:
-            if v.name not in seen:
-                seen[v.name] = v
-
-    g_inputs, g_internals, g_outputs = [], [], []
-    for name, v in seen.items():
-        if name in node_internal or (name in produced and name in consumed):
-            g_internals.append(v)
-        elif name in consumed:
-            g_inputs.append(v)
-        else:
-            g_outputs.append(v)
-    return tuple(g_inputs), tuple(g_internals), tuple(g_outputs)
+    return net._roles
 
 
 def contract_network(net: Network) -> ProcessTensor:

@@ -25,6 +25,13 @@ oracles and the production code the same int system.
 `dense_contract` is `procnet.process.contract_network` as a triple loop
 over every (row, column, node), zero entries included, in Fractions.
 
+`scan_global_variable_order` and `pairwise_find_reciprocities` are
+`procnet.process.global_variable_order` and `find_reciprocities` as scans
+of the nodes: the first builds the produced, consumed and node-internal
+name sets afresh, the second tests every node pair for outputs the other
+reads, where the production code reads what the `Network` constructor
+derived once from its wiring.
+
 `fraction_marginalize` is `procnet.scenario.marginalize` as Fraction sums
 over the weights, where the production code sums the distribution's
 integer numerators over its common denominator.
@@ -63,12 +70,13 @@ from procnet.dynamics import (
 from procnet.empirical import MarginalCheck, NodeDistribution
 from procnet.errors import DomainError
 from procnet.exactlp import FeasibilityResult
-from procnet.process import Network, ProcessTensor, global_variable_order
+from procnet.process import Network, ProcessTensor
 from procnet.rng import SplitMix64
 from procnet.scenario import (
     ONE,
     ZERO,
     Distribution,
+    Variable,
     _index_table,
     _names,
     _require_state_cap,
@@ -277,7 +285,7 @@ def fraction_farkas_contradiction(
 
 def dense_contract(net: Network) -> ProcessTensor:
     """Multiply all nodes into the global process, entry by entry."""
-    g_inputs, g_internals, g_outputs = global_variable_order(net)
+    g_inputs, g_internals, g_outputs = scan_global_variable_order(net)
     row_vars = g_inputs + g_internals
     col_vars = g_internals + g_outputs
     n_rows = section_count(row_vars)
@@ -306,6 +314,46 @@ def dense_contract(net: Network) -> ProcessTensor:
     return ProcessTensor.from_matrix(
         "global", g_inputs, g_internals, g_outputs, tuple(rows)
     )
+
+
+def scan_global_variable_order(
+    net: Network,
+) -> tuple[tuple[Variable, ...], tuple[Variable, ...], tuple[Variable, ...]]:
+    produced = {v.name for n in net.nodes for v in n.outputs}
+    consumed = {v.name for n in net.nodes for v in n.inputs}
+    node_internal = {v.name for n in net.nodes for v in n.internals}
+
+    seen: dict[str, Variable] = {}
+    for n in net.nodes:
+        for v in n.variables:
+            if v.name not in seen:
+                seen[v.name] = v
+
+    g_inputs, g_internals, g_outputs = [], [], []
+    for name, v in seen.items():
+        if name in node_internal or (name in produced and name in consumed):
+            g_internals.append(v)
+        elif name in consumed:
+            g_inputs.append(v)
+        else:
+            g_outputs.append(v)
+    return tuple(g_inputs), tuple(g_internals), tuple(g_outputs)
+
+
+def _provides(a: ProcessTensor, b: ProcessTensor) -> bool:
+    out_names = {v.name for v in a.outputs}
+    return any(v.name in out_names for v in b.inputs)
+
+
+def pairwise_find_reciprocities(net: Network) -> tuple[tuple[str, str], ...]:
+    pairs = []
+    for i, a in enumerate(net.nodes):
+        if a.internals:
+            pairs.append((a.name, a.name))
+        for b in net.nodes[i + 1 :]:
+            if _provides(a, b) and _provides(b, a):
+                pairs.append((a.name, b.name))
+    return tuple(pairs)
 
 
 def fraction_marginalize(dist: Distribution, names: Iterable[str]) -> Distribution:

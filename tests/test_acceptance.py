@@ -109,9 +109,7 @@ def test_criterion_1_triangle(triangle_network, sixcycle_omega):
     corr = (F(1, 2), F(0), F(0), F(1, 2))
     expected_tables = {"alpha": anti, "beta": corr, "gamma": corr}
     for name, expected_weights in expected_tables.items():
-        nd = node_distribution(
-            triangle_network, sixcycle_omega, name, sigma=sigma, verify=False
-        )
+        nd = node_distribution(triangle_network, sixcycle_omega, name)
         assert nd.distribution.weights == expected_weights
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
@@ -137,7 +135,7 @@ def test_criterion_2_chsh(chsh_network):
     assert all(w == F(1, 16) for w in uniform.weights)
     assert verify_stationary(sigma, uniform).stationary
 
-    model = build_empirical_model(chsh_network, uniform, sigma=sigma, verify=False)
+    model = build_empirical_model(chsh_network, uniform)
     anti = (F(0), F(1, 2), F(1, 2), F(0))
     corr = (F(1, 2), F(0), F(0), F(1, 2))
     by_context = dict(
@@ -162,7 +160,7 @@ def test_criterion_3_verdicts(triangle_network, sixcycle_omega, chsh_network):
     triangle_model = build_empirical_model(triangle_network, sixcycle_omega)
     chsh_sigma = contract_network(chsh_network)
     chsh_model = build_empirical_model(
-        chsh_network, Distribution.uniform(chsh_sigma.internals), sigma=chsh_sigma
+        chsh_network, Distribution.uniform(chsh_sigma.internals)
     )
     for model in (triangle_model, chsh_model):
         verdict = decide_contextuality(model)
@@ -182,9 +180,7 @@ def test_criterion_4_marginal_property_suite(population):
     for net, sigma, omega in triples:
         assert verify_stationary(sigma, omega).residual == 0
         for node in net.nodes:
-            check = verify_marginal_theorem(
-                net, omega, node.name, sigma=sigma, verify=False
-            )
+            check = verify_marginal_theorem(net, omega, node.name)
             assert check.ok, (node.name, check)
     elapsed = build_seconds + (time.perf_counter() - start)
     assert elapsed < 60.0, f"took {elapsed:.1f}s including generation"
@@ -195,7 +191,7 @@ def test_criterion_5_model_compatibility_suite(population):
     start = time.perf_counter()
     triples, build_seconds = population
     for net, sigma, omega in triples:
-        model = build_empirical_model(net, omega, sigma=sigma, verify=False)
+        model = build_empirical_model(net, omega)
         report = validate_empirical_model(model, F(0))
         assert report.ok, report.violations[:3]
     elapsed = build_seconds + (time.perf_counter() - start)
@@ -259,9 +255,7 @@ def test_criterion_7_monte_carlo():
             sigma, omega, MONTE_CARLO_STEPS, seed=MONTE_CARLO_SEED * 1000 + i
         )
         for node in net.nodes:
-            exact = node_distribution(
-                net, omega, node.name, sigma=sigma, verify=False
-            ).distribution
+            exact = node_distribution(net, omega, node.name).distribution
             freq = empirical_node_frequencies(sigma, node, trail)
             for p, f in zip(exact.weights, freq.weights):
                 pf = float(p)
@@ -283,7 +277,7 @@ def test_criterion_8_rate_report():
         net = random_closed_network(rng)
         sigma = contract_network(net)
         omega = find_stationary(sigma).distribution
-        model = build_empirical_model(net, omega, sigma=sigma, verify=False)
+        model = build_empirical_model(net, omega)
         verdict = decide_contextuality(model)
         total += 1
         contextual += verdict.contextual

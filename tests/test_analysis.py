@@ -26,6 +26,7 @@ from procnet import (
 )
 from procnet import scenario
 from procnet.cli import main
+from procnet.dynamics import _strongly_connected_components, _support_graph
 from procnet.empirical import _node_delta
 from procnet.errors import ResourceLimitError, StructureError
 from procnet.exactlp import farkas_contradiction
@@ -195,6 +196,34 @@ def test_one_simulate_call_checks_the_structure_once(
             ("find_stationary", None): 1 if omega == "solve" else 0,
             ("_node_delta", node): 1,
         }
+    )
+
+
+@pytest.mark.parametrize(
+    "name, node, omega, passes",
+    [
+        ("triangle", "alpha", "sixcycle", 1),
+        ("triangle", "alpha", "solve", 2),
+        ("product", "beta", "solve", 2),
+        ("chain", "stage1", "exact", 1),
+    ],
+)
+def test_one_simulate_call_builds_one_graph_per_chain_question(
+    monkeypatch, capsys, name, node, omega, passes
+):
+    # one support graph and one component pass for the ergodicity report,
+    # and one more for find_stationary's recurrent class
+    calls: Counter = Counter()
+    count_calls(monkeypatch, _support_graph, calls)
+    count_calls(monkeypatch, _strongly_connected_components, calls)
+    path = str(bundled_network_path(name))
+    argv = ["simulate", path, "--node", node, "--omega", omega, "--steps", "50"]
+
+    assert main(argv) == 0
+
+    capsys.readouterr()
+    assert calls == Counter(
+        {("_support_graph", None): passes, ("_strongly_connected_components", None): passes}
     )
 
 

@@ -518,5 +518,5 @@ class TestNetworkIntegration:
 
     def test_chsh_network_model_scores_four(self, chsh_network, chsh_sigma):
         uniform = Distribution.uniform(chsh_sigma.internals)
-        model = build_empirical_model(chsh_network, uniform, sigma=chsh_sigma)
+        model = build_empirical_model(chsh_network, uniform)
         assert chsh_value(model).value == 4

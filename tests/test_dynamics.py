@@ -10,12 +10,14 @@ from procnet import (
     Distribution,
     ProcessTensor,
     Variable,
+    bundled_network_path,
     chain_period,
     contract_network,
     estimate_stationary,
     find_stationary,
     is_ergodic,
     is_irreducible,
+    load_network_file,
     section_index,
     simulate_chain,
     step,
@@ -166,6 +168,14 @@ class TestStep:
         with pytest.raises(DomainError):
             step(sigma, other)
 
+    def test_variable_mismatch_message_is_bounded(self):
+        # both variable lists are cut, however many variables the input has
+        sigma = closed_tensor("id", 1, identity_rows(2))
+        many = Distribution.uniform(tuple(Variable(f"W{k}", ("0",)) for k in range(5000)))
+        with pytest.raises(DomainError, match="does not match") as info:
+            step(sigma, many)
+        assert len(str(info.value)) < 200
+
     def test_mass_conserved_on_random_closed_tensors(self):
         rng = Random(22)
         for _ in range(15):
@@ -310,6 +320,30 @@ def test_a_distribution_over_permuted_variables_is_aligned(run):
 
 
 @pytest.mark.parametrize(
+    "run",
+    [
+        step,
+        verify_stationary,
+        require_stationary,
+        lambda sigma, dist: simulate_chain(sigma, dist, 3, 0),
+        lambda sigma, dist: estimate_stationary(sigma, dist, 3, 0),
+    ],
+    ids=["step", "verify_stationary", "require_stationary", "simulate_chain",
+         "estimate_stationary"],
+)
+def test_a_variable_over_another_alphabet_is_refused(run):
+    # same names as the process's (X, Y, Z), but X over three outcomes or
+    # over two in the other order: 12 weights once passed the fixed-point
+    # check against 8 rows, and simulate_chain ended in an IndexError
+    sigma = contract_network(load_network_file(bundled_network_path("product")).network)
+    x, y, z = sigma.internals
+    for foreign in (Variable("X", ("0", "1", "2")), Variable("X", ("1", "0"))):
+        for variables in ((foreign, y, z), (z, foreign, y)):
+            with pytest.raises(DomainError, match="does not match the process variables"):
+                run(sigma, Distribution.uniform(variables))
+
+
+@pytest.mark.parametrize(
     "method, residual, message",
     [
         ("guess", F(0), "unknown method 'guess'"),
@@ -337,6 +371,15 @@ class TestStructure:
         rng = Random(24)
         net = random_closed_network(rng, near_uniform=True)
         assert is_ergodic(contract_network(net))
+
+    def test_open_process_is_refused(self):
+        p = ProcessTensor.from_matrix(
+            "open", (Variable("I", BINARY),), (), (Variable("O", BINARY),),
+            ((F(1), F(0)), (F(0), F(1))),
+        )
+        for query in (is_irreducible, chain_period, is_ergodic):
+            with pytest.raises(DomainError, match="is not closed"):
+                query(p)
 
 
 @st.composite

@@ -25,6 +25,7 @@ from procnet import (
     simulate_chain,
     validate_empirical_model,
     verify_marginal_theorem,
+    verify_stationary,
 )
 from procnet.empirical import NodeDistribution, _node_delta
 from procnet.errors import DomainError, StationarityError, StructureError
@@ -47,7 +48,7 @@ class TestNodeDistribution:
 
     def test_chsh_first_context_anticorrelated(self, chsh_network, chsh_sigma):
         uniform = Distribution.uniform(chsh_sigma.internals)
-        nd = node_distribution(chsh_network, uniform, "n11", sigma=chsh_sigma)
+        nd = node_distribution(chsh_network, uniform, "n11")
         assert nd.context == ("A1", "B1")
         for a, b in iter_outcome_tuples(nd.distribution.variables):
             expected = F(1, 2) if a != b else F(0)
@@ -68,17 +69,46 @@ class TestNodeDistribution:
         omega = Distribution(
             sigma.internals, tuple(F(r, sum(raw)) for r in raw)
         )
-        nd = node_distribution(net, omega, "a", sigma=sigma, verify=False)
+        # omega is not stationary, so only the node stage itself accepts it
+        nd = _node_delta(net.node("a"), omega)[0]
         inputs = marginalize(omega, ("X",))
         for x_out, y_out in iter_outcome_tuples(nd.distribution.variables):
             assert nd.distribution.weight((x_out, y_out)) == inputs.weight(
                 (x_out,)
             ) * F(1, 2)
 
-    def test_non_stationary_omega_rejected(self, triangle_network, triangle_sigma):
-        moving = Distribution.point_mass(triangle_sigma.internals, ("0", "0", "1"))
-        with pytest.raises(StationarityError):
-            node_distribution(triangle_network, moving, "alpha")
+    def test_non_stationary_omega_rejected(self):
+        # all three stage functions check exactly; the all-"0" point mass
+        # once reached internal AssertionErrors when the check was skipped
+        cases = [("triangle", ("0", "0", "1")), ("triangle", None), ("chain", None)]
+        for name, outcomes in cases:
+            net = load_network_file(bundled_network_path(name)).network
+            variables = contract_network(net).internals
+            moving = Distribution.point_mass(variables, outcomes or ("0",) * len(variables))
+            node = net.node_names[0]
+            for call in (
+                lambda: node_distribution(net, moving, node),
+                lambda: verify_marginal_theorem(net, moving, node),
+                lambda: build_empirical_model(net, moving),
+            ):
+                with pytest.raises(StationarityError, match="is not stationary"):
+                    call()
+
+    def test_a_stationary_distribution_of_another_network_is_rejected(self):
+        # sixcycle is stationary for triangle, over the same variables as
+        # product, and is checked against product's own global process
+        sixcycle = load_network_file(bundled_network_path("triangle")).stationary_named(
+            "sixcycle"
+        )
+        product = load_network_file(bundled_network_path("product")).network
+        assert not verify_stationary(contract_network(product), sixcycle).stationary
+        for call in (
+            lambda: node_distribution(product, sixcycle, "alpha"),
+            lambda: verify_marginal_theorem(product, sixcycle, "alpha"),
+            lambda: build_empirical_model(product, sixcycle),
+        ):
+            with pytest.raises(StationarityError, match="is not stationary"):
+                call()
 
 
 class TestMarginalTheorem:
@@ -88,9 +118,7 @@ class TestMarginalTheorem:
 
     def test_chsh_n22_marginals(self, chsh_network, chsh_sigma):
         uniform = Distribution.uniform(chsh_sigma.internals)
-        check = verify_marginal_theorem(
-            chsh_network, uniform, "n22", sigma=chsh_sigma
-        )
+        check = verify_marginal_theorem(chsh_network, uniform, "n22")
         assert check.ok
 
     def test_random_networks_satisfy_both_equalities(self):
@@ -100,9 +128,7 @@ class TestMarginalTheorem:
             sigma = contract_network(net)
             omega = find_stationary(sigma).distribution
             for node in net.nodes:
-                check = verify_marginal_theorem(
-                    net, omega, node.name, sigma=sigma, verify=False
-                )
+                check = verify_marginal_theorem(net, omega, node.name)
                 assert check.ok, (node.name, check)
 
     def test_mismatches_of_a_moving_point_mass(self, triangle_network, triangle_sigma):
@@ -110,7 +136,7 @@ class TestMarginalTheorem:
         # while each node's inputs are weighted by the point mass itself
         moving = Distribution.point_mass(triangle_sigma.internals, ("0", "0", "1"))
         checks = [
-            verify_marginal_theorem(triangle_network, moving, n, verify=False)
+            _node_delta(triangle_network.node(n), moving)[1]
             for n in ("alpha", "beta", "gamma")
         ]
         assert [c.input_mismatches for c in checks] == [(), (), ()]
@@ -132,10 +158,7 @@ class TestMarginalTheorem:
             raw[0] += 1
             omega = Distribution(sigma.internals, [F(r, sum(raw)) for r in raw])
             for node in net.nodes:
-                nd = node_distribution(net, omega, node.name, sigma=sigma, verify=False)
-                check = verify_marginal_theorem(
-                    net, omega, node.name, sigma=sigma, verify=False
-                )
+                nd, check = _node_delta(node, omega)
                 for got, side in (
                     (check.input_mismatches, node.inputs),
                     (check.output_mismatches, node.outputs),
@@ -249,7 +272,7 @@ class TestBuildEmpiricalModel:
 
     def test_chsh_reproduces_the_pr_box(self, chsh_network, chsh_sigma):
         uniform = Distribution.uniform(chsh_sigma.internals)
-        model = build_empirical_model(chsh_network, uniform, sigma=chsh_sigma)
+        model = build_empirical_model(chsh_network, uniform)
         anti = (F(0), F(1, 2), F(1, 2), F(0))
         corr = (F(1, 2), F(0), F(0), F(1, 2))
         by_context = dict(
@@ -294,10 +317,10 @@ class TestBuildEmpiricalModel:
         net = Network((source, stage1, stage2, drain))
         sigma = contract_network(net)
         omega = find_stationary(sigma).distribution
-        model = build_empirical_model(net, omega, sigma=sigma, verify=False)
+        model = build_empirical_model(net, omega)
         assert model.scenario.maximal_contexts == (("A", "B"), ("B", "C"))
         # the absorbed source context agrees with the relay's marginal
-        nd = node_distribution(net, omega, "source", sigma=sigma, verify=False)
+        nd = node_distribution(net, omega, "source")
         assert (
             marginalize(model.context_distributions[0], ("A",)).weights
             == nd.distribution.weights
@@ -309,7 +332,7 @@ class TestBuildEmpiricalModel:
             net = random_closed_network(rng, allow_zeros=True)
             sigma = contract_network(net)
             omega = find_stationary(sigma).distribution
-            model = build_empirical_model(net, omega, sigma=sigma, verify=False)
+            model = build_empirical_model(net, omega)
             assert validate_empirical_model(model, F(0)).ok
 
 
@@ -421,7 +444,7 @@ class TestEmpiricalFrequencies:
         trail = simulate_chain(triangle_sigma, sixcycle_omega, steps=600, seed=2)
         observed = empirical_node_frequencies(triangle_sigma, alpha, trail)
         exact = node_distribution(
-            triangle_network, sixcycle_omega, "alpha", sigma=triangle_sigma
+            triangle_network, sixcycle_omega, "alpha"
         ).distribution
         # deterministic orbit: averages converge at rate 1/steps
         gap = max(

@@ -1,5 +1,6 @@
 import ast
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import procnet
-from oracle import dense_contract
+from oracle import dense_contract, pairwise_find_reciprocities, scan_global_variable_order
 from procnet import (
     Network,
     NetworkFile,
@@ -598,6 +599,74 @@ class TestReciprocities:
 
     def test_directed_three_cycle_has_none(self, triangle_network):
         assert find_reciprocities(triangle_network) == ()
+
+
+def random_wired_network(rng: Random) -> Network:
+    """1-5 nodes, in shuffled order, over up to 6 one- or two-outcome
+    variables; each is a wire between two nodes, a dangling input or output,
+    or a node internal, so networks come open and closed, and wires both
+    ways make a pair reciprocal."""
+    n_nodes = rng.randint(1, 5)
+    roles = [([], [], []) for _ in range(n_nodes)]
+    for k in range(rng.randint(0, 6)):
+        v = Variable(f"V{k}", BINARY[: rng.randint(1, 2)])
+        node = rng.randrange(n_nodes)
+        kind = rng.choice(("wire", "wire", "wire", "input", "internal", "output"))
+        if kind == "wire" and n_nodes > 1:
+            other = rng.randrange(n_nodes - 1)
+            roles[other + (other >= node)][0].append(v)
+            roles[node][2].append(v)
+        else:
+            roles[node][{"input": 0, "internal": 1}.get(kind, 2)].append(v)
+    nodes = []
+    for i, (inputs, internals, outputs) in enumerate(roles):
+        for vs in (inputs, internals, outputs):
+            rng.shuffle(vs)
+        matrix = random_stochastic_rows(
+            rng, section_count(inputs + internals), section_count(internals + outputs),
+            allow_zeros=True,
+        )
+        nodes.append(
+            ProcessTensor.from_matrix(f"n{i}", inputs, internals, outputs, matrix)
+        )
+    rng.shuffle(nodes)
+    return Network(tuple(nodes))
+
+
+def same_wiring_as_a_scan(net: Network):
+    """The derived wiring, required equal to the oracle scans of the nodes."""
+    order = global_variable_order(net)
+    assert order == scan_global_variable_order(net)
+    reciprocities = find_reciprocities(net)
+    assert reciprocities == pairwise_find_reciprocities(net)
+    return order, reciprocities
+
+
+class TestDerivedWiring:
+    def test_equal_to_a_scan_on_networks_of_every_kind(self):
+        seen = Counter()
+        for seed in range(300):
+            net = random_wired_network(Random(seed))
+            (g_in, g_internal, g_out), reciprocities = same_wiring_as_a_scan(net)
+            seen["open"] += bool(g_in or g_out)
+            seen["closed"] += bool(g_internal and not (g_in or g_out))
+            seen["node internal"] += any(n.internals for n in net.nodes)
+            seen["self pair"] += any(a == b for a, b in reciprocities)
+            seen["reciprocal pair"] += any(a != b for a, b in reciprocities)
+        kinds = ("open", "closed", "node internal", "self pair", "reciprocal pair")
+        assert min(seen[k] for k in kinds) > 0, seen
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_equal_to_a_scan_for_any_seed(self, seed):
+        same_wiring_as_a_scan(random_wired_network(Random(seed)))
+
+    def test_the_derived_fields_stay_out_of_init_eq_and_repr(self, triangle_network):
+        rebuilt = Network(triangle_network.nodes)
+        assert rebuilt == triangle_network and hash(rebuilt) == hash(triangle_network)
+        assert "_roles" not in repr(rebuilt) and "_links" not in repr(rebuilt)
+        with pytest.raises(TypeError):
+            Network(triangle_network.nodes, _roles=())
 
 
 class TestContract:

@@ -1,0 +1,55 @@
+"""The public API's options, pinned.
+
+Every parameter with a default on a name of `procnet.__all__` (a function,
+a class's constructor, or a public method of a procnet class) is listed
+here, so a new option shows up as a change to this file.  Each one is a
+second way to call a stage, so one is added only where no checked path
+already does the job.
+"""
+import inspect
+
+import procnet
+
+OPTIONS = {
+    "analyze.omega",
+    "chsh_value.labeling",
+    "validate_empirical_model.tol",
+}
+
+
+def public_callables():
+    """(label, function) for every function, constructor and public method
+    reachable from `procnet.__all__`; exceptions add none, since none
+    defines its own constructor."""
+    for name in procnet.__all__:
+        obj = getattr(procnet, name)
+        if not inspect.isclass(obj):
+            if callable(obj):
+                yield name, obj
+            continue
+        if inspect.isfunction(obj.__init__):
+            yield name, obj
+        for klass in obj.__mro__:
+            if not klass.__module__.startswith("procnet"):
+                continue
+            for attr, member in vars(klass).items():
+                if isinstance(member, (classmethod, staticmethod)):
+                    member = member.__func__
+                if not attr.startswith("_") and inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+def test_the_public_options_are_exactly_the_pinned_ones():
+    found = {
+        f"{label}.{p.name}"
+        for label, fn in public_callables()
+        for p in inspect.signature(fn).parameters.values()
+        if p.default is not inspect.Parameter.empty
+    }
+    assert found == OPTIONS
+
+
+def test_the_walk_reaches_constructors_and_methods():
+    labels = {label for label, _ in public_callables()}
+    assert {"Distribution.uniform", "ProcessTensor.from_matrix", "ChshReport"} <= labels
+    assert {"node_distribution", "verify_marginal_theorem", "build_empirical_model"} <= labels
