@@ -18,18 +18,17 @@ from .contextuality import (
     detect_chsh_labeling,
     vorobev_regular,
 )
-from .dynamics import StationaryResult, find_stationary, require_stationary
+from .dynamics import StationaryResult
 from .empirical import (
     MarginalCheck,
     NodeDistribution,
     _assemble_model,
+    _checked_regime,
     _node_delta,
-    _require_closed_reciprocity_free,
 )
-from .errors import DomainError, StationarityError
 from .netfile import NetworkFile
-from .process import Network, ProcessTensor, contract_network
-from .scenario import ZERO, CompatibilityReport, EmpiricalModel
+from .process import Network, ProcessTensor
+from .scenario import CompatibilityReport, EmpiricalModel
 
 
 @dataclass(frozen=True)
@@ -59,18 +58,7 @@ def stationary_regime(
     distribution with `find_stationary`; any other value names a vector of
     the file, which must be an exact fixed point (StationarityError).
     """
-    net = nf.network
-    _require_closed_reciprocity_free(net)
-    sigma = contract_network(net)
-    if omega == "solve":
-        return sigma, find_stationary(sigma)
-    try:
-        dist = nf.stationary_named(omega)
-    except DomainError as exc:
-        raise StationarityError(str(exc)) from exc
-    return sigma, StationaryResult(
-        require_stationary(sigma, dist), "user_supplied", ZERO
-    )
+    return _checked_regime(nf.network, omega, nf.stationary_named)
 
 
 def analyze(nf: NetworkFile, omega: str = "solve") -> Analysis:

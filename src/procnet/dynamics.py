@@ -20,9 +20,13 @@ the rows' numerators, and adds and multiplies no Fraction.
 
 The Monte Carlo side (`simulate_chain`, `estimate_stationary`) exists as an
 independent oracle; it uses the documented generator from `rng` so runs are
-reproducible from the seed alone.  A trajectory is a tuple of state
-indices in the `Distribution.weights` layout of the process's internals;
-`scenario.section_at` or `iter_outcome_tuples` turn an index into labels.
+reproducible from the seed alone.  `simulate_chain` picks most next states
+from the top byte of the draw through a 256-slot guide table per visited
+state (`_guide`), and the rest by the exact threshold search, so the
+trajectory is the one the sampling rule of `rng` defines.  A trajectory is
+a tuple of state indices in the `Distribution.weights` layout of the
+process's internals; `scenario.section_at` or `iter_outcome_tuples` turn an
+index into labels.
 """
 from __future__ import annotations
 
@@ -36,7 +40,7 @@ from .errors import DomainError, ResourceLimitError, StationarityError
 from .exactlp import solve_linear_fraction_free
 from .process import ProcessTensor
 from .rationals import echo
-from .rng import SplitMix64, cumulative_thresholds, sample_index
+from .rng import SplitMix64, cumulative_thresholds, sample_index, top_bytes
 from .scenario import (
     DEFAULT_MAX_STATES,  # re-exported as dynamics.DEFAULT_MAX_STATES
     ZERO,
@@ -332,10 +336,12 @@ def simulate_chain(
     is a Distribution (sampled first, with the same generator) or anything
     `section_index` accepts: a Section, a name-to-outcome mapping or a tuple
     of outcome labels.  The state at t+1 is sampled from the row of the
-    state at t, per the rule documented in `rng`; a row reached whose
-    entries are not positive with sum exactly 1 is a DomainError.  More than
-    MAX_STEPS steps is a ResourceLimitError, and a `seed` that is not an int
-    (a bool included) a DomainError, both raised before the first draw.
+    state at t, per the rule documented in `rng` (a row's guide table and
+    thresholds are built when the chain first leaves its state); a row
+    reached whose entries are not positive with sum exactly 1 is a
+    DomainError.  More than MAX_STEPS steps is a ResourceLimitError, and a
+    `seed` that is not an int (a bool included) a DomainError, both raised
+    before the first draw.
     """
     _require_closed(sigma)
     _require_steps(steps)
@@ -347,15 +353,22 @@ def simulate_chain(
         state = sample_index(rng, cumulative_thresholds(nums, d))
     else:
         state = section_index(sigma.internals, init)
+    # every state starts on a table whose slots all fall back to the exact
+    # search, which builds the state's sampler and guide on its first visit
+    guides = [_UNBUILT] * len(sigma.rows)
     samplers: list[tuple[list[int], list[int]] | None] = [None] * len(sigma.rows)
     trail = [state]
     for block in rng.blocks(steps):
-        for r in block:
-            sampler = samplers[state]
-            if sampler is None:
-                sampler = samplers[state] = _sampler(sigma, state)
-            columns, thresholds = sampler
-            state = columns[bisect_right(thresholds, r)]
+        for i, b in enumerate(top_bytes(block)):
+            nxt = guides[state][b]
+            if nxt < 0:
+                sampler = samplers[state]
+                if sampler is None:
+                    sampler = samplers[state] = _sampler(sigma, state)
+                    guides[state] = _guide(*sampler)
+                columns, thresholds = sampler
+                nxt = columns[bisect_right(thresholds, block[i])]
+            state = nxt
             trail.append(state)
     return tuple(trail)
 
@@ -368,6 +381,26 @@ def _sampler(sigma: ProcessTensor, state: int) -> tuple[list[int], list[int]]:
         label = section_at(sigma.internals, state).outcomes
         raise DomainError(f"row of state {label} is not a probability row")
     return [c for c, _ in row], cumulative_thresholds(numerators, common)
+
+
+# the guide of a state not visited yet: every slot falls back
+_UNBUILT = (-1,) * 256
+
+
+def _guide(columns: list[int], thresholds: list[int]) -> list[int]:
+    """Slot b: the column that every draw with top byte b selects, or -1
+    when a threshold falls strictly inside the bucket [b, b + 1) * 2**56.
+
+    Built by runs: column j holds the buckets that lie wholly inside
+    [T_{j-1}, T_j), so a bucket that a threshold splits is held by none.
+    """
+    guide = [-1] * 256
+    low = 0
+    for c, t in zip(columns, thresholds):
+        first, last = -(-low >> 56), t >> 56
+        guide[first:last] = [c] * (last - first)
+        low = t
+    return guide
 
 
 def estimate_stationary(

@@ -22,27 +22,30 @@ weights and the reported mismatches.
 
 The three stage functions (`node_distribution`, `verify_marginal_theorem`,
 `build_empirical_model`) take only a network and a distribution, and each
-runs the one checked path `_checked_setup` before it reads a node: the
-structure check, contraction, and the exact fixed-point check of the
+runs the one checked front half `_checked_regime` before it reads a node:
+the structure check, contraction, and the exact fixed-point check of the
 distribution against that network's own global process.  So only a
-stationary regime reaches a node distribution or a model; `analyze` runs
-the same checks once for all the nodes of a network file.
+stationary regime reaches a node distribution or a model; `analyze` and
+`simulate` run the same function once per network file
+(`analysis.stationary_regime`), where it also solves or looks up the
+distribution by name.
 
 `empirical_node_frequencies` is the Monte Carlo counterpart: it counts the
 same (input, output) events along a trajectory of state indices from
-`dynamics.simulate_chain`, through restriction index tables, without
-turning any state into labels.
+`dynamics.simulate_chain`, without turning any state into labels.  The
+counting is byte work: one coded lane per state from restriction index
+tables, a masked lane merge that pairs the input row of state t with the
+output column of state t + 1, and one `bytes.count` per event.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import pairwise
 from math import lcm
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
-from .errors import DomainError, StructureError
+from .errors import DomainError, StationarityError, StructureError
 from .process import (
     Network,
     ProcessTensor,
@@ -51,7 +54,7 @@ from .process import (
     find_reciprocities,
     global_variable_order,
 )
-from .dynamics import require_stationary
+from .dynamics import StationaryResult, find_stationary, require_stationary
 from .scenario import (
     ZERO,
     CompatibilityReport,
@@ -66,6 +69,11 @@ from .scenario import (
     section_count,
     validate_empirical_model,
 )
+
+
+# steps gathered at once by `empirical_node_frequencies`: joining a chunk's
+# lanes takes 80 bytes a lane of scratch, so this bounds it near 0.3 MB
+_CHUNK_STEPS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -110,13 +118,32 @@ def _require_closed_reciprocity_free(net: Network) -> None:
         raise StructureError(f"network has reciprocities: {list(reciprocities)}")
 
 
-def _checked_setup(net: Network, stationary: Distribution) -> Distribution:
-    """stationary aligned with the global process of net, checked exactly:
-    the structure check, contraction and the fixed-point check, in the order
-    `analyze --omega NAME` runs them."""
+def _checked_regime(
+    net: Network,
+    omega: str | Distribution,
+    named: Callable[[str], Distribution] | None = None,
+) -> tuple[ProcessTensor, StationaryResult]:
+    """The checked front half of every analysis: the global process of net
+    and a stationary distribution of it.
+
+    The structure check runs first, then contraction, which refuses a state
+    space over the state cap whatever omega is.  omega "solve" computes the
+    distribution with `find_stationary`; another str is the name of a vector
+    that `named` looks up, only after contraction, a failed lookup being a
+    StationarityError; that vector, or a Distribution passed as omega, must
+    be an exact fixed point of the process (`require_stationary`).
+    """
     # a node with internals is a self-reciprocity, so none survives this
     _require_closed_reciprocity_free(net)
-    return require_stationary(contract_network(net), stationary)
+    sigma = contract_network(net)
+    if omega == "solve":
+        return sigma, find_stationary(sigma)
+    if isinstance(omega, str):
+        try:
+            omega = named(omega)
+        except DomainError as exc:
+            raise StationarityError(str(exc)) from exc
+    return sigma, StationaryResult(require_stationary(sigma, omega), "user_supplied", ZERO)
 
 
 def _node_delta(
@@ -221,7 +248,7 @@ def node_distribution(
     checks once.
     """
     node = net.node(node_name)
-    return _node_delta(node, _checked_setup(net, stationary))[0]
+    return _node_delta(node, _checked_regime(net, stationary)[1].distribution)[0]
 
 
 def verify_marginal_theorem(
@@ -236,7 +263,7 @@ def verify_marginal_theorem(
     from the same pass as `node_distribution`.
     """
     node = net.node(node_name)
-    return _node_delta(node, _checked_setup(net, stationary))[1]
+    return _node_delta(node, _checked_regime(net, stationary)[1].distribution)[1]
 
 
 def build_empirical_model(net: Network, stationary: Distribution) -> EmpiricalModel:
@@ -248,7 +275,7 @@ def build_empirical_model(net: Network, stationary: Distribution) -> EmpiricalMo
     context family an antichain.  The finished model is re-validated for
     overlap compatibility at tolerance zero.
     """
-    stationary = _checked_setup(net, stationary)
+    stationary = _checked_regime(net, stationary)[1].distribution
     deltas = [_node_delta(node, stationary)[0] for node in net.nodes]
     return _assemble_model(stationary.variables, deltas)[0]
 
@@ -264,7 +291,8 @@ def empirical_node_frequencies(
     `simulate_chain` returns them, each in 0..n-1 for n states; the node's
     variables must be variables of that process (same name and alphabet).
     Counting runs over the steps-many consecutive pairs, so the result is
-    an exact empirical distribution.
+    an exact empirical distribution.  Any other index is a DomainError,
+    raised while the lanes are gathered, before any event is counted.
     """
     if len(trajectory) < 2:
         raise DomainError("need at least one transition to count frequencies")
@@ -274,15 +302,52 @@ def empirical_node_frequencies(
             raise DomainError(
                 f"node variable {v.name!r} is not a variable of the global process"
             )
+    n = len(sigma.rows)
+    in_count, out_count = section_count(node.inputs), section_count(node.outputs)
+    # state s codes its node input row r and output column c as r << shift | c,
+    # in one lane of `width` bytes (see `_lane`)
+    shift = (out_count - 1).bit_length()
+    in_bits = (in_count - 1).bit_length()
+    width = -(-(shift + in_bits) // 7) or 1
     rows = _index_table(node.inputs, sigma.internals)
     cols = _index_table(node.outputs, sigma.internals)
-    out_count = section_count(node.outputs)
-    # each distinct transition is range-checked and counted once
-    counts = [0] * section_count(node.inputs + node.outputs)
-    for (a, b), k in Counter(pairwise(trajectory)).items():
-        if not (0 <= a < len(rows) and 0 <= b < len(rows)):
-            raise DomainError(f"trajectory state indices must be in 0..{len(rows) - 1}")
-        counts[rows[a] * out_count + cols[b]] += k
-    total = len(trajectory) - 1
-    weights = tuple(Fraction(k, total) for k in counts)
+    codes = {s: _lane(r << shift | c, width) for s, (r, c) in enumerate(zip(rows, cols))}
+    row_lane = _lane(((1 << in_bits) - 1) << shift, width)
+    col_lane = _lane((1 << shift) - 1, width)
+    steps = len(trajectory) - 1
+    chunks = []
+    for start in range(0, steps, _CHUNK_STEPS):
+        part = trajectory[start : start + _CHUNK_STEPS + 1]  # its last state opens the next
+        # keyed by state, so an index outside 0..n-1 is refused before any count
+        try:
+            lanes = b"".join(itemgetter(*part)(codes))
+        except (KeyError, TypeError):
+            raise DomainError(f"trajectory state indices must be in 0..{n - 1}") from None
+        m = len(part) - 1
+        # lane t: the input row of state t and the output column of state t + 1
+        key = (
+            int.from_bytes(lanes[:-width], "big") & int.from_bytes(row_lane * m, "big")
+            | int.from_bytes(lanes[width:], "big") & int.from_bytes(col_lane * m, "big")
+        )
+        chunks.append(key.to_bytes(m * width, "big"))
+    keys = b"".join(chunks)
+    counts = [
+        keys.count(_lane(r << shift | c, width))
+        for r in range(in_count) for c in range(out_count)
+    ]
+    weights = tuple(Fraction(k, steps) for k in counts)
     return Distribution(node.inputs + node.outputs, weights)
+
+
+def _lane(value: int, width: int) -> bytes:
+    """value < 2**(7 width) as `width` bytes of 7 bits each, most significant
+    first, with the top bit of the first byte set.
+
+    Only the first byte of such a lane has its top bit set, so in a run of
+    lanes a lane's bytes can match only at a lane start: `bytes.count` of
+    one lane counts exactly the lanes equal to it.  `_lane(a) & _lane(b)` is
+    `_lane(a & b)` and `_lane(a) | _lane(b)` is `_lane(a | b)`, so runs of
+    lanes are masked and merged as whole ints.
+    """
+    digits = sum(((value >> 7 * j) & 0x7F) << 8 * j for j in range(width))
+    return (digits | 0x80 << 8 * (width - 1)).to_bytes(width, "big")

@@ -22,6 +22,14 @@ Sampling rule for a probability row (p_0, ..., p_{n-1}): precompute the
 cumulative integer thresholds T_j = floor(2**64 * (p_0 + ... + p_j)); a draw
 r in [0, 2**64) selects the smallest j with r < T_j.  The rounding bias is
 below n * 2**-64 per draw.
+
+`dynamics.simulate_chain` applies the rule through a guide table (Chen and
+Asau, 1974): each row gets 256 slots, one per value of a draw's top byte
+(`top_bytes` reads them from a block without building the draws), and a
+slot names the selected column outright when no threshold falls strictly
+inside that byte's bucket of [0, 2**64).  Any other slot falls back to the
+exact search of the smallest j with r < T_j on the full draw, so every
+trajectory is the one the rule defines, bit for bit.
 """
 from __future__ import annotations
 
@@ -39,6 +47,8 @@ _MIX2 = 0x94D049BB133111EB
 _LANES = 2048
 # the low 64-bit half of each 16-byte lane, as native-order words
 _LOW_HALVES = slice(0, None, 2) if sys.byteorder == "little" else slice(None, None, -2)
+# the top byte of each of those halves, as positions in the block's bytes
+_TOP_BYTES = slice(7, None, 16) if sys.byteorder == "little" else slice(-8, None, -16)
 
 
 class SplitMix64:
@@ -94,6 +104,12 @@ def _blocks(start: int, count: int) -> Iterator[memoryview]:
         z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
         z ^= z >> 31
         yield memoryview(z.to_bytes(width, sys.byteorder)).cast("Q")[_LOW_HALVES]
+
+
+def top_bytes(block: memoryview) -> bytes:
+    """The top byte (draw >> 56) of every draw of a block of `SplitMix64.blocks`,
+    in order, sliced from the bytes under the block."""
+    return block.obj[_TOP_BYTES]
 
 
 def cumulative_thresholds(numerators: Sequence[int], denominator: int) -> list[int]:

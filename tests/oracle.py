@@ -48,6 +48,12 @@ dense rows of the `matrix` view, in Fractions; the simulation samples with
 thresholds over every column, zero entries included, and clamps a draw past
 the row's mass to the last column.
 
+`pairwise_node_frequencies` is `procnet.empirical.empirical_node_frequencies`
+as it was before it counted bytes: a `Counter` over the consecutive pairs
+of the trajectory, each distinct pair range-checked and turned into its
+node key once, where the production code gathers one coded lane per state
+and counts each key's lane in one byte string.
+
 `tarjan_components` is the iterative Tarjan that
 `procnet.dynamics._strongly_connected_components` replaced (low-links,
 on-stack flags and a work stack of edge indices): the same partition of a
@@ -57,7 +63,9 @@ one pass instead of Kosaraju's two.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
+from itertools import pairwise
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -492,6 +500,32 @@ def dense_simulate_chain(
         state = dense_sample_index(rng, t)
         trail.append(state)
     return tuple(trail)
+
+
+def pairwise_node_frequencies(
+    sigma: ProcessTensor, node: ProcessTensor, trajectory: Sequence[int]
+) -> Distribution:
+    """Observed frequencies of (node inputs at t, node outputs at t+1)."""
+    if len(trajectory) < 2:
+        raise DomainError("need at least one transition to count frequencies")
+    known = set(sigma.internals)
+    for v in node.inputs + node.outputs:
+        if v not in known:
+            raise DomainError(
+                f"node variable {v.name!r} is not a variable of the global process"
+            )
+    rows = _index_table(node.inputs, sigma.internals)
+    cols = _index_table(node.outputs, sigma.internals)
+    out_count = section_count(node.outputs)
+    # each distinct transition is range-checked and counted once
+    counts = [0] * section_count(node.inputs + node.outputs)
+    for (a, b), k in Counter(pairwise(trajectory)).items():
+        if not (0 <= a < len(rows) and 0 <= b < len(rows)):
+            raise DomainError(f"trajectory state indices must be in 0..{len(rows) - 1}")
+        counts[rows[a] * out_count + cols[b]] += k
+    total = len(trajectory) - 1
+    weights = tuple(Fraction(k, total) for k in counts)
+    return Distribution(node.inputs + node.outputs, weights)
 
 
 def tarjan_components(succ: list[list[int]]) -> list[list[int]]:

@@ -25,10 +25,12 @@ from procnet import (
     verify_marginal_theorem,
 )
 from procnet import scenario
+from procnet.analysis import stationary_regime
 from procnet.cli import main
 from procnet.dynamics import _strongly_connected_components, _support_graph
+from procnet import empirical
 from procnet.empirical import _node_delta
-from procnet.errors import ResourceLimitError, StructureError
+from procnet.errors import ResourceLimitError, StationarityError, StructureError
 from procnet.exactlp import farkas_contradiction
 from builders import one_outcome_cycle_doc
 
@@ -150,6 +152,43 @@ def test_structure_caps_refuse_analyze_and_the_stage_functions(shape, message):
         with pytest.raises(ResourceLimitError, match=message):
             call()
     assert time.perf_counter() - start < 1.0
+
+
+def test_contraction_refuses_before_a_vector_name_is_looked_up():
+    # 2^11 states, and no vector of that name: the state cap refuses first
+    doc = {
+        "format_version": 1,
+        "variables": [{"name": f"W{k}", "alphabet": ["0", "1"]} for k in range(11)],
+        "nodes": [
+            {
+                "name": f"copy{k}",
+                "inputs": [f"W{k}"],
+                "internals": [],
+                "outputs": [f"W{(k + 1) % 11}"],
+                "matrix": [["1", "0"], ["0", "1"]],
+            }
+            for k in range(11)
+        ],
+    }
+    nf = parse_network_text(json.dumps(doc))
+    with pytest.raises(ResourceLimitError, match="state space of size 2048 exceeds"):
+        stationary_regime(nf, "missing")
+    small = load_network_file(bundled_network_path("triangle"))
+    with pytest.raises(StationarityError, match="no stationary distribution named 'missing'"):
+        stationary_regime(small, "missing")
+
+
+def test_the_stage_functions_and_stationary_regime_share_one_front_half(monkeypatch):
+    calls: Counter = Counter()
+    count_calls(monkeypatch, empirical._checked_regime, calls)
+    nf = load_network_file(bundled_network_path("triangle"))
+    omega = nf.stationary_named("sixcycle")
+    stationary_regime(nf, "sixcycle")
+    node_distribution(nf.network, omega, "alpha")
+    verify_marginal_theorem(nf.network, omega, "alpha")
+    build_empirical_model(nf.network, omega)
+    analyze(nf)
+    assert calls == Counter({("_checked_regime", None): 5})
 
 
 @pytest.mark.parametrize(

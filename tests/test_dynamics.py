@@ -1,5 +1,7 @@
+import re
 import time
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -79,6 +81,54 @@ def closed_chains(draw):
     return ProcessTensor.from_matrix("chain", (), variables, (), rows)
 
 
+def integer_chain(n, rows):
+    """A closed process on one variable of n outcomes; row r is the weights
+    nums[c] / d of rows[r] = (d, nums), stored in lowest terms."""
+    variables = (Variable("S", tuple(str(i) for i in range(n))),)
+    stored = []
+    for d, nums in rows:
+        g = gcd(d, *nums)
+        stored.append((d // g, tuple((c, a // g) for c, a in enumerate(nums) if a)))
+    return ProcessTensor("chain", (), variables, (), tuple(stored))
+
+
+@st.composite
+def guide_corner_chains(draw):
+    """Chains whose thresholds sit where the guide table of `simulate_chain`
+    either decides a top-byte bucket or falls back to the exact search.
+
+    "tiny": every row holds runs of weights near 2**-60 over a denominator
+    above 2**64, so several thresholds share one bucket; "edges": weights
+    k/256, every threshold on a bucket edge, mixed with k/512 ones that
+    split a bucket in half; "wide": 257-260 states, and rows of every
+    nonzero (more than 256, so most buckets fall back) among rows of 1-3.
+    """
+    kind = draw(st.sampled_from(("tiny", "edges", "wide")))
+    rng = Random(draw(st.integers(0, 2**32)))
+    n = rng.randint(257, 260) if kind == "wide" else rng.randint(2, 6)
+    rows = []
+    for _ in range(n):
+        if kind == "tiny":
+            d = 2**64 + rng.randrange(1, 2**40)
+            tiny = [rng.randint(1, 2**5) for _ in range(rng.randint(0, n - 2))]
+            head = rng.randrange(1, d - sum(tiny))
+            nums = [head, *tiny, d - head - sum(tiny)]
+            rows.append((d, nums + [0] * (n - len(nums))))
+        elif kind == "edges":
+            d = rng.choice((256, 512))
+            cuts = sorted(rng.sample(range(1, d), n - 1))
+            rows.append((d, [b - a for a, b in zip([0, *cuts], [*cuts, d])]))
+        elif rng.random() < 0.2:
+            nums = [rng.randint(1, 5) for _ in range(n)]
+            rows.append((sum(nums), nums))
+        else:
+            nums = [0] * n
+            for c in rng.sample(range(n), rng.randint(1, 3)):
+                nums[c] = rng.randint(1, 4)
+            rows.append((sum(nums), nums))
+    return integer_chain(n, rows)
+
+
 def some_distribution(sigma, seed):
     """Weights with mixed denominators, drawn from a few values so that the
     gaps of a fixed-point check often tie and the first worst state counts."""
@@ -101,19 +151,57 @@ class TestAgreesWithTheDenseRows:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        closed_chains(),
+        st.one_of(closed_chains(), guide_corner_chains()),
         st.integers(0, 2**64 - 1),
         st.booleans(),
         st.sampled_from((60, LANES - 1, LANES, LANES + 1, 2 * LANES + 7)),
     )
     def test_simulate_chain(self, sigma, seed, from_distribution, steps):
         # lengths around the lane blocks of the random stream; the oracle
-        # draws one scalar next_uint64 a step
+        # draws one scalar next_uint64 a step and reads no guide table
         init = some_distribution(sigma, seed) if from_distribution else (
             scenario.section_at(sigma.internals, seed % len(sigma.rows))
         )
         trail = simulate_chain(sigma, init, steps, seed)
         assert trail == dense_simulate_chain(sigma, init, steps, seed)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        closed_chains(),
+        st.integers(0, 2**64 - 1),
+        st.booleans(),
+        st.sampled_from((F(1, 2), F(3, 2))),
+        st.sampled_from((60, LANES + 1)),
+    )
+    def test_a_row_that_is_not_a_probability_row_is_refused_once_reached(
+        self, sigma, seed, reachable, scale, steps
+    ):
+        # the oracle samples from any row; simulate_chain refuses the row of
+        # `bad` at the first step taken from it, and only then
+        matrix = [list(row) for row in sigma.matrix]
+        n = len(matrix)
+        bad, init = seed % n, (seed >> 32) % n
+        if not reachable:
+            assume(n > 1)
+            init = (bad + 1) % n
+            for r, row in enumerate(matrix):
+                if r != bad:
+                    row[bad] = F(0)
+                    row[init] += not any(row)
+                    row[:] = [e / sum(row) for e in row]
+        matrix[bad] = [e * scale for e in matrix[bad]]
+        chain = ProcessTensor.from_matrix("chain", (), sigma.internals, (), matrix)
+        init = scenario.section_at(chain.internals, init)
+        expected = dense_simulate_chain(chain, init, steps, seed)
+        if bad in expected[:-1]:
+            label = re.escape(str(scenario.section_at(chain.internals, bad).outcomes))
+            message = f"row of state {label} is not a probability row"
+            with pytest.raises(DomainError, match=message):
+                simulate_chain(chain, init, steps, seed)
+        else:
+            assert simulate_chain(chain, init, steps, seed) == expected
+        assert reachable or bad not in expected
 
 
 def triangle_next(state):

@@ -1,7 +1,9 @@
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from random import Random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -27,15 +29,36 @@ from procnet import (
     verify_marginal_theorem,
     verify_stationary,
 )
+from procnet import empirical
 from procnet.empirical import NodeDistribution, _node_delta
 from procnet.errors import DomainError, StationarityError, StructureError
 from builders import deterministic_process, uniform_process
 from generators import random_closed_network, random_distribution
-from oracle import fraction_node_delta
+from oracle import fraction_node_delta, pairwise_node_frequencies
 from procnet.scenario import iter_outcome_tuples
 
 F = Fraction
 BINARY = ("0", "1")
+
+
+@cache
+def two_node_loop(forward: int, back: int):
+    """The global process and nodes of two nodes wired both ways, `forward`
+    binary wires from "a" to "b" and `back` from "b" to "a".  Each node
+    writes the bits it reads rotated by one, padded with "1"s or cut, so
+    every row has one nonzero: 2^(forward + back) states, and each node has
+    2^(forward + back) input/output sections."""
+    ab = [Variable(f"f{k}", BINARY) for k in range(forward)]
+    ba = [Variable(f"b{k}", BINARY) for k in range(back)]
+
+    def shift(width):
+        return lambda bits: (tuple(bits[1:]) + tuple(bits[:1]) + ("1",) * width)[:width]
+
+    nodes = (
+        deterministic_process("a", ba, ab, shift(forward)),
+        deterministic_process("b", ab, ba, shift(back)),
+    )
+    return contract_network(Network(nodes)), nodes
 
 
 class TestNodeDistribution:
@@ -404,6 +427,35 @@ class TestEmpiricalFrequencies:
         for trail in bad:
             with pytest.raises(DomainError, match=r"must be in 0\.\.7"):
                 empirical_node_frequencies(sigma, alpha, trail)
+
+    @pytest.mark.parametrize("outside", [-1, 512])
+    def test_state_index_outside_a_chain_above_256_states_is_rejected(self, outside):
+        sigma, nodes = two_node_loop(4, 5)
+        empirical_node_frequencies(sigma, nodes[0], (0, 511, 511))
+        with pytest.raises(DomainError, match=r"must be in 0\.\.511"):
+            empirical_node_frequencies(sigma, nodes[0], (0, 511, outside, 3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        steps=st.integers(1, 300),
+        chunk=st.sampled_from((1, 2, 7, empirical._CHUNK_STEPS)),
+        loop=st.booleans(),
+    )
+    def test_counts_equal_the_pairwise_oracle(self, seed, steps, chunk, loop):
+        # the loop has 512 states and 512 sections per node; small chunks
+        # put chunk edges inside the trajectory
+        rng = Random(seed)
+        if loop:
+            sigma, nodes = two_node_loop(4, 5)
+        else:
+            net = random_closed_network(rng)
+            sigma, nodes = contract_network(net), net.nodes
+        trail = [rng.randrange(len(sigma.rows)) for _ in range(steps + 1)]
+        with patch.object(empirical, "_CHUNK_STEPS", chunk):
+            for node in nodes:
+                expected = pairwise_node_frequencies(sigma, node, trail)
+                assert empirical_node_frequencies(sigma, node, trail) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -1,12 +1,13 @@
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import dense_cumulative_thresholds
 from procnet.rng import _LANES as L
-from procnet.rng import SplitMix64, cumulative_thresholds, sample_index
+from procnet.rng import SplitMix64, cumulative_thresholds, sample_index, top_bytes
 
 # first outputs of the published algorithm for these seeds
 KNOWN_SEED_0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -46,6 +47,19 @@ def test_blocks_equal_the_scalar_stream(seed, count):
         scalar.next_uint64() for _ in range(count)
     ]
     assert after == scalar.next_uint64()
+
+
+@pytest.mark.parametrize("seed", [0, 1234567, 2**64 - 1])
+def test_top_bytes_are_the_top_bytes_of_the_draws(seed):
+    # two blocks, the second one short
+    blocks = list(SplitMix64(seed).blocks(L + 5))
+    assert [len(block) for block in blocks] == [L, 5]
+    scalar = SplitMix64(seed)
+    for block in blocks:
+        tops = top_bytes(block)
+        assert type(tops) is bytes
+        assert list(tops) == [scalar.next_uint64() >> 56 for _ in block]
+        assert list(tops) == [r >> 56 for r in block]
 
 
 def test_same_seed_same_stream():
