@@ -24,7 +24,7 @@ from .empirical import _node_delta, empirical_node_frequencies
 from .errors import ParseError, ProcnetError, StationarityError, StructureError
 from .netfile import check_network_text, load_network_file
 from .process import classify_network
-from .rationals import format_rational
+from .rationals import echo, format_rational
 from .scenario import iter_outcome_tuples, section_count
 
 EXIT_OK = 0
@@ -323,6 +323,14 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _int_option(text: str) -> int:
+    """An int option's value; a bad token is echoed cut, like every error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {echo(text)}") from None
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; `parse_args` reads it
@@ -358,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("file")
     p_sim.add_argument("--node", required=True, help="node to observe")
-    p_sim.add_argument("--steps", type=int, default=100_000)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--steps", type=_int_option, default=100_000)
+    p_sim.add_argument("--seed", type=_int_option, default=0)
     p_sim.add_argument(
         "--omega",
         default="solve",

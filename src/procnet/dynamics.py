@@ -23,10 +23,13 @@ independent oracle; it uses the documented generator from `rng` so runs are
 reproducible from the seed alone.  `simulate_chain` picks most next states
 from the top byte of the draw through a 256-slot guide table per visited
 state (`_guide`), and the rest by the exact threshold search, so the
-trajectory is the one the sampling rule of `rng` defines.  A trajectory is
-a tuple of state indices in the `Distribution.weights` layout of the
-process's internals; `scenario.section_at` or `iter_outcome_tuples` turn an
-index into labels.
+trajectory is the one the sampling rule of `rng` defines.  A block of draws
+is a view of dense native-order 64-bit words, one draw a word: the loop
+walks the block's top bytes (every 8th byte, `rng.top_bytes`), and only the
+exact search reads a full draw, at an index it derives from the trajectory's
+length.  A trajectory is a tuple of state indices in the
+`Distribution.weights` layout of the process's internals;
+`scenario.section_at` or `iter_outcome_tuples` turn an index into labels.
 """
 from __future__ import annotations
 
@@ -358,8 +361,11 @@ def simulate_chain(
     guides = [_UNBUILT] * len(sigma.rows)
     samplers: list[tuple[list[int], list[int]] | None] = [None] * len(sigma.rows)
     trail = [state]
+    append = trail.append
     for block in rng.blocks(steps):
-        for i, b in enumerate(top_bytes(block)):
+        # the draw of the step that makes trail[t] is block[t - first]
+        first = len(trail)
+        for b in top_bytes(block):
             nxt = guides[state][b]
             if nxt < 0:
                 sampler = samplers[state]
@@ -367,9 +373,9 @@ def simulate_chain(
                     sampler = samplers[state] = _sampler(sigma, state)
                     guides[state] = _guide(*sampler)
                 columns, thresholds = sampler
-                nxt = columns[bisect_right(thresholds, block[i])]
+                nxt = columns[bisect_right(thresholds, block[len(trail) - first])]
             state = nxt
-            trail.append(state)
+            append(state)
     return tuple(trail)
 
 

@@ -60,7 +60,7 @@ class NetworkFile:
         for name, dist in self.stationary:
             if name == label:
                 return dist
-        raise DomainError(f"no stationary distribution named {label!r} in the file")
+        raise DomainError(f"no stationary distribution named {echo(label)} in the file")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from math import gcd
 from typing import Iterable, Mapping
 
 from .errors import CompositionError, DomainError, WiringError
-from .rationals import _scaled
+from .rationals import _scaled, echo
 from .scenario import (
     ZERO,
     Variable,
@@ -251,7 +251,7 @@ class Network:
         for n in self.nodes:
             if n.name == name:
                 return n
-        raise DomainError(f"no node named {name!r}")
+        raise DomainError(f"no node named {echo(name)}")
 
     @property
     def node_names(self) -> tuple[str, ...]:

@@ -13,10 +13,16 @@ trajectory is reproducible from (seed, init, steps) alone, independent of
 any library's RNG internals.  `next_uint64` is the defining rule.
 
 Draw t depends only on seed + t * gamma, so `SplitMix64.blocks` evaluates
-the same stream lane-parallel, with identical bits: one Python int holds
-up to _LANES draws in 128-bit lanes, each value in its low 64 bits with the
-high 64 bits as room for carries, and the finalizer runs once on the whole
-int (SIMD within a register).
+the same stream lane-parallel, with identical bits (SIMD within a
+register).  A block of _LANES draws is two Python ints of _LANES // 2
+128-bit lanes, one holding the states of the even draws and one those of
+the odd draws, each value in the low 64 bits of its lane with the high 64
+bits as room for carries.  One addition of a constant advances every lane
+to the next block, and the two multiply rounds run on each half.  The
+halves then merge as `even | odd << 64`, so draws 2i and 2i + 1 become
+consecutive 64-bit words of one int; the last xor-shift runs once on it,
+masked to the low 33 bits of each word, and its bytes are the block's
+native-order words.  A short last block is the first words of a full one.
 
 Sampling rule for a probability row (p_0, ..., p_{n-1}): precompute the
 cumulative integer thresholds T_j = floor(2**64 * (p_0 + ... + p_j)); a draw
@@ -45,10 +51,10 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 # draws per block; 2048 timed best of 256, 1024, 2048 and 8192
 _LANES = 2048
-# the low 64-bit half of each 16-byte lane, as native-order words
-_LOW_HALVES = slice(0, None, 2) if sys.byteorder == "little" else slice(None, None, -2)
-# the top byte of each of those halves, as positions in the block's bytes
-_TOP_BYTES = slice(7, None, 16) if sys.byteorder == "little" else slice(-8, None, -16)
+# the draws of a block, in order, as native-order words of its bytes
+_WORDS = slice(None) if sys.byteorder == "little" else slice(None, None, -1)
+# the top byte of each of those words, as positions in the block's bytes
+_TOP_BYTES = slice(7, None, 8) if sys.byteorder == "little" else slice(-8, None, -8)
 
 
 class SplitMix64:
@@ -76,40 +82,54 @@ class SplitMix64:
         return _blocks(start, count)
 
 
+def _packed(values, width: int) -> int:
+    """The values as consecutive little-endian lanes of `width` bytes."""
+    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+
+
 @cache
-def _lane_constants() -> tuple[int, int, int]:
-    """(ramp, ones, mask) over _LANES lanes: lane i of the ramp holds
-    (i + 1) * gamma modulo 2**64, of ones the value 1, of mask 2**64 - 1."""
-
-    def packed(values) -> int:
-        lanes = b"".join(v.to_bytes(16, "little") for v in values)
-        return int.from_bytes(lanes, "little")
-
+def _lane_constants() -> tuple[int, int, int, int, int, int]:
+    """Over _LANES // 2 lanes of 128 bits: lane i of the even (odd) ramp
+    holds (2i + 1) * gamma ((2i + 2) * gamma), of `step` _LANES * gamma, of
+    `ones` 1 and of `mask` 2**64 - 1, all modulo 2**64; `low33` holds
+    2**33 - 1 in each of the _LANES 64-bit words of a merged block."""
+    half = range(_LANES // 2)
     return (
-        packed((i * _GAMMA) & _MASK64 for i in range(1, _LANES + 1)),
-        packed([1] * _LANES),
-        packed([_MASK64] * _LANES),
+        _packed((((2 * i + 1) * _GAMMA) & _MASK64 for i in half), 16),
+        _packed((((2 * i + 2) * _GAMMA) & _MASK64 for i in half), 16),
+        _packed([(_LANES * _GAMMA) & _MASK64] * len(half), 16),
+        _packed([1] * len(half), 16),
+        _packed([_MASK64] * len(half), 16),
+        _packed([(1 << 33) - 1] * _LANES, 8),
     )
 
 
 def _blocks(start: int, count: int) -> Iterator[memoryview]:
-    ramp, ones, mask = _lane_constants()
+    even_ramp, odd_ramp, step, ones, mask, low33 = _lane_constants()
+    # lane i of `even` (`odd`): the state that gives draw 2i (2i + 1) of the
+    # current block, counting from 0
+    seed = start * ones
+    even = (even_ramp + seed) & mask
+    odd = (odd_ramp + seed) & mask
     for done in range(0, count, _LANES):
-        width = 16 * min(_LANES, count - done)
-        base = (start + done * _GAMMA) & _MASK64
-        # lane i: the state after draw done + i + 1; the top lanes of a short
-        # final block are cut off
-        z = (ramp + base * ones) & mask & ((1 << (8 * width)) - 1)
-        z = ((z ^ (z >> 30)) & mask) * _MIX1 & mask
-        z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
-        z ^= z >> 31
-        yield memoryview(z.to_bytes(width, sys.byteorder)).cast("Q")[_LOW_HALVES]
+        z = _multiply_rounds(even, mask) | _multiply_rounds(odd, mask) << 64
+        z ^= (z >> 31) & low33
+        words = memoryview(z.to_bytes(8 * _LANES, sys.byteorder)).cast("Q")
+        yield words[_WORDS][: count - done]
+        even = (even + step) & mask
+        odd = (odd + step) & mask
+
+
+def _multiply_rounds(z: int, mask: int) -> int:
+    """The finalizer's two xor-shift-multiply rounds on every 128-bit lane."""
+    z = ((z ^ (z >> 30)) & mask) * _MIX1 & mask
+    return ((z ^ (z >> 27)) & mask) * _MIX2 & mask
 
 
 def top_bytes(block: memoryview) -> bytes:
     """The top byte (draw >> 56) of every draw of a block of `SplitMix64.blocks`,
     in order, sliced from the bytes under the block."""
-    return block.obj[_TOP_BYTES]
+    return block.obj[_TOP_BYTES][: len(block)]
 
 
 def cumulative_thresholds(numerators: Sequence[int], denominator: int) -> list[int]:

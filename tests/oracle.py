@@ -54,6 +54,20 @@ of the trajectory, each distinct pair range-checked and turned into its
 node key once, where the production code gathers one coded lane per state
 and counts each key's lane in one byte string.
 
+`n_cycle_excess` and `n_cycle_certificate` decide the contextuality of an
+n-cycle model (n contexts of two binary variables, each variable in two of
+them) by the inequalities of Araujo, Quintino, Budroni, Terra Cunha and
+Cabello, PRA 88, 022118 (2013): a no-signalling n-cycle model is
+non-contextual exactly when sum_i g_i E_i <= n - 2 for every sign vector g
+with an odd number of -1s, E_i being context i's parity correlator
+w0 - w1 - w2 + w3 by outcome position.  They read the context
+distributions and never build the global-section system that
+`procnet.contextuality.decide_contextuality` solves.  A violated
+inequality is a Farkas vector: g_i * (1, -1, -1, 1) on context i's rows
+and -(n - 2) on the normalization row give every global section at most 0
+(its parities multiply to 1, so with an odd g some term is -1), and
+y . b = sum_i g_i E_i - (n - 2) > 0.
+
 `tarjan_components` is the iterative Tarjan that
 `procnet.dynamics._strongly_connected_components` replaced (low-links,
 on-stack flags and a work stack of edge indices): the same partition of a
@@ -65,7 +79,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import pairwise
+from itertools import pairwise, product
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -84,6 +98,7 @@ from procnet.scenario import (
     ONE,
     ZERO,
     Distribution,
+    EmpiricalModel,
     Variable,
     _index_table,
     _names,
@@ -574,3 +589,37 @@ def tarjan_components(succ: list[list[int]]) -> list[list[int]]:
                 if low[v] < low[parent]:
                     low[parent] = low[v]
     return components
+
+
+_PARITY = (1, -1, -1, 1)
+
+
+def n_cycle_excess(model: EmpiricalModel) -> tuple[Fraction, tuple[int, ...]]:
+    """The largest sum_i g_i E_i - (n - 2) over the sign vectors g with an
+    odd number of -1s, and a g that attains it; the model is
+    contextual exactly when the excess is positive."""
+    contexts = model.scenario.maximal_contexts
+    n = len(contexts)
+    distributions = model.context_distributions
+    if any(len(c) != 2 or len(d.weights) != 4 for c, d in zip(contexts, distributions)):
+        raise DomainError("an n-cycle model has contexts of two binary variables")
+    names = [name for ctx in contexts for name in ctx]
+    if (
+        n < 3
+        or any(names.count(name) != 2 for name in names)
+        or not all(set(contexts[i - 1]) & set(contexts[i]) for i in range(n))
+    ):
+        raise DomainError("the contexts of an n-cycle model form one cycle, in order")
+    correlators = [sum(s * w for s, w in zip(_PARITY, d.weights)) for d in distributions]
+    return max(
+        (sum(g * e for g, e in zip(signs, correlators)) - (n - 2), signs)
+        for signs in product((1, -1), repeat=n)
+        if signs.count(-1) % 2
+    )
+
+
+def n_cycle_certificate(signs: Sequence[int]) -> tuple[int, ...]:
+    """The Farkas vector of the inequality with these signs, in the row
+    order of `global_section_system`: four rows per context, then the
+    normalization row."""
+    return tuple(g * s for g in signs for s in _PARITY) + (2 - len(signs),)

@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line,
+and beside criterion 3 an independent n-cycle oracle for its verdicts.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Every numeric claim is exact rational equality unless a criterion
@@ -13,11 +14,17 @@ from math import sqrt
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from procnet import (
     Distribution,
     MeasurementScenario,
+    Network,
+    NetworkFile,
+    ProcessTensor,
     Variable,
+    analyze,
     build_empirical_model,
     bundled_network_path,
     chsh_value,
@@ -36,6 +43,7 @@ from procnet import (
     vorobev_regular,
 )
 from procnet.empirical import empirical_node_frequencies
+from oracle import n_cycle_certificate, n_cycle_excess
 from generators import (
     family_by_elimination,
     family_by_global_marginals,
@@ -170,6 +178,52 @@ def test_criterion_3_verdicts(triangle_network, sixcycle_omega, chsh_network):
         assert verdict.strongly_contextual
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
+
+
+@st.composite
+def single_wire_rings(draw) -> NetworkFile:
+    """A ring of n nodes, node i reading binary wire w(i-1) and writing w(i),
+    with seeded outcome orders; each 2 x 2 row is deterministic or has a
+    denominator up to 7."""
+    n = draw(st.integers(3, 8))
+    wires = [
+        Variable(f"w{i}", BINARY[::-1] if draw(st.booleans()) else BINARY) for i in range(n)
+    ]
+    nodes = []
+    for i in range(n):
+        rows = []
+        for _ in BINARY:
+            if draw(st.integers(0, 9)) < 3:
+                rows.append((F(1), F(0)) if draw(st.booleans()) else (F(0), F(1)))
+            else:
+                d = draw(st.integers(2, 7))
+                a = draw(st.integers(0, d))
+                rows.append((F(a, d), F(d - a, d)))
+        nodes.append(ProcessTensor.from_matrix(f"n{i}", (wires[i - 1],), (), (wires[i],), rows))
+    return NetworkFile(tuple(wires), Network(tuple(nodes)), ())
+
+
+def assert_n_cycle_oracle_agrees(analysis) -> None:
+    """The verdict is the n-cycle inequalities' (`oracle.n_cycle_excess`), and
+    a violated inequality is a certificate the re-check accepts."""
+    excess, signs = n_cycle_excess(analysis.model)
+    assert analysis.verdict.contextual == (excess > 0)
+    if excess > 0:
+        assert verify_infeasibility_certificate(analysis.model, n_cycle_certificate(signs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(single_wire_rings())
+def test_n_cycle_inequalities_decide_rings_of_single_wires(nf):
+    assert_n_cycle_oracle_agrees(analyze(nf))
+
+
+@pytest.mark.parametrize("name, omega", [("triangle", "sixcycle"), ("chsh", "solve")])
+def test_n_cycle_inequalities_decide_the_bundled_cycles(name, omega):
+    # the triangle is the 3-cycle, and chsh the 4-cycle of Fine's theorem
+    analysis = analyze(load_network_file(bundled_network_path(name)), omega)
+    assert analysis.verdict.contextual
+    assert_n_cycle_oracle_agrees(analysis)
 
 
 @criterion(4, "stationary-marginal-equalities")

@@ -491,6 +491,44 @@ class TestSimulate:
         assert code == 3
         assert "nope" in err
 
+    def test_long_node_name_is_echoed_cut(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", str(bundled_network_path("product")), "--node", "n" * 5000
+        )
+        assert code == 3
+        assert out == ""
+        assert "no node named 'nnn" in err
+        assert len(err) < 200
+
+    def test_long_omega_name_is_echoed_cut(self, capsys):
+        code, out, err = run(
+            capsys,
+            "simulate",
+            str(bundled_network_path("product")),
+            "--node",
+            "alpha",
+            "--omega",
+            "w" * 5000,
+        )
+        assert code == 5
+        assert out == ""
+        assert "no stationary distribution named 'www" in err
+        assert len(err) < 200
+
+    @pytest.mark.parametrize("option", ["--steps", "--seed"])
+    @pytest.mark.parametrize(
+        "token", ["9" * 5000, "x" * 5000, "1.5"], ids=["5000-digits", "5000-letters", "float"]
+    )
+    def test_bad_int_option_exits_2_with_a_cut_echo(self, capsys, option, token):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", str(bundled_network_path("product")), "--node", "alpha",
+                  option, token])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert f"argument {option}: invalid int value: '{token[:10]}" in captured.err
+        assert len(captured.err) < 400
+
 
 def readme_synopsis_options() -> dict[str, set[str]]:
     """The --options of each `procnet CMD` line of the README's synopsis."""

@@ -2,7 +2,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import dense_cumulative_thresholds
@@ -31,11 +31,23 @@ def test_known_answer_vectors_through_blocks():
         assert [r for block in blocks for r in block] == list(known)
 
 
+# counts around the half-block and the block, and short last blocks of odd
+# length: a block holds the even draws and the odd draws in two halves of
+# L // 2 lanes, merged into consecutive words
+PINNED_COUNTS = (1, L // 2 - 1, L // 2, L // 2 + 1, L - 1, L, L + 1, L + 5, 2 * L + 7)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.one_of(st.integers(-(2**64), 2**65 - 1), st.sampled_from((2**64 - 1, 2**63))),
-    st.one_of(st.sampled_from((0, 1, L - 1, L, L + 1, 2 * L + 7)), st.integers(0, 3 * L)),
+    st.one_of(st.sampled_from((0,) + PINNED_COUNTS), st.integers(0, 3 * L)),
 )
+@example(seed=2**64 - 1, count=0)
+@example(seed=0, count=L // 2 - 1)
+@example(seed=2**63, count=L // 2)
+@example(seed=-1, count=L // 2 + 1)
+@example(seed=1234567, count=L + 5)
+@example(seed=2**64 - 1, count=2 * L + 7)
 def test_blocks_equal_the_scalar_stream(seed, count):
     lanes, scalar = SplitMix64(seed), SplitMix64(seed)
     blocks = lanes.blocks(count)
@@ -51,15 +63,16 @@ def test_blocks_equal_the_scalar_stream(seed, count):
 
 @pytest.mark.parametrize("seed", [0, 1234567, 2**64 - 1])
 def test_top_bytes_are_the_top_bytes_of_the_draws(seed):
-    # two blocks, the second one short
-    blocks = list(SplitMix64(seed).blocks(L + 5))
-    assert [len(block) for block in blocks] == [L, 5]
-    scalar = SplitMix64(seed)
-    for block in blocks:
-        tops = top_bytes(block)
-        assert type(tops) is bytes
-        assert list(tops) == [scalar.next_uint64() >> 56 for _ in block]
-        assert list(tops) == [r >> 56 for r in block]
+    for count in PINNED_COUNTS:
+        blocks = list(SplitMix64(seed).blocks(count))
+        full, short = divmod(count, L)
+        assert [len(block) for block in blocks] == [L] * full + [short] * (short > 0)
+        scalar = SplitMix64(seed)
+        for block in blocks:
+            tops = top_bytes(block)
+            assert type(tops) is bytes
+            assert list(tops) == [scalar.next_uint64() >> 56 for _ in block]
+            assert list(tops) == [r >> 56 for r in block]
 
 
 def test_same_seed_same_stream():
