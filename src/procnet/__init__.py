@@ -29,22 +29,17 @@ from .process import (
     ProcessReport,
     ProcessTensor,
     classify_network,
-    compose,
     contract_network,
     find_reciprocities,
     global_variable_order,
-    rename_variables,
     validate_process,
 )
 from .dynamics import (
     DEFAULT_MAX_STATES,
     StationaryCheck,
     StationaryResult,
-    chain_period,
-    estimate_stationary,
     find_stationary,
     is_ergodic,
-    is_irreducible,
     simulate_chain,
     step,
     verify_stationary,
@@ -81,7 +76,6 @@ from .netfile import (
     serialize_network_file,
 )
 from .errors import (
-    CompositionError,
     DomainError,
     ParseError,
     ProcnetError,
@@ -112,20 +106,15 @@ __all__ = [
     "ProcessReport",
     "ProcessTensor",
     "classify_network",
-    "compose",
     "contract_network",
     "find_reciprocities",
     "global_variable_order",
-    "rename_variables",
     "validate_process",
     "DEFAULT_MAX_STATES",
     "StationaryCheck",
     "StationaryResult",
-    "chain_period",
-    "estimate_stationary",
     "find_stationary",
     "is_ergodic",
-    "is_irreducible",
     "simulate_chain",
     "step",
     "verify_stationary",
@@ -155,7 +144,6 @@ __all__ = [
     "load_network_file",
     "parse_network_text",
     "serialize_network_file",
-    "CompositionError",
     "DomainError",
     "ParseError",
     "ProcnetError",

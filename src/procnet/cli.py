@@ -22,7 +22,7 @@ from .analysis import Analysis, analyze, stationary_regime
 from .dynamics import _require_steps, is_ergodic, simulate_chain
 from .empirical import _node_delta, empirical_node_frequencies
 from .errors import ParseError, ProcnetError, StationarityError, StructureError
-from .netfile import check_network_text, load_network_file
+from .netfile import _read_text, check_network_text, load_network_file
 from .process import classify_network
 from .rationals import echo, format_rational
 from .scenario import iter_outcome_tuples, section_count
@@ -32,6 +32,10 @@ EXIT_PARSE = 2
 EXIT_SEMANTIC = 3
 EXIT_STRUCTURE = 4
 EXIT_STATIONARY = 5
+
+# longest argparse error message: room for a bad int option's echo, cut to
+# MAX_ECHO_CHARS already, and for the subcommand list after a misspelt one
+MAX_USAGE_ERROR_CHARS = 160
 
 # the exit code of an error caught by `main`: the first class that matches;
 # any other ProcnetError (a domain, wiring or size-cap error) is semantic
@@ -61,12 +65,7 @@ def _print_distribution(dist) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        text = Path(args.file).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    check = check_network_text(text)
+    check = check_network_text(_read_text(args.file))
     if args.json:
         print(
             json.dumps(
@@ -331,11 +330,22 @@ def _int_option(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {echo(text)}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser with its error message cut to MAX_USAGE_ERROR_CHARS,
+    since argparse echoes an unknown argument or subcommand whole.
+    `add_subparsers` builds the subcommand parsers of the same class."""
+
+    def error(self, message: str):
+        if len(message) > MAX_USAGE_ERROR_CHARS:
+            message = message[:MAX_USAGE_ERROR_CHARS] + "..."
+        super().error(message)
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; `parse_args` reads it
     without changing it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="procnet",
         description=(
             "Analyze networks of finite stochastic processes: exact contraction, "
@@ -378,12 +388,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _message(exc: Exception) -> str:
+    """The error's text; an OSError's file name is echoed cut, like every
+    echo of input."""
+    if isinstance(exc, OSError) and exc.filename is not None:
+        return f"[Errno {exc.errno}] {exc.strerror}: {echo(exc.filename)}"
+    return str(exc)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ProcnetError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return next(code for kind, code in _EXIT_FOR_ERROR if isinstance(exc, kind))
 
 

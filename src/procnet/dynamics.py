@@ -18,8 +18,9 @@ and the process rows, `_integer_product`: it reads the distribution's own
 integer form (`Distribution._integers`, scaled once when it was built) and
 the rows' numerators, and adds and multiplies no Fraction.
 
-The Monte Carlo side (`simulate_chain`, `estimate_stationary`) exists as an
-independent oracle; it uses the documented generator from `rng` so runs are
+The Monte Carlo side is `simulate_chain`, the trajectory behind `procnet
+simulate`'s frequencies, an independent check on the exact node
+distributions; it uses the documented generator from `rng` so runs are
 reproducible from the seed alone.  `simulate_chain` picks most next states
 from the top byte of the draw through a 256-slot guide table per visited
 state (`_guide`), and the rest by the exact threshold search, so the
@@ -34,7 +35,6 @@ length.  A trajectory is a tuple of state indices in the
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -58,13 +58,12 @@ from .scenario import (
 # cap bounds it near 150 MB
 MAX_STEPS = 10_000_000
 
-_EXACT_METHODS = ("lp_vertex", "user_supplied")
-_METHODS = _EXACT_METHODS + ("cesaro_estimate",)
+_METHODS = ("lp_vertex", "user_supplied")
 
 
 @dataclass(frozen=True)
 class StationaryResult:
-    """A stationary (or estimated) distribution together with its provenance."""
+    """An exact stationary distribution together with its provenance."""
 
     distribution: Distribution
     method: str
@@ -73,7 +72,7 @@ class StationaryResult:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise DomainError(f"unknown method {self.method!r}")
-        if self.method in _EXACT_METHODS and self.residual != 0:
+        if self.residual != 0:
             raise DomainError(f"method {self.method!r} requires residual 0")
 
 
@@ -272,16 +271,17 @@ def find_stationary(sigma: ProcessTensor) -> StationaryResult:
     return StationaryResult(dist, "lp_vertex", ZERO)
 
 
-def _irreducible_support(sigma: ProcessTensor) -> list[list[int]] | None:
-    """The support graph of the closed sigma, or None when the chain is
-    reducible: one graph and one pass of `_strongly_connected_components`."""
+def is_ergodic(sigma: ProcessTensor) -> bool:
+    """Irreducible and aperiodic, hence convergent from every start.
+
+    One support graph and one pass of `_strongly_connected_components`
+    decide irreducibility; the period, the gcd of the cycle lengths, then
+    comes from the levels of a breadth-first search from state 0.
+    """
     _require_closed(sigma)
     succ = _support_graph(sigma)
-    return succ if len(_strongly_connected_components(succ)) == 1 else None
-
-
-def _period(succ: list[list[int]]) -> int:
-    """Period of an irreducible support graph (gcd of its cycle lengths)."""
+    if len(_strongly_connected_components(succ)) != 1:
+        return False
     level = {0: 0}
     frontier = [0]
     g = 0
@@ -295,25 +295,8 @@ def _period(succ: list[list[int]]) -> int:
                     level[w] = level[v] + 1
                     nxt.append(w)
         frontier = nxt
-    return abs(g) if g else 1
-
-
-def is_irreducible(sigma: ProcessTensor) -> bool:
-    return _irreducible_support(sigma) is not None
-
-
-def chain_period(sigma: ProcessTensor) -> int:
-    """Period of an irreducible chain (gcd of its cycle lengths)."""
-    succ = _irreducible_support(sigma)
-    if succ is None:
-        raise DomainError("period is only defined for irreducible chains")
-    return _period(succ)
-
-
-def is_ergodic(sigma: ProcessTensor) -> bool:
-    """Irreducible and aperiodic, hence convergent from every start."""
-    succ = _irreducible_support(sigma)
-    return succ is not None and _period(succ) == 1
+    # g stays 0 only on a lone state without a transition
+    return g <= 1
 
 
 def _require_steps(steps: int, least: int = 0) -> None:
@@ -407,26 +390,6 @@ def _guide(columns: list[int], thresholds: list[int]) -> list[int]:
         guide[first:last] = [c] * (last - first)
         low = t
     return guide
-
-
-def estimate_stationary(
-    sigma: ProcessTensor, init, steps: int, seed: int
-) -> StationaryResult:
-    """Time-averaged state frequencies along one simulated trajectory.
-
-    This is a Cesaro average, so it is meaningful for periodic chains as
-    well; the exact residual of the estimate is reported alongside.
-    """
-    _require_steps(steps, 1)
-    trail = simulate_chain(sigma, init, steps, seed)
-    counts = Counter(trail)
-    total = len(trail)
-    weights = tuple(
-        Fraction(counts[i], total) for i in range(section_count(sigma.internals))
-    )
-    dist = Distribution(sigma.internals, weights)
-    check = verify_stationary(sigma, dist)
-    return StationaryResult(dist, "cesaro_estimate", check.residual)
 
 
 def require_stationary(sigma: ProcessTensor, dist: Distribution) -> Distribution:

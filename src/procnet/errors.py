@@ -9,10 +9,6 @@ class DomainError(ProcnetError, ValueError):
     """An argument violates an operation's precondition."""
 
 
-class CompositionError(ProcnetError):
-    """Two processes cannot be composed as requested."""
-
-
 class WiringError(ProcnetError):
     """A network's variable names do not define a valid wiring."""
 

@@ -243,12 +243,17 @@ def parse_network_text(text: str) -> NetworkFile:
     return check.file
 
 
-def load_network_file(path) -> NetworkFile:
+def _read_text(path) -> str:
+    """The file's text; bytes that are not UTF-8 are a ParseError, and an
+    unreadable file raises its OSError."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"file is not UTF-8: {exc}") from exc
-    return parse_network_text(text)
+
+
+def load_network_file(path) -> NetworkFile:
+    return parse_network_text(_read_text(path))
 
 
 def serialize_network_file(nf: NetworkFile) -> str:

@@ -1,4 +1,4 @@
-"""Open stochastic processes, pairwise composition, and network contraction.
+"""Open stochastic processes, networks of them, and network contraction.
 
 A process is a stochastic matrix whose rows are indexed by sections of
 (inputs ++ internals), the values seen at time t, and whose columns are
@@ -18,12 +18,11 @@ nonzeros, so `contract_network` refuses a global process of more than
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping
 
-from .errors import CompositionError, DomainError, WiringError
+from .errors import DomainError, WiringError
 from .rationals import _scaled, echo
 from .scenario import (
     ZERO,
@@ -149,21 +148,6 @@ def validate_process(process: ProcessTensor) -> ProcessReport:
             bad_sums.append((i, Fraction(total, common)))
         negatives.extend((i, j, Fraction(a, common)) for j, a in row if a < 0)
     return ProcessReport(tuple(bad_sums), tuple(negatives))
-
-
-def rename_variables(process: ProcessTensor, mapping: Mapping[str, str]) -> ProcessTensor:
-    """Rename variables; alphabets and entries are untouched."""
-
-    def rename(vs: tuple[Variable, ...]) -> tuple[Variable, ...]:
-        return tuple(Variable(mapping.get(v.name, v.name), v.alphabet) for v in vs)
-
-    return ProcessTensor(
-        process.name,
-        rename(process.inputs),
-        rename(process.internals),
-        rename(process.outputs),
-        process.rows,
-    )
 
 
 @dataclass(frozen=True)
@@ -307,6 +291,10 @@ def global_variable_order(
 def contract_network(net: Network) -> ProcessTensor:
     """Multiply all nodes into the single global process.
 
+    The network may be open or closed: its dangling wires are the global
+    inputs and outputs, so two processes wired output to input are a
+    two-node network.
+
     Each node reads its inputs and internals from the row side (time t) and
     writes its internals and outputs on the column side (time t+1), so the
     entry of the result at (row, column) is the product of the node entries
@@ -357,55 +345,3 @@ def contract_network(net: Network) -> ProcessTensor:
         rows.append((denominator // g, tuple(terms)))
     return ProcessTensor("global", g_inputs, g_internals, g_outputs, tuple(rows))
 
-
-def compose(
-    p: ProcessTensor,
-    q: ProcessTensor,
-    links: Iterable[tuple[str, str]],
-) -> ProcessTensor:
-    """Connect outputs of p to inputs of q; each linked pair becomes internal.
-
-    The new internal variable inherits the name of the output endpoint, so
-    repeated runs produce identical tensors.  Result layout: inputs are
-    p.inputs ++ (q.inputs minus linked), internals are p.internals ++ linked
-    (in p's output order) ++ q.internals, outputs are (p.outputs minus
-    linked) ++ q.outputs.  A result over the state cap is refused, as in
-    `contract_network`.
-    """
-    links = list(links)
-    p_outputs = {v.name: v for v in p.outputs}
-    q_inputs = {v.name: v for v in q.inputs}
-    if len({a for a, _ in links}) != len(links) or len({b for _, b in links}) != len(links):
-        raise CompositionError("a variable may appear in at most one link")
-    for a, b in links:
-        if a not in p_outputs:
-            raise CompositionError(f"{a!r} is not an output of {p.name!r}")
-        if b not in q_inputs:
-            raise CompositionError(f"{b!r} is not an input of {q.name!r}")
-        if p_outputs[a].alphabet != q_inputs[b].alphabet:
-            raise CompositionError(
-                f"cannot link {a!r} to {b!r}: alphabets differ "
-                f"({p_outputs[a].alphabet} vs {q_inputs[b].alphabet})"
-            )
-    mapping = {b: a for a, b in links if a != b}
-    if mapping:
-        clashes = set(mapping.values()) & {
-            v.name for v in q.variables if v.name not in mapping
-        }
-        if clashes:
-            raise CompositionError(
-                f"link names {sorted(clashes)} already occur in {q.name!r}"
-            )
-        q = rename_variables(q, mapping)
-    link_names = {a for a, _ in links}
-    shared = {v.name for v in p.variables} & {v.name for v in q.variables}
-    if shared != link_names:
-        raise CompositionError(
-            f"unlinked name collisions between {p.name!r} and {q.name!r}: "
-            f"{sorted(shared - link_names)}"
-        )
-    try:
-        net = Network((p, q))
-    except WiringError as exc:
-        raise CompositionError(str(exc)) from exc
-    return replace(contract_network(net), name=f"{p.name}_{q.name}")

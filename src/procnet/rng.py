@@ -45,6 +45,8 @@ from functools import cache
 from itertools import accumulate
 from typing import Iterator, Sequence
 
+from .exactlp import _pack
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -82,11 +84,6 @@ class SplitMix64:
         return _blocks(start, count)
 
 
-def _packed(values, width: int) -> int:
-    """The values as consecutive little-endian lanes of `width` bytes."""
-    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
-
-
 @cache
 def _lane_constants() -> tuple[int, int, int, int, int, int]:
     """Over _LANES // 2 lanes of 128 bits: lane i of the even (odd) ramp
@@ -95,12 +92,12 @@ def _lane_constants() -> tuple[int, int, int, int, int, int]:
     2**33 - 1 in each of the _LANES 64-bit words of a merged block."""
     half = range(_LANES // 2)
     return (
-        _packed((((2 * i + 1) * _GAMMA) & _MASK64 for i in half), 16),
-        _packed((((2 * i + 2) * _GAMMA) & _MASK64 for i in half), 16),
-        _packed([(_LANES * _GAMMA) & _MASK64] * len(half), 16),
-        _packed([1] * len(half), 16),
-        _packed([_MASK64] * len(half), 16),
-        _packed([(1 << 33) - 1] * _LANES, 8),
+        _pack((((2 * i + 1) * _GAMMA) & _MASK64 for i in half), 16),
+        _pack((((2 * i + 2) * _GAMMA) & _MASK64 for i in half), 16),
+        _pack([(_LANES * _GAMMA) & _MASK64] * len(half), 16),
+        _pack([1] * len(half), 16),
+        _pack([_MASK64] * len(half), 16),
+        _pack([(1 << 33) - 1] * _LANES, 8),
     )
 
 

@@ -167,6 +167,17 @@ class TestValidate:
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv", [("validate",), ("analyze",), ("simulate", "--node", "alpha")]
+    )
+    def test_long_path_is_echoed_cut(self, capsys, argv):
+        # the OSError's message holds the whole file name
+        code, out, err = run(capsys, argv[0], "a" * 5000, *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "aaaa" in err
+        assert len(err) < 200
+
     def test_non_string_alphabet_and_boolean_version_exit_2(self, capsys, tmp_path):
         doc = triangle_doc()
         doc["format_version"] = True
@@ -528,6 +539,29 @@ class TestSimulate:
         assert captured.out == ""
         assert f"argument {option}: invalid int value: '{token[:10]}" in captured.err
         assert len(captured.err) < 400
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "FILE", "--node", "alpha", "--bogus", "b" * 5000),
+        ("c" * 5000,),
+        # an error of the simulate parser itself
+        ("simulate", "FILE", "--node", "alpha", "--s=" + "s" * 5000),
+    ],
+    ids=["unknown-argument", "unknown-subcommand", "ambiguous-option"],
+)
+def test_usage_errors_exit_2_with_a_cut_echo(capsys, argv):
+    # argparse echoes an unknown token whole; the parser, and the subcommand
+    # parsers built from it, cut the message
+    argv = [str(bundled_network_path("product")) if a == "FILE" else a for a in argv]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert captured.out == ""
+    assert "error: " in captured.err
+    assert len(captured.err) < 400
 
 
 def readme_synopsis_options() -> dict[str, set[str]]:

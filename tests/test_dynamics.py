@@ -1,5 +1,6 @@
 import re
 import time
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from random import Random
@@ -13,12 +14,9 @@ from procnet import (
     ProcessTensor,
     Variable,
     bundled_network_path,
-    chain_period,
     contract_network,
-    estimate_stationary,
     find_stationary,
     is_ergodic,
-    is_irreducible,
     load_network_file,
     section_index,
     simulate_chain,
@@ -414,10 +412,8 @@ def test_a_distribution_over_permuted_variables_is_aligned(run):
         verify_stationary,
         require_stationary,
         lambda sigma, dist: simulate_chain(sigma, dist, 3, 0),
-        lambda sigma, dist: estimate_stationary(sigma, dist, 3, 0),
     ],
-    ids=["step", "verify_stationary", "require_stationary", "simulate_chain",
-         "estimate_stationary"],
+    ids=["step", "verify_stationary", "require_stationary", "simulate_chain"],
 )
 def test_a_variable_over_another_alphabet_is_refused(run):
     # same names as the process's (X, Y, Z), but X over three outcomes or
@@ -445,29 +441,52 @@ def test_stationary_result_checks_its_provenance(triangle_sigma, method, residua
 
 class TestStructure:
     def test_triangle_permutation_is_reducible(self, triangle_sigma):
-        assert not is_irreducible(triangle_sigma)
-        with pytest.raises(DomainError, match="only defined for irreducible chains"):
-            chain_period(triangle_sigma)
+        # the permutation splits the states into several classes
+        assert len(_strongly_connected_components(_support_graph(triangle_sigma))) > 1
+        assert not is_ergodic(triangle_sigma)
 
     def test_flip_chain_period_two(self):
+        # irreducible, so only its period 2 keeps it from being ergodic; one
+        # lazy step makes it aperiodic
         sigma = closed_tensor("flip", 1, ((F(0), F(1)), (F(1), F(0))))
-        assert is_irreducible(sigma)
-        assert chain_period(sigma) == 2
+        assert len(_strongly_connected_components(_support_graph(sigma))) == 1
         assert not is_ergodic(sigma)
+        lazy = closed_tensor("lazy", 1, ((F(1, 2), F(1, 2)), (F(1), F(0))))
+        assert is_ergodic(lazy)
 
     def test_positive_chain_is_ergodic(self):
         rng = Random(24)
         net = random_closed_network(rng, near_uniform=True)
         assert is_ergodic(contract_network(net))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: st.lists(
+                st.sets(st.integers(0, n - 1), min_size=1, max_size=2),
+                min_size=n, max_size=n,
+            )
+        )
+    )
+    def test_ergodic_exactly_when_the_support_is_primitive(self, succ):
+        # irreducible and aperiodic means some power of the 0/1 support
+        # matrix is all ones, and (n - 1)^2 + 1 is the latest (Wielandt)
+        n = len(succ)
+        rows = tuple((len(t), tuple((c, 1) for c in sorted(t))) for t in succ)
+        s = Variable("S", tuple(map(str, range(n))))
+        sigma = ProcessTensor("support", (), (s,), (), rows)
+        reach = [set(t) for t in succ]
+        for _ in range((n - 1) ** 2):
+            reach = [set().union(*(succ[w] for w in r)) for r in reach]
+        assert is_ergodic(sigma) == all(len(r) == n for r in reach)
+
     def test_open_process_is_refused(self):
         p = ProcessTensor.from_matrix(
             "open", (Variable("I", BINARY),), (), (Variable("O", BINARY),),
             ((F(1), F(0)), (F(0), F(1))),
         )
-        for query in (is_irreducible, chain_period, is_ergodic):
-            with pytest.raises(DomainError, match="is not closed"):
-                query(p)
+        with pytest.raises(DomainError, match="is not closed"):
+            is_ergodic(p)
 
 
 @st.composite
@@ -610,8 +629,6 @@ class TestSimulate:
         start = ("0", "0", "0")
         with pytest.raises(DomainError, match="steps must be an int"):
             simulate_chain(triangle_sigma, start, steps, 1)
-        with pytest.raises(DomainError, match="steps must be an int"):
-            estimate_stationary(triangle_sigma, start, steps, 1)
 
     @pytest.mark.parametrize("seed", [1.5, "3", None, True])
     def test_seeds_that_are_not_ints_are_refused(self, triangle_sigma, seed):
@@ -619,8 +636,6 @@ class TestSimulate:
         start = ("0", "0", "0")
         with pytest.raises(DomainError, match=f"seed must be an int, not {seed!r}"):
             simulate_chain(triangle_sigma, start, 5, seed)
-        with pytest.raises(DomainError, match=f"seed must be an int, not {seed!r}"):
-            estimate_stationary(triangle_sigma, start, 5, seed)
 
     def test_negative_seed_wraps(self):
         sigma = closed_tensor("mix", 1, ((F(1, 2), F(1, 2)), (F(1, 3), F(2, 3))))
@@ -636,20 +651,30 @@ class TestSimulate:
         assert time.perf_counter() - start < 1.0
 
 
+def visit_frequencies(sigma, trail):
+    """The share of the trajectory's states spent in each state (a Cesaro
+    average of the chain)."""
+    counts = Counter(trail)
+    return [F(counts[i], len(trail)) for i in range(len(sigma.rows))]
+
+
 class TestEstimateStationary:
+    """Time averages along one `simulate_chain` trajectory against the exact
+    stationary distribution."""
+
     def test_cesaro_estimate_tracks_exact_on_ergodic_chain(self):
         rng = Random(26)
         net = random_closed_network(rng, n_nodes=3, near_uniform=True)
         sigma = contract_network(net)
         exact = find_stationary(sigma).distribution
-        est = estimate_stationary(sigma, exact, steps=30_000, seed=4)
-        assert est.method == "cesaro_estimate"
-        gap = max(abs(float(a) - float(b)) for a, b in zip(est.distribution.weights, exact.weights))
+        est = visit_frequencies(sigma, simulate_chain(sigma, exact, steps=30_000, seed=4))
+        gap = max(abs(float(a) - float(b)) for a, b in zip(est, exact.weights))
         assert gap < 0.02
 
     def test_periodic_chain_time_average(self):
         sigma = closed_tensor("flip", 1, ((F(0), F(1)), (F(1), F(0))))
-        est = estimate_stationary(sigma, ("0",), steps=999, seed=0)
+        est = visit_frequencies(sigma, simulate_chain(sigma, ("0",), steps=999, seed=0))
         # 1000 visited states alternate, so the average is exactly (1/2, 1/2)
-        assert est.distribution.weights == (F(1, 2), F(1, 2))
-        assert est.residual == 0
+        assert est == [F(1, 2), F(1, 2)]
+        average = Distribution(sigma.internals, tuple(est))
+        assert verify_stationary(sigma, average).stationary

@@ -1,7 +1,6 @@
 import ast
 import time
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 from fractions import Fraction
 from math import lcm
@@ -20,15 +19,12 @@ from procnet import (
     Variable,
     analyze,
     classify_network,
-    compose,
     contract_network,
     find_reciprocities,
     global_variable_order,
-    rename_variables,
     validate_process,
 )
 from procnet.errors import (
-    CompositionError,
     DomainError,
     ResourceLimitError,
     StructureError,
@@ -100,25 +96,6 @@ def networks(draw):
         else:
             roles[node][{"input": 0, "internal": 1}.get(kind, 2)].append(v)
     return Network(tuple(draw(processes(f"n{i}", *roles[i])) for i in range(n_nodes)))
-
-
-@st.composite
-def composable(draw):
-    """Open processes p and q, and links from outputs of p to inputs of q;
-    a linked input of q keeps the output's name or has its own."""
-    def some(prefix, most):
-        count = draw(st.integers(0, most))
-        return [draw(variables(f"{prefix}{k}")) for k in range(count)]
-
-    p_outputs = some("A", 2)
-    links = [
-        (v.name, v.name if draw(st.booleans()) else f"B{k}")
-        for k, v in enumerate(p_outputs[: draw(st.integers(0, len(p_outputs)))])
-    ]
-    linked = [Variable(b, p_outputs[k].alphabet) for k, (_, b) in enumerate(links)]
-    p = draw(processes("p", some("P", 2), some("S", 1), p_outputs))
-    q = draw(processes("q", linked + some("Q", 1), some("R", 1), some("C", 2)))
-    return p, q, links
 
 
 class TestProcessTensor:
@@ -314,20 +291,23 @@ class TestValidateProcess:
 
 
 class TestCompose:
+    """Two processes joined output to input: the two-node network of the
+    pair, contracted.  A shared name is the wire, so it becomes internal."""
+
     def test_two_relay_chain_shape_and_entries(self):
-        # i -> p(internal X) -> link F=G -> q(internal H) -> o
+        # i -> p(internal X) -> wire F -> q(internal H) -> o
         rng = Random(5)
         i, x, f = var("I"), var("X"), var("F")
-        g, h, o = var("G"), var("H"), var("O")
+        h, o = var("H"), var("O")
         p = ProcessTensor.from_matrix(
             "p", (i,), (x,), (f,),
             random_stochastic_rows(rng, 4, 4),
         )
         q = ProcessTensor.from_matrix(
-            "q", (g,), (h,), (o,),
+            "q", (f,), (h,), (o,),
             random_stochastic_rows(rng, 4, 4),
         )
-        c = compose(p, q, [("F", "G")])
+        c = contract_network(Network((p, q)))
         assert [v.name for v in c.inputs] == ["I"]
         assert [v.name for v in c.internals] == ["X", "F", "H"]
         assert [v.name for v in c.outputs] == ["O"]
@@ -344,13 +324,12 @@ class TestCompose:
 
     def test_negation_then_copy_all_sixteen_entries(self):
         # expected values brute-forced from the operand matrices below
-        xp, y = var("XP"), var("Y")
-        yp, z = var("YP"), var("Z")
+        xp, y, z = var("XP"), var("Y"), var("Z")
         negation = deterministic_process(
             "negation", [xp], [y], lambda t: ("1",) if t[0] == "0" else ("0",)
         )
-        relay = deterministic_process("relay", [yp], [z], lambda t: t)
-        c = compose(negation, relay, [("Y", "YP")])
+        relay = deterministic_process("relay", [y], [z], lambda t: t)
+        c = contract_network(Network((negation, relay)))
         assert [v.name for v in c.inputs] == ["XP"]
         assert [v.name for v in c.internals] == ["Y"]
         assert [v.name for v in c.outputs] == ["Z"]
@@ -369,8 +348,8 @@ class TestCompose:
     def test_compose_with_identity_factorizes(self):
         rng = Random(6)
         p = random_process(rng, "p", [var("I")], [var("F")])
-        ident = deterministic_process("ident", [var("G")], [var("O")], lambda t: t)
-        c = compose(p, ident, [("F", "G")])
+        ident = deterministic_process("ident", [var("F")], [var("O")], lambda t: t)
+        c = contract_network(Network((p, ident)))
         assert [v.name for v in c.internals] == ["F"]
         pm, cm = p.matrix, c.matrix
         for r, (iv, f_prev) in enumerate(iter_outcome_tuples(c.row_variables)):
@@ -381,35 +360,22 @@ class TestCompose:
     def test_alphabet_mismatch_rejected(self):
         p = deterministic_process("p", [var("I")], [var("F")], lambda t: t)
         q = deterministic_process(
-            "q", [Variable("G", ("a", "b", "c"))], [Variable("O", ("a", "b", "c"))],
+            "q", [Variable("F", ("a", "b", "c"))], [Variable("O", ("a", "b", "c"))],
             lambda t: t,
         )
-        with pytest.raises(CompositionError):
-            compose(p, q, [("F", "G")])
-
-    def test_name_collision_rejected(self):
-        p = deterministic_process("p", [var("I")], [var("F")], lambda t: t)
-        q = deterministic_process("q", [var("F")], [var("I")], lambda t: t)
-        # linking F only would leave both carrying the name I
-        with pytest.raises(CompositionError):
-            compose(p, q, [("F", "F")])
-
-    def test_link_endpoints_must_exist(self):
-        p = deterministic_process("p", [var("I")], [var("F")], lambda t: t)
-        q = deterministic_process("q", [var("G")], [var("O")], lambda t: t)
-        with pytest.raises(CompositionError):
-            compose(p, q, [("I", "G")])
-        with pytest.raises(CompositionError):
-            compose(p, q, [("F", "O")])
+        with pytest.raises(WiringError, match="'F' declared with different alphabets"):
+            Network((p, q))
 
     def test_associativity_on_random_chains(self):
+        # a contracted pair is a node again: grouping n1 n2 n3 either way
+        # gives the same process up to the order of its variables
         rng = Random(7)
         for _ in range(10):
             n1 = random_process(rng, "n1", [var("I")], [var("F1")])
-            n2 = random_process(rng, "n2", [var("G1")], [var("F2")])
-            n3 = random_process(rng, "n3", [var("G2")], [var("O")])
-            left = compose(compose(n1, n2, [("F1", "G1")]), n3, [("F2", "G2")])
-            right = compose(n1, compose(n2, n3, [("F2", "G2")]), [("F1", "G1")])
+            n2 = random_process(rng, "n2", [var("F1")], [var("F2")])
+            n3 = random_process(rng, "n3", [var("F2")], [var("O")])
+            left = contract_network(Network((contract_network(Network((n1, n2))), n3)))
+            right = contract_network(Network((n1, contract_network(Network((n2, n3))))))
             canonical = reorder_process(
                 right,
                 [v.name for v in left.inputs],
@@ -425,7 +391,7 @@ class TestCompose:
         rng = Random(16)
         p = random_process(rng, "p", [var("I")], [var("F")])
         q = random_process(rng, "q", [var("G")], [var("O")])
-        c = compose(p, q, [])
+        c = contract_network(Network((p, q)))
         assert [v.name for v in c.inputs] == ["I", "G"]
         assert c.internals == ()
         assert [v.name for v in c.outputs] == ["F", "O"]
@@ -436,25 +402,12 @@ class TestCompose:
                     int(gv)
                 ][int(ov)]
 
-    def test_result_over_the_state_cap_is_refused(self):
-        # 2^6 * 2^5 = 2048 rows once the inputs of p and q are side by side
-        p = uniform_process("p", [var(f"I{k}") for k in range(6)], [var("F")])
-        q = uniform_process("q", [var(f"J{k}") for k in range(5)], [var("O")])
-        with pytest.raises(ResourceLimitError, match="state space of size 2048"):
-            compose(p, q, [])
-
-    def test_non_string_link_names_rejected(self):
-        p = deterministic_process("p", [var("I")], [var("F")], copy)
-        q = deterministic_process("q", [Variable("0", BINARY)], [var("O")], copy)
-        with pytest.raises(CompositionError):
-            compose(p, q, [("F", 0)])
-
     def test_compose_preserves_stochasticity(self):
         rng = Random(8)
         for _ in range(10):
             p = random_process(rng, "p", [var("I")], [var("F")])
-            q = random_process(rng, "q", [var("G"), var("K")], [var("O")])
-            c = compose(p, q, [("F", "G")])
+            q = random_process(rng, "q", [var("F"), var("K")], [var("O")])
+            c = contract_network(Network((p, q)))
             assert validate_process(c).ok
 
 
@@ -510,34 +463,12 @@ def relay(name, inputs, outputs):
             WiringError,
             "internal variable 'M' of 'a' collides with an arrow name",
         ),
-        (
-            lambda: compose(
-                relay("p", ["I"], ["F"]), relay("q", ["G", "H"], ["O"]), [("F", "G"), ("F", "H")]
-            ),
-            CompositionError,
-            "a variable may appear in at most one link",
-        ),
-        (
-            lambda: compose(relay("p", ["I"], ["F"]), relay("q", ["G"], ["F"]), [("F", "G")]),
-            CompositionError,
-            r"link names \['F'\] already occur in 'q'",
-        ),
-        (
-            # the wiring of the pair is checked by Network, whose error compose
-            # reports as its own
-            lambda: compose(relay("n", ["I"], ["F"]), relay("n", ["G"], ["O"]), []),
-            CompositionError,
-            "node names must be distinct",
-        ),
     ],
     ids=[
         "empty-name",
         "node-names",
         "internal-twice",
         "internal-arrow",
-        "link-twice",
-        "link-name-in-q",
-        "compose-wiring",
     ],
 )
 def test_constructor_wiring_and_compose_refusals(build, error, message):
@@ -723,18 +654,27 @@ class TestContract:
     def test_state_cap_enforced(self):
         # 2^11 states; contracting them took seconds, refusing must not
         wires = [var(f"W{k}") for k in range(11)]
-        net = Network(
+        ring = Network(
             tuple(
                 deterministic_process(f"copy{k}", [w], [wires[(k + 1) % 11]], copy)
                 for k, w in enumerate(wires)
             )
         )
-        start = time.perf_counter()
-        with pytest.raises(
-            ResourceLimitError, match="state space of size 2048 exceeds the cap of 1024"
-        ):
-            contract_network(net)
-        assert time.perf_counter() - start < 1.0
+        # an open pair: 2^6 * 2^5 = 2048 rows once the dangling inputs of p
+        # and q are side by side
+        pair = Network(
+            (
+                uniform_process("p", [var(f"I{k}") for k in range(6)], [var("F")]),
+                uniform_process("q", [var(f"J{k}") for k in range(5)], [var("O")]),
+            )
+        )
+        for net in (ring, pair):
+            start = time.perf_counter()
+            with pytest.raises(
+                ResourceLimitError, match="state space of size 2048 exceeds the cap of 1024"
+            ):
+                contract_network(net)
+            assert time.perf_counter() - start < 1.0
 
     def test_nonzero_cap_refuses_before_any_row_is_built(self, monkeypatch):
         # the cap is read at call time, so a small one stands in for 2**18;
@@ -767,13 +707,26 @@ class TestContract:
     def test_equals_the_dense_loop(self, net):
         assert contract_network(net) == dense_contract(net)
 
-    @settings(max_examples=100, deadline=None)
-    @given(composable())
-    def test_compose_equals_the_dense_loop(self, pql):
-        p, q, links = pql
-        renamed = rename_variables(q, {b: a for a, b in links})
-        expected = dense_contract(Network((p, renamed)))
-        assert compose(p, q, links) == replace(expected, name="p_q")
+    def test_reversing_an_open_chain_changes_only_the_variable_order(self):
+        # the global entry is a product of node entries, so the node order
+        # fixes only the order of the global variables
+        rng = Random(7)
+        for _ in range(10):
+            n1 = random_process(rng, "n1", [var("I")], [var("F1")])
+            n2 = ProcessTensor.from_matrix(
+                "n2", (var("F1"),), (var("S"),), (var("F2"),),
+                random_stochastic_rows(rng, 4, 4),
+            )
+            n3 = random_process(rng, "n3", [var("F2")], [var("O")])
+            forward = contract_network(Network((n1, n2, n3)))
+            backward = contract_network(Network((n3, n2, n1)))
+            assert [v.name for v in forward.internals] == ["F1", "S", "F2"]
+            assert [v.name for v in backward.internals] == ["F2", "F1", "S"]
+            for left, right in ((forward, backward), (backward, forward)):
+                roles = (left.inputs, left.internals, left.outputs)
+                moved = reorder_process(right, *([v.name for v in vs] for vs in roles))
+                assert moved.variables == left.variables
+                assert moved.matrix == left.matrix
 
     def test_global_order_is_first_appearance(self, chsh_network):
         g_in, g_internal, g_out = global_variable_order(chsh_network)
@@ -783,13 +736,6 @@ class TestContract:
 
 
 class TestRenameReorder:
-    def test_rename_preserves_matrix(self, triangle_network):
-        alpha = triangle_network.node("alpha")
-        renamed = rename_variables(alpha, {"X": "IN", "Y": "OUT"})
-        assert [v.name for v in renamed.inputs] == ["IN"]
-        assert [v.name for v in renamed.outputs] == ["OUT"]
-        assert renamed.matrix == alpha.matrix
-
     def test_reorder_internals_roundtrip(self):
         rng = Random(17)
         p = ProcessTensor.from_matrix(

@@ -1,14 +1,37 @@
-"""The public API's options, pinned.
+"""The public API's names and options, pinned.
 
-Every parameter with a default on a name of `procnet.__all__` (a function,
-a class's constructor, or a public method of a procnet class) is listed
-here, so a new option shows up as a change to this file.  Each one is a
-second way to call a stage, so one is added only where no checked path
-already does the job.
+Every name of `procnet.__all__`, and every parameter with a default on one
+of them (a function, a class's constructor, or a public method of a procnet
+class), is listed here, so a new export or option shows up as a change to
+this file.  Each one is a second way to call a stage, so one is added only
+where no checked path already does the job.
 """
 import inspect
 
 import procnet
+
+NAMES = {
+    "CompatibilityReport", "Distribution", "EmpiricalModel", "MeasurementScenario",
+    "OverlapViolation", "Section", "Variable", "iter_outcome_tuples", "marginalize",
+    "section_at", "section_count", "section_index", "validate_empirical_model",
+    "Network", "NetworkShape", "ProcessReport", "ProcessTensor", "classify_network",
+    "contract_network", "find_reciprocities", "global_variable_order",
+    "validate_process",
+    "DEFAULT_MAX_STATES", "StationaryCheck", "StationaryResult", "find_stationary",
+    "is_ergodic", "simulate_chain", "step", "verify_stationary",
+    "MarginalCheck", "NodeDistribution", "build_empirical_model",
+    "empirical_node_frequencies", "node_distribution", "verify_marginal_theorem",
+    "ChshReport", "ContextualityVerdict", "GrahamTrace", "chsh_value",
+    "decide_contextuality", "detect_chsh_labeling", "global_section_system",
+    "graham_reduction", "is_strongly_contextual", "verify_infeasibility_certificate",
+    "vorobev_regular",
+    "Analysis", "analyze",
+    "FORMAT_VERSION", "FileCheck", "NetworkFile", "check_network_text",
+    "load_network_file", "parse_network_text", "serialize_network_file",
+    "DomainError", "ParseError", "ProcnetError", "ResourceLimitError",
+    "StationarityError", "StructureError", "WiringError",
+    "bundled_network_path", "__version__",
+}
 
 OPTIONS = {
     "analyze.omega",
@@ -37,6 +60,11 @@ def public_callables():
                     member = member.__func__
                 if not attr.startswith("_") and inspect.isfunction(member):
                     yield f"{name}.{attr}", member
+
+
+def test_the_public_names_are_exactly_the_pinned_ones():
+    assert len(procnet.__all__) == len(NAMES)
+    assert set(procnet.__all__) == NAMES
 
 
 def test_the_public_options_are_exactly_the_pinned_ones():
