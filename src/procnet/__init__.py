@@ -14,7 +14,6 @@ from .scenario import (
     EmpiricalModel,
     MeasurementScenario,
     OverlapViolation,
-    Section,
     Variable,
     iter_outcome_tuples,
     marginalize,
@@ -93,7 +92,6 @@ __all__ = [
     "EmpiricalModel",
     "MeasurementScenario",
     "OverlapViolation",
-    "Section",
     "Variable",
     "iter_outcome_tuples",
     "marginalize",

@@ -30,7 +30,9 @@ walks the block's top bytes (every 8th byte, `rng.top_bytes`), and only the
 exact search reads a full draw, at an index it derives from the trajectory's
 length.  A trajectory is a tuple of state indices in the
 `Distribution.weights` layout of the process's internals;
-`scenario.section_at` or `iter_outcome_tuples` turn an index into labels.
+`scenario.section_at` or `iter_outcome_tuples` turn an index into its
+outcome tuple, the one label form of a section, which is also what
+`simulate_chain` takes as a starting state.
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import ClassVar
 
 from .errors import DomainError, ResourceLimitError, StationarityError
 from .exactlp import solve_linear_fraction_free
@@ -63,17 +66,16 @@ _METHODS = ("lp_vertex", "user_supplied")
 
 @dataclass(frozen=True)
 class StationaryResult:
-    """An exact stationary distribution together with its provenance."""
+    """An exact stationary distribution together with its provenance; both
+    methods give an exact fixed point, so the residual is always 0."""
 
     distribution: Distribution
     method: str
-    residual: Fraction
+    residual: ClassVar[Fraction] = ZERO
 
     def __post_init__(self):
         if self.method not in _METHODS:
             raise DomainError(f"unknown method {self.method!r}")
-        if self.residual != 0:
-            raise DomainError(f"method {self.method!r} requires residual 0")
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,7 @@ def verify_stationary(sigma: ProcessTensor, dist: Distribution) -> StationaryChe
     top = max(gaps)
     if not top:
         return StationaryCheck(True, ZERO, None)
-    worst = section_at(sigma.internals, gaps.index(top)).outcomes
+    worst = section_at(sigma.internals, gaps.index(top))
     return StationaryCheck(False, Fraction(top, d * common), worst)
 
 
@@ -268,7 +270,7 @@ def find_stationary(sigma: ProcessTensor) -> StationaryResult:
     check = verify_stationary(sigma, dist)
     if not check.stationary:
         raise AssertionError("computed distribution failed the exact fixed-point check")
-    return StationaryResult(dist, "lp_vertex", ZERO)
+    return StationaryResult(dist, "lp_vertex")
 
 
 def is_ergodic(sigma: ProcessTensor) -> bool:
@@ -295,8 +297,8 @@ def is_ergodic(sigma: ProcessTensor) -> bool:
                     level[w] = level[v] + 1
                     nxt.append(w)
         frontier = nxt
-    # g stays 0 only on a lone state without a transition
-    return g <= 1
+    # g stays 0 only on a lone state without a transition: no cycle, no period
+    return g == 1
 
 
 def _require_steps(steps: int, least: int = 0) -> None:
@@ -319,10 +321,10 @@ def simulate_chain(
     """Reproducible trajectory of length steps+1 (initial state included).
 
     The states are indices into the sections of `sigma.internals`.  `init`
-    is a Distribution (sampled first, with the same generator) or anything
-    `section_index` accepts: a Section, a name-to-outcome mapping or a tuple
-    of outcome labels.  The state at t+1 is sampled from the row of the
-    state at t, per the rule documented in `rng` (a row's guide table and
+    is a Distribution (sampled first, with the same generator) or a section:
+    its outcome labels in the variable order of `sigma.internals`, as
+    `section_index` reads them.  The state at t+1 is sampled from the row of
+    the state at t, per the rule documented in `rng` (a row's guide table and
     thresholds are built when the chain first leaves its state); a row
     reached whose entries are not positive with sum exactly 1 is a
     DomainError.  More than MAX_STEPS steps is a ResourceLimitError, and a
@@ -367,7 +369,7 @@ def _sampler(sigma: ProcessTensor, state: int) -> tuple[list[int], list[int]]:
     common, row = sigma.rows[state]
     numerators = [a for _, a in row]
     if min(numerators, default=0) <= 0 or sum(numerators) != common:
-        label = section_at(sigma.internals, state).outcomes
+        label = section_at(sigma.internals, state)
         raise DomainError(f"row of state {label} is not a probability row")
     return [c for c, _ in row], cumulative_thresholds(numerators, common)
 

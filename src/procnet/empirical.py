@@ -54,9 +54,13 @@ from .process import (
     find_reciprocities,
     global_variable_order,
 )
-from .dynamics import StationaryResult, find_stationary, require_stationary
+from .dynamics import (
+    StationaryResult,
+    _require_closed,
+    find_stationary,
+    require_stationary,
+)
 from .scenario import (
-    ZERO,
     CompatibilityReport,
     Distribution,
     EmpiricalModel,
@@ -143,7 +147,7 @@ def _checked_regime(
             omega = named(omega)
         except DomainError as exc:
             raise StationarityError(str(exc)) from exc
-    return sigma, StationaryResult(require_stationary(sigma, omega), "user_supplied", ZERO)
+    return sigma, StationaryResult(require_stationary(sigma, omega), "user_supplied")
 
 
 def _node_delta(
@@ -191,7 +195,7 @@ def _mismatches(variables, lhs, rhs, scale) -> tuple:
     # lhs and rhs are numerators over scale; sections are labelled and
     # weights built only where the two differ
     return tuple(
-        (section_at(variables, k).outcomes, Fraction(a, scale), Fraction(b, scale))
+        (section_at(variables, k), Fraction(a, scale), Fraction(b, scale))
         for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b
     )
 
@@ -228,7 +232,7 @@ def _assemble_model(
         maximal_contexts=tuple(nd.context for nd in keep),
     )
     model = EmpiricalModel(scenario, tuple(nd.distribution for nd in keep))
-    report = validate_empirical_model(model, ZERO)
+    report = validate_empirical_model(model)
     if not report.ok:
         raise AssertionError(
             f"overlap compatibility failed for a verified stationary input: "
@@ -291,9 +295,11 @@ def empirical_node_frequencies(
     `simulate_chain` returns them, each in 0..n-1 for n states; the node's
     variables must be variables of that process (same name and alphabet).
     Counting runs over the steps-many consecutive pairs, so the result is
-    an exact empirical distribution.  Any other index is a DomainError,
-    raised while the lanes are gathered, before any event is counted.
+    an exact empirical distribution.  An open `sigma` is a DomainError,
+    raised before any lane is built; any other index is one too, raised
+    while the lanes are gathered, before any event is counted.
     """
+    _require_closed(sigma)
     if len(trajectory) < 2:
         raise DomainError("need at least one transition to count frequencies")
     known = set(sigma.internals)

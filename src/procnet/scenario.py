@@ -1,6 +1,8 @@
 """Finite measurement scenarios: variables, sections, exact distributions.
 
 A section is a joint outcome assignment for an ordered set of variables.
+At the API it is its outcome tuple, one outcome per variable in order
+(`section_at`, `Distribution.support`); inside the code it is an index.
 Sections are indexed lexicographically by (variable order, alphabet order),
 row-major with the last variable fastest; every dense vector in the package
 uses that layout.  All probabilities are exact rationals end to end, so
@@ -69,9 +71,12 @@ def _require_structure_caps(n_nodes: int, n_variables: int) -> None:
 
 def _names(values, what: str) -> tuple:
     """values as a tuple; a bare str, which would split into its characters,
-    or a value that is not iterable is a DomainError naming `what`."""
-    if isinstance(values, str) or not isinstance(values, Iterable):
-        raise DomainError(f"{what} must be a sequence other than a str, not {echo(values)}")
+    a mapping, which would yield its keys, or a value that is not iterable
+    is a DomainError naming `what`."""
+    if isinstance(values, (str, Mapping)) or not isinstance(values, Iterable):
+        raise DomainError(
+            f"{what} must be a sequence other than a str or a mapping, not {echo(values)}"
+        )
     return tuple(values)
 
 
@@ -108,40 +113,6 @@ class Variable:
             ) from None
 
 
-@dataclass(frozen=True)
-class Section:
-    """One outcome per variable of a declared variable set."""
-
-    assignment: tuple[tuple[str, str], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "assignment", tuple(map(tuple, self.assignment)))
-        if any(
-            not (isinstance(n, str) and isinstance(o, str)) for n, o in self.assignment
-        ):
-            raise DomainError("section names and outcomes must be strings")
-        names = [n for n, _ in self.assignment]
-        if len(set(names)) != len(names):
-            raise DomainError("section assigns a variable more than once")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.assignment)
-
-    @property
-    def outcomes(self) -> tuple[str, ...]:
-        return tuple(o for _, o in self.assignment)
-
-    def outcome(self, name: str) -> str:
-        for n, o in self.assignment:
-            if n == name:
-                return o
-        raise DomainError(f"section does not cover variable {name!r}")
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.assignment)
-
-
 def _check_distinct_names(variables: Sequence[Variable]) -> None:
     names = [v.name for v in variables]
     if len(set(names)) != len(names):
@@ -160,7 +131,8 @@ def iter_outcome_tuples(variables: Sequence[Variable]) -> Iterator[tuple[str, ..
     return product(*[v.alphabet for v in variables])
 
 
-def section_at(variables: Sequence[Variable], index: int) -> Section:
+def section_at(variables: Sequence[Variable], index: int) -> tuple[str, ...]:
+    """The outcome tuple of section `index`, in variable order."""
     total = section_count(variables)
     if not 0 <= index < total:
         raise DomainError(f"section index {index} out of range 0..{total - 1}")
@@ -168,23 +140,17 @@ def section_at(variables: Sequence[Variable], index: int) -> Section:
     for v in reversed(variables):
         index, digit = divmod(index, v.size)
         outcomes.append(v.alphabet[digit])
-    outcomes.reverse()
-    return Section(tuple((v.name, o) for v, o in zip(variables, outcomes)))
+    return tuple(reversed(outcomes))
 
 
 def section_index(variables: Sequence[Variable], section) -> int:
-    """Index of a section given as a Section, mapping or outcome tuple.
+    """Index of a section given as its outcomes, one per variable in order.
 
     The outcomes must be a sequence such as a tuple or a list; a bare str,
-    which would split into one-character outcomes, or a value that is not
-    iterable is a DomainError.
+    which would split into one-character outcomes, a mapping, whose keys
+    would be read as outcomes, or a value that is not iterable is a
+    DomainError.
     """
-    if isinstance(section, Section):
-        section = section.as_dict()
-    if isinstance(section, Mapping):
-        if set(section) != {v.name for v in variables}:
-            raise DomainError("section does not cover exactly the given variables")
-        section = [section[v.name] for v in variables]
     outcomes = _names(section, "a section's outcomes")
     if len(outcomes) != len(variables):
         raise DomainError("outcome tuple length does not match variable list")
@@ -259,12 +225,6 @@ class Distribution:
         object.__setattr__(self, "_integers", (d, tuple(numerators)))
 
     @classmethod
-    def from_function(cls, variables: Sequence[Variable], weight_of) -> "Distribution":
-        """Build from a callable mapping each outcome tuple to a weight."""
-        variables = tuple(variables)
-        return cls(variables, tuple(weight_of(t) for t in iter_outcome_tuples(variables)))
-
-    @classmethod
     def uniform(cls, variables: Sequence[Variable]) -> "Distribution":
         variables = tuple(variables)
         n = section_count(variables)
@@ -285,7 +245,7 @@ class Distribution:
     def weight(self, section) -> Fraction:
         return self.weights[section_index(self.variables, section)]
 
-    def support(self) -> tuple[Section, ...]:
+    def support(self) -> tuple[tuple[str, ...], ...]:
         return tuple(
             section_at(self.variables, i) for i, w in enumerate(self.weights) if w > 0
         )

@@ -3,7 +3,7 @@
 `deterministic_process` and `uniform_process` build internal-free
 processes from a rule or as uniform rows, `reorder_process` permutes the
 variables within each role, `iter_sections` and `restrict_section` list
-and project sections, and `one_outcome_cycle_doc` writes a network file
+and project sections as tuples of (name, outcome) pairs, and `one_outcome_cycle_doc` writes a network file
 document of any size over one state.  None of them is needed for a
 verdict, so they live here rather than in the package.
 """
@@ -14,7 +14,6 @@ from typing import Iterable, Iterator, Sequence
 from procnet.errors import DomainError
 from procnet.process import ProcessTensor
 from procnet.scenario import (
-    Section,
     Variable,
     _index_table,
     iter_outcome_tuples,
@@ -80,22 +79,26 @@ def reorder_process(
     return ProcessTensor(process.name, new_inputs, new_internals, new_outputs, tuple(rows))
 
 
-def iter_sections(variables: Sequence[Variable]) -> Iterator[Section]:
+Pairs = tuple[tuple[str, str], ...]
+
+
+def iter_sections(variables: Sequence[Variable]) -> Iterator[Pairs]:
+    """Every section as its (name, outcome) pairs, in index order."""
     names = tuple(v.name for v in variables)
     for outcomes in iter_outcome_tuples(variables):
-        yield Section(tuple(zip(names, outcomes)))
+        yield tuple(zip(names, outcomes))
 
 
-def restrict_section(section: Section, names: Iterable[str]) -> Section:
+def restrict_section(section: Pairs, names: Iterable[str]) -> Pairs:
     """Project a section onto a subset of its variables, in the given order."""
     names = tuple(names)
-    lookup = section.as_dict()
+    lookup = dict(section)
     missing = [n for n in names if n not in lookup]
     if missing:
         raise DomainError(f"cannot restrict: {missing} not among {sorted(lookup)}")
     if len(set(names)) != len(names):
         raise DomainError("restriction names must be distinct")
-    return Section(tuple((n, lookup[n]) for n in names))
+    return tuple((n, lookup[n]) for n in names)
 
 
 def one_outcome_cycle_doc(n_nodes: int, wires: int):

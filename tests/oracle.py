@@ -433,7 +433,7 @@ def fraction_node_delta(
 def _mismatches(variables, lhs, rhs) -> tuple:
     # sections are labelled only where the two marginals differ
     return tuple(
-        (section_at(variables, k).outcomes, a, b)
+        (section_at(variables, k), a, b)
         for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b
     )
 
@@ -468,7 +468,7 @@ def dense_verify_stationary(sigma: ProcessTensor, dist: Distribution) -> Station
             residual = gap
             worst = i
     if worst is not None:
-        worst = section_at(sigma.internals, worst).outcomes
+        worst = section_at(sigma.internals, worst)
     return StationaryCheck(residual == 0, residual, worst)
 
 

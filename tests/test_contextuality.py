@@ -26,7 +26,7 @@ from procnet import (
 )
 from procnet.errors import DomainError, ResourceLimitError
 from procnet.rationals import echo
-from procnet.scenario import section_count
+from procnet.scenario import iter_outcome_tuples, section_count
 from oracle import solve_linear
 from generators import (
     family_by_elimination,
@@ -93,7 +93,7 @@ def product_model():
                 w *= singles[v.name][v.index(o)]
             return w
 
-        return Distribution.from_function(vs, weight)
+        return Distribution(vs, tuple(weight(t) for t in iter_outcome_tuples(vs)))
 
     return EmpiricalModel(scenario, tuple(table(c) for c in scenario.maximal_contexts))
 

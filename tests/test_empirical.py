@@ -427,6 +427,16 @@ class TestEmpiricalFrequencies:
             with pytest.raises(DomainError, match=r"must be in 0\.\.7"):
                 empirical_node_frequencies(sigma, alpha, trail)
 
+    def test_open_process_is_refused(self):
+        # 4 rows over input I and internal S, but 2 states: like every chain
+        # function, the count takes only a closed process
+        i, s = Variable("I", BINARY), Variable("S", BINARY)
+        sigma = ProcessTensor("open", (i,), (s,), (), ((1, ((0, 1),)),) * 4)
+        node = uniform_process("n", [s], [])
+        for trail in ((0, 3), (0, 1)):
+            with pytest.raises(DomainError, match="process 'open' is not closed"):
+                empirical_node_frequencies(sigma, node, trail)
+
     @pytest.mark.parametrize("outside", [-1, 512])
     def test_state_index_outside_a_chain_above_256_states_is_rejected(self, outside):
         sigma, nodes = two_node_loop(4, 5)
@@ -470,7 +480,8 @@ class TestEmpiricalFrequencies:
         init = Distribution.uniform(sigma.internals)
         trail = simulate_chain(sigma, init, steps, sim_seed)
         assert len(trail) == steps + 1
-        labelled = [section_at(sigma.internals, s).as_dict() for s in trail]
+        names = [v.name for v in sigma.internals]
+        labelled = [dict(zip(names, section_at(sigma.internals, s))) for s in trail]
         for node in net.nodes:
             events = Counter(
                 tuple(before[v.name] for v in node.inputs)

@@ -7,12 +7,16 @@ this file.  Each one is a second way to call a stage, so one is added only
 where no checked path already does the job.
 """
 import inspect
+import re
+from pathlib import Path
 
 import procnet
 
+README = Path(__file__).parent.parent / "README.md"
+
 NAMES = {
     "CompatibilityReport", "Distribution", "EmpiricalModel", "MeasurementScenario",
-    "OverlapViolation", "Section", "Variable", "iter_outcome_tuples", "marginalize",
+    "OverlapViolation", "Variable", "iter_outcome_tuples", "marginalize",
     "section_at", "section_count", "section_index", "validate_empirical_model",
     "Network", "NetworkShape", "ProcessReport", "ProcessTensor", "classify_network",
     "contract_network", "find_reciprocities", "global_variable_order",
@@ -65,6 +69,18 @@ def public_callables():
 def test_the_public_names_are_exactly_the_pinned_ones():
     assert len(procnet.__all__) == len(NAMES)
     assert set(procnet.__all__) == NAMES
+
+
+def test_the_readme_imports_only_public_names():
+    # the README's import block runs, and names nothing outside __all__, so
+    # a name removed from the package cannot linger in the docs
+    text = README.read_text(encoding="utf-8")
+    (block,) = re.findall(r"^from procnet import \(.*?^\)$", text, re.M | re.S)
+    namespace = {}
+    exec(block, namespace)
+    imported = set(namespace) - {"__builtins__"}
+    assert len(imported) > 20
+    assert imported <= set(procnet.__all__)
 
 
 def test_the_public_options_are_exactly_the_pinned_ones():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from procnet import (
     Distribution,
     EmpiricalModel,
     MeasurementScenario,
-    Section,
     Variable,
     iter_outcome_tuples,
     marginalize,
@@ -44,9 +44,10 @@ class TestVariable:
         with pytest.raises(DomainError):
             Variable("X", ("a", "a"))
 
-    @pytest.mark.parametrize("alphabet", ["heads", "", None, 2])
+    @pytest.mark.parametrize("alphabet", ["heads", "", None, 2, {"H": 1, "T": 0}])
     def test_alphabet_must_be_a_sequence_other_than_a_str(self, alphabet):
-        # a bare str would be split into one outcome per character
+        # a bare str would be split into one outcome per character, and a
+        # mapping would yield its keys
         with pytest.raises(DomainError, match="alphabet of 'coin'"):
             Variable("coin", alphabet)
 
@@ -59,53 +60,70 @@ class TestVariable:
 
 class TestSections:
     def test_restrict_projection(self):
-        s = Section((("X", "0"), ("Y", "1"), ("Z", "1")))
-        assert restrict_section(s, ("X", "Z")) == Section((("X", "0"), ("Z", "1")))
+        s = (("X", "0"), ("Y", "1"), ("Z", "1"))
+        assert restrict_section(s, ("X", "Z")) == (("X", "0"), ("Z", "1"))
 
     def test_restrict_identity(self):
-        s = Section((("X", "0"), ("Y", "1"), ("Z", "1")))
+        s = (("X", "0"), ("Y", "1"), ("Z", "1"))
         assert restrict_section(s, ("X", "Y", "Z")) == s
 
     def test_restrict_single(self):
-        s = Section((("A1", "1"), ("B1", "0")))
-        assert restrict_section(s, ("B1",)) == Section((("B1", "0"),))
+        s = (("A1", "1"), ("B1", "0"))
+        assert restrict_section(s, ("B1",)) == (("B1", "0"),)
 
     def test_restrict_rejects_non_subset(self):
-        s = Section((("X", "0"),))
         with pytest.raises(DomainError):
-            restrict_section(s, ("Y",))
+            restrict_section((("X", "0"),), ("Y",))
 
     def test_non_string_names_and_outcomes_rejected(self):
-        # converting them with str() made the outcome 0 index as "0"
-        for assignment in ((("X", 0),), ((0, "0"),)):
-            with pytest.raises(DomainError, match="must be strings"):
-                Section(assignment)
+        # converting them with str() made the outcome 0 index as "0"; a
+        # (name, outcome) pair is not an outcome either
+        xy = (Variable("X", BINARY), Variable("Y", BINARY))
+        for outcomes in (("0", 0), (("X", "0"), ("Y", "0"))):
+            with pytest.raises(DomainError, match="not in alphabet of"):
+                section_index(xy, outcomes)
 
-    @pytest.mark.parametrize("outcomes", ["01", "0a", 5, None])
+    @pytest.mark.parametrize(
+        "outcomes",
+        ["01", "0a", 5, None, {"X": "0", "Y": "1"}, SimpleNamespace(outcomes=("0", "1"))],
+    )
     def test_outcomes_must_be_a_sequence_other_than_a_str(self, outcomes):
-        # a str would split into one outcome per character
+        # a str would split into one outcome per character, and a mapping
+        # would yield its keys as outcomes
         xy = (Variable("X", BINARY), Variable("Y", BINARY))
         with pytest.raises(DomainError, match="a section's outcomes"):
             section_index(xy, outcomes)
         with pytest.raises(DomainError, match="a section's outcomes"):
             Distribution.point_mass(xy, outcomes)
+        with pytest.raises(DomainError, match="a section's outcomes"):
+            Distribution.uniform(xy).weight(outcomes)
 
-    def test_outcomes_may_be_a_list_a_mapping_or_a_section(self):
+    def test_outcomes_may_be_a_list_or_a_tuple(self):
         xy = (Variable("X", BINARY), Variable("Y", BINARY))
-        for section in (["1", "0"], {"Y": "0", "X": "1"}, Section((("X", "1"), ("Y", "0")))):
+        for section in (["1", "0"], ("1", "0")):
             assert section_index(xy, section) == 2
 
     def test_enumeration_is_lexicographic(self):
         x = Variable("X", BINARY)
         y = Variable("Y", ("a", "b", "c"))
-        listed = [s.outcomes for s in iter_sections((x, y))]
-        assert listed == [
+        assert [section_at((x, y), i) for i in range(6)] == [
             ("0", "a"), ("0", "b"), ("0", "c"),
             ("1", "a"), ("1", "b"), ("1", "c"),
         ]
-        for i, s in enumerate(iter_sections((x, y))):
-            assert section_index((x, y), s) == i
-            assert section_at((x, y), i) == s
+        rng = Random(24)
+        lists = [(x, y)] + [
+            tuple(
+                Variable(f"V{k}", ("0", "1", "2")[: rng.randint(1, 3)])
+                for k in range(rng.randint(1, 4))
+            )
+            for _ in range(40)
+        ]
+        for vs in lists:
+            listed = list(iter_outcome_tuples(vs))
+            assert len(listed) == section_count(vs)
+            for i, outcomes in enumerate(listed):
+                assert section_at(vs, i) == outcomes
+                assert section_index(vs, section_at(vs, i)) == i
 
 
 class TestDistribution:
@@ -150,7 +168,7 @@ class TestDistribution:
     def test_point_mass_and_weight_lookup(self):
         x, y = Variable("X", BINARY), Variable("Y", BINARY)
         d = Distribution.point_mass((x, y), ("1", "0"))
-        assert d.weight({"X": "1", "Y": "0"}) == 1
+        assert d.weight(["1", "0"]) == 1
         assert d.weight(("0", "0")) == 0
 
     def test_reorder_is_a_permutation(self):
@@ -159,7 +177,8 @@ class TestDistribution:
         d = make_distribution(rng, (x, y))
         swapped = d.reorder(("Y", "X"))
         for s in iter_sections((x, y)):
-            assert swapped.weight(s.as_dict()) == d.weight(s)
+            (_, a), (_, b) = s
+            assert swapped.weight((b, a)) == d.weight((a, b))
 
     @pytest.mark.parametrize("names", ["YX", None])
     def test_reorder_names_must_be_a_sequence_other_than_a_str(self, names):
@@ -267,11 +286,11 @@ class TestMarginalize:
         m = marginalize(d, ("R", "P"))
         for target in iter_sections(m.variables):
             total = sum(
-                d.weight(s)
+                d.weight([o for _, o in s])
                 for s in iter_sections(variables)
                 if restrict_section(s, ("R", "P")) == target
             )
-            assert m.weight(target) == total
+            assert m.weight([o for _, o in target]) == total
 
 
 class TestScenario:
@@ -310,13 +329,12 @@ XY = MeasurementScenario((X, Y), (("X", "Y"),))
     [
         (lambda: Variable("X", ()), "variable 'X' needs at least one outcome"),
         (lambda: Variable("X", (0, 1)), "outcomes of 'X' must be strings"),
-        (lambda: Section((("X", "0"), ("X", "1"))), "section assigns a variable more than once"),
-        (lambda: Section((("X", "0"),)).outcome("Y"), "section does not cover variable 'Y'"),
         (lambda: Distribution.uniform((X, X)), "variable names must be distinct"),
         (lambda: section_at((X, Y), 4), r"section index 4 out of range 0\.\.3"),
         (
             lambda: section_index((X, Y), {"X": "0"}),
-            "section does not cover exactly the given variables",
+            r"a section's outcomes must be a sequence other than a str or a mapping, "
+            r"not \{'X': '0'\}",
         ),
         (
             lambda: section_index((X, Y), ("0",)),
@@ -358,8 +376,6 @@ XY = MeasurementScenario((X, Y), (("X", "Y"),))
     ids=[
         "empty-alphabet",
         "non-str-outcomes",
-        "section-twice",
-        "section-outcome",
         "distinct-names",
         "section-at-range",
         "section-mapping",
@@ -382,13 +398,10 @@ def test_constructor_and_lookup_domain_errors(call, message):
         call()
 
 
-def test_section_names_and_outcome_and_distribution_support():
-    section = Section((("Y", "1"), ("X", "0")))
-    assert section.names == ("Y", "X")
-    assert (section.outcome("X"), section.outcome("Y")) == ("0", "1")
+def test_distribution_support_lists_outcome_tuples():
     dist = Distribution((X, Y), (Fraction(1, 2), 0, 0, Fraction(1, 2)))
     assert dist.support() == (section_at((X, Y), 0), section_at((X, Y), 3))
-    assert [s.outcomes for s in dist.support()] == [("0", "0"), ("1", "1")]
+    assert dist.support() == (("0", "0"), ("1", "1"))
 
 class TestValidateEmpiricalModel:
     def test_triangle_model_is_consistent(self, xyz):
