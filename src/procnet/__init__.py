@@ -25,13 +25,11 @@ from .scenario import (
 from .process import (
     Network,
     NetworkShape,
-    ProcessReport,
     ProcessTensor,
     classify_network,
     contract_network,
     find_reciprocities,
     global_variable_order,
-    validate_process,
 )
 from .dynamics import (
     DEFAULT_MAX_STATES,
@@ -101,13 +99,11 @@ __all__ = [
     "validate_empirical_model",
     "Network",
     "NetworkShape",
-    "ProcessReport",
     "ProcessTensor",
     "classify_network",
     "contract_network",
     "find_reciprocities",
     "global_variable_order",
-    "validate_process",
     "DEFAULT_MAX_STATES",
     "StationaryCheck",
     "StationaryResult",

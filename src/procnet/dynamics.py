@@ -235,9 +235,7 @@ def find_stationary(sigma: ProcessTensor) -> StationaryResult:
     point before it is returned.  Reducible chains have several recurrent
     classes; the one containing the smallest state index is used, making the
     output deterministic.  A hand-built tensor over the state cap is refused
-    (ResourceLimitError); contraction never builds one.  A hand-built tensor
-    whose balance equations do not solve because a row of the class is not
-    a probability row is a DomainError naming that row's state.
+    (ResourceLimitError); contraction never builds one.
     """
     _require_closed(sigma)
     n = section_count(sigma.internals)
@@ -258,10 +256,6 @@ def find_stationary(sigma: ProcessTensor) -> StationaryResult:
     rhs = [0] * k + [1]
     solution = solve_linear_fraction_free(rows, rhs)
     if solution is None or any(v < 0 for v in solution):
-        # only a row that is not a probability row can leave the balance
-        # equations of a closed class without a solution
-        for state in cls:
-            _sampler(sigma, state)
         raise AssertionError("balance equations of a recurrent class must solve")
     weights = [ZERO] * n
     for state, l_i, v in zip(cls, scales, solution):
@@ -297,7 +291,6 @@ def is_ergodic(sigma: ProcessTensor) -> bool:
                     level[w] = level[v] + 1
                     nxt.append(w)
         frontier = nxt
-    # g stays 0 only on a lone state without a transition: no cycle, no period
     return g == 1
 
 
@@ -325,11 +318,9 @@ def simulate_chain(
     its outcome labels in the variable order of `sigma.internals`, as
     `section_index` reads them.  The state at t+1 is sampled from the row of
     the state at t, per the rule documented in `rng` (a row's guide table and
-    thresholds are built when the chain first leaves its state); a row
-    reached whose entries are not positive with sum exactly 1 is a
-    DomainError.  More than MAX_STEPS steps is a ResourceLimitError, and a
-    `seed` that is not an int (a bool included) a DomainError, both raised
-    before the first draw.
+    thresholds are built when the chain first leaves its state).  More than
+    MAX_STEPS steps is a ResourceLimitError, and a `seed` that is not an int
+    (a bool included) a DomainError, both raised before the first draw.
     """
     _require_closed(sigma)
     _require_steps(steps)
@@ -365,13 +356,9 @@ def simulate_chain(
 
 
 def _sampler(sigma: ProcessTensor, state: int) -> tuple[list[int], list[int]]:
-    """The row's columns and thresholds; DomainError unless a probability row."""
+    """The columns and cumulative thresholds of the row of `state`."""
     common, row = sigma.rows[state]
-    numerators = [a for _, a in row]
-    if min(numerators, default=0) <= 0 or sum(numerators) != common:
-        label = section_at(sigma.internals, state)
-        raise DomainError(f"row of state {label} is not a probability row")
-    return [c for c, _ in row], cumulative_thresholds(numerators, common)
+    return [c for c, _ in row], cumulative_thresholds([a for _, a in row], common)
 
 
 # the guide of a state not visited yet: every slot falls back

@@ -276,8 +276,8 @@ def build_empirical_model(net: Network, stationary: Distribution) -> EmpiricalMo
     The inputs are checked as in `node_distribution`.  One maximal context
     per node (its inputs plus outputs); a node whose context is contained in
     another's is absorbed after an exact agreement check, keeping the
-    context family an antichain.  The finished model is re-validated for
-    overlap compatibility at tolerance zero.
+    context family an antichain.  The finished model is re-validated, exactly,
+    for overlap compatibility.
     """
     stationary = _checked_regime(net, stationary)[1].distribution
     deltas = [_node_delta(node, stationary)[0] for node in net.nodes]

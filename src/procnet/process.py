@@ -7,6 +7,10 @@ time t+1.  Networks wire an output variable of one node to the equally
 named input variable of another; every wired variable becomes an internal
 variable of the contracted global process.
 
+The constructor refuses any row that is not a probability row, so every
+process, read from a file, built from dense rows or contracted, is
+stochastic, and no later stage checks a row again.
+
 A process stores each row as integers: a denominator l and the nonzero
 numerators over it.  The global entry is the plain product of the node
 entries, so contraction order cannot change the result; nodes are folded in
@@ -23,7 +27,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError, WiringError
-from .rationals import _scaled, echo
+from .rationals import _scaled, echo, format_rational
 from .scenario import (
     ZERO,
     Variable,
@@ -39,7 +43,10 @@ from .scenario import (
 class ProcessTensor:
     """A stochastic matrix with named, role-tagged variables; `rows[r]` is
     `(l, ((column, numerator), ...))`, row r's nonzero entries over l > 0,
-    columns strictly increasing and gcd(l, numerators) = 1."""
+    columns strictly increasing and gcd(l, numerators) = 1.  Every row is a
+    probability row: its numerators are positive and sum to l.  The rows are
+    checked in order, and the first negative entry or wrong sum is a
+    DomainError naming the row."""
 
     name: str
     inputs: tuple[Variable, ...]
@@ -63,10 +70,10 @@ class ProcessTensor:
             f"process {self.name!r}: a row must be (l, ((column, numerator), ...)) with "
             f"l > 0, columns increasing in 0..{n_cols - 1}, nonzero ints, gcd 1"
         )
-        for row in self.rows:
+        for r, row in enumerate(self.rows):
             if type(row) is not tuple or len(row) != 2 or type(row[1]) is not tuple:
                 raise malformed
-            common, last = row[0], -1
+            common, last, total = row[0], -1, 0
             if type(common) is not int or common < 1:
                 raise malformed
             for entry in row[1]:
@@ -75,11 +82,22 @@ class ProcessTensor:
                 c, a = entry
                 if not (type(c) is int and last < c < n_cols and type(a) is int and a):
                     raise malformed
+                if a < 0:
+                    raise DomainError(
+                        f"process {self.name!r}: negative entry "
+                        f"{format_rational(Fraction(a, row[0]))} at ({r}, {c})"
+                    )
                 last = c
+                total += a
                 if common != 1:
                     common = gcd(common, a)
             if common != 1:
                 raise malformed
+            if total != row[0]:
+                raise DomainError(
+                    f"process {self.name!r}: row {r} sums to "
+                    f"{format_rational(Fraction(total, row[0]))}, not 1"
+                )
 
     @classmethod
     def from_matrix(cls, name, inputs, internals, outputs, matrix) -> "ProcessTensor":
@@ -124,30 +142,6 @@ class ProcessTensor:
     @property
     def is_closed(self) -> bool:
         return not self.inputs and not self.outputs
-
-
-@dataclass(frozen=True)
-class ProcessReport:
-    """Stochasticity check: offending rows and negative entries."""
-
-    bad_row_sums: tuple[tuple[int, Fraction], ...]
-    negative_entries: tuple[tuple[int, int, Fraction], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.bad_row_sums and not self.negative_entries
-
-
-def validate_process(process: ProcessTensor) -> ProcessReport:
-    """Report every row whose sum differs from 1 and every negative entry."""
-    bad_sums = []
-    negatives = []
-    for i, (common, row) in enumerate(process.rows):
-        total = sum(a for _, a in row)
-        if total != common:
-            bad_sums.append((i, Fraction(total, common)))
-        negatives.extend((i, j, Fraction(a, common)) for j, a in row if a < 0)
-    return ProcessReport(tuple(bad_sums), tuple(negatives))
 
 
 @dataclass(frozen=True)
@@ -300,8 +294,8 @@ def contract_network(net: Network) -> ProcessTensor:
     entry of the result at (row, column) is the product of the node entries
     at the correspondingly restricted sections.  Only nonzero node entries
     are multiplied: a global row's numerators are products of node-row
-    numerators over D, the product of the node rows' l, and the row is then
-    divided by gcd(D, numerators).  More rows or columns than the state cap,
+    numerators over D, the product of the node rows' l, and the row is
+    already in lowest terms.  More rows or columns than the state cap,
     or more nonzeros (per row, the product of the node rows' nonzero counts)
     than the nonzero cap, is a ResourceLimitError, raised first.
     """
@@ -338,10 +332,10 @@ def contract_network(net: Network) -> ProcessTensor:
             denominator *= common
             terms = [(c + o, a * e) for c, a in terms for o, e in entries]
         terms.sort()
-        # g > 1 only for an empty row or for node rows that are not stochastic
-        g = gcd(denominator, *[a for _, a in terms])
-        if g != 1:
-            terms = [(c, a // g) for c, a in terms]
-        rows.append((denominator // g, tuple(terms)))
+        # already in lowest terms: a prime dividing every product a_i b_j of
+        # two probability rows divides all numerators of one of them, so also
+        # their sum, that row's l, and the constructor refuses such a row; the
+        # product is again a probability row, so this holds node by node
+        rows.append((denominator, tuple(terms)))
     return ProcessTensor("global", g_inputs, g_internals, g_outputs, tuple(rows))
 

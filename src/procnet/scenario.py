@@ -132,7 +132,10 @@ def iter_outcome_tuples(variables: Sequence[Variable]) -> Iterator[tuple[str, ..
 
 
 def section_at(variables: Sequence[Variable], index: int) -> tuple[str, ...]:
-    """The outcome tuple of section `index`, in variable order."""
+    """The outcome tuple of section `index`, in variable order; an index
+    that is not an int (a bool included) is a DomainError."""
+    if type(index) is not int:
+        raise DomainError(f"section index must be an int, not {echo(index)}")
     total = section_count(variables)
     if not 0 <= index < total:
         raise DomainError(f"section index {index} out of range 0..{total - 1}")
@@ -396,19 +399,13 @@ class CompatibilityReport:
         return not self.violations
 
 
-def validate_empirical_model(
-    em: EmpiricalModel, tol: Fraction = ZERO
-) -> CompatibilityReport:
+def validate_empirical_model(em: EmpiricalModel) -> CompatibilityReport:
     """Check the no-signalling condition on every pair of maximal contexts.
 
     For contexts U, V with nonempty intersection the two marginals on
-    U ∩ V are compared coordinate-wise; entries differing by more than
-    `tol` (0 for exact agreement) are reported.  A negative `tol` is a
-    DomainError.
+    U ∩ V are compared coordinate-wise, exactly; every entry where they
+    differ is reported.
     """
-    tol = _as_fraction(tol)
-    if tol < 0:
-        raise DomainError("tol must be nonnegative")
     order = [v.name for v in em.scenario.variables]
     ctxs = em.scenario.maximal_contexts
     name_sets = [set(ctx) for ctx in ctxs]
@@ -422,7 +419,7 @@ def validate_empirical_model(
             mi = marginalize(em.context_distributions[i], common)
             mj = marginalize(em.context_distributions[j], common)
             for k, outcomes in enumerate(iter_outcome_tuples(mi.variables)):
-                if abs(mi.weights[k] - mj.weights[k]) > tol:
+                if mi.weights[k] != mj.weights[k]:
                     violations.append(
                         OverlapViolation(
                             first=ctxs[i],

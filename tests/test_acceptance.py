@@ -246,7 +246,7 @@ def test_criterion_5_model_compatibility_suite(population):
     triples, build_seconds = population
     for net, sigma, omega in triples:
         model = build_empirical_model(net, omega)
-        report = validate_empirical_model(model, F(0))
+        report = validate_empirical_model(model)
         assert report.ok, report.violations[:3]
     elapsed = build_seconds + (time.perf_counter() - start)
     assert elapsed < 60.0, f"took {elapsed:.1f}s including generation"

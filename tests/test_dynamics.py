@@ -165,41 +165,18 @@ class TestAgreesWithTheDenseRows:
 
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        closed_chains(),
-        st.integers(0, 2**64 - 1),
-        st.booleans(),
-        st.sampled_from((F(1, 2), F(3, 2))),
-        st.sampled_from((60, LANES + 1)),
-    )
-    def test_a_row_that_is_not_a_probability_row_is_refused_once_reached(
-        self, sigma, seed, reachable, scale, steps
+    @given(closed_chains(), st.integers(0, 2**32), st.sampled_from((F(1, 2), F(3, 2))))
+    def test_a_row_that_is_not_a_probability_row_is_refused_when_built(
+        self, sigma, seed, scale
     ):
-        # the oracle samples from any row; simulate_chain refuses the row of
-        # `bad` at the first step taken from it, and only then
+        # simulate_chain once refused such a row at the first step taken
+        # from it; the constructor refuses it before any step, reached or not
         matrix = [list(row) for row in sigma.matrix]
-        n = len(matrix)
-        bad, init = seed % n, (seed >> 32) % n
-        if not reachable:
-            assume(n > 1)
-            init = (bad + 1) % n
-            for r, row in enumerate(matrix):
-                if r != bad:
-                    row[bad] = F(0)
-                    row[init] += not any(row)
-                    row[:] = [e / sum(row) for e in row]
+        bad = seed % len(matrix)
         matrix[bad] = [e * scale for e in matrix[bad]]
-        chain = ProcessTensor.from_matrix("chain", (), sigma.internals, (), matrix)
-        init = scenario.section_at(chain.internals, init)
-        expected = dense_simulate_chain(chain, init, steps, seed)
-        if bad in expected[:-1]:
-            label = re.escape(str(scenario.section_at(chain.internals, bad)))
-            message = f"row of state {label} is not a probability row"
-            with pytest.raises(DomainError, match=message):
-                simulate_chain(chain, init, steps, seed)
-        else:
-            assert simulate_chain(chain, init, steps, seed) == expected
-        assert reachable or bad not in expected
+        message = f"process 'chain': row {bad} sums to {scale}, not 1"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            ProcessTensor.from_matrix("chain", (), sigma.internals, (), matrix)
 
 
 def triangle_next(state):
@@ -373,16 +350,19 @@ class TestFindStationary:
             find_stationary(sigma)
 
     @pytest.mark.parametrize(
-        "rows",
-        [((2, ((1, 1),)), (2, ((0, 1),))), ((1, ((1, 2),)), (1, ((0, 1),)))],
+        "rows, total",
+        [
+            (((2, ((1, 1),)), (2, ((0, 1),))), "1/2"),
+            (((1, ((1, 2),)), (1, ((0, 1),))), "2"),
+        ],
         ids=["halves", "double"],
     )
-    def test_class_without_probability_rows_is_a_domain_error(self, rows):
-        # the balance equations of the class {0, 1} have no solution; that is
-        # a fault of the input, not an internal AssertionError
-        sigma = ProcessTensor("bad", (), (Variable("S", BINARY),), (), rows)
-        with pytest.raises(DomainError, match=r"state \('0',\) is not a probability row"):
-            find_stationary(sigma)
+    def test_class_without_probability_rows_is_a_domain_error(self, rows, total):
+        # the balance equations of the class {0, 1} would have no solution;
+        # the constructor refuses the class's first row, so find_stationary
+        # never sees it
+        with pytest.raises(DomainError, match=f"^process 'bad': row 0 sums to {total}, not 1$"):
+            ProcessTensor("bad", (), (Variable("S", BINARY),), (), rows)
 
 
 @pytest.mark.parametrize(
@@ -449,13 +429,13 @@ class TestStructure:
         lazy = closed_tensor("lazy", 1, ((F(1, 2), F(1, 2)), (F(1), F(0))))
         assert is_ergodic(lazy)
 
-    def test_a_lone_state_without_a_transition_is_not_ergodic(self):
-        # a state with no transition lies on no cycle, so it has no period,
-        # and find_stationary refuses its empty row
-        lone = ProcessTensor("lone", (), (Variable("S", ("0",)),), (), ((1, ()),))
-        assert not is_ergodic(lone)
-        with pytest.raises(DomainError, match="not a probability row"):
-            find_stationary(lone)
+    def test_a_lone_state_is_ergodic_and_needs_a_transition(self):
+        # its self-loop is a cycle of length 1; an empty row, a state with
+        # no transition, is not a probability row
+        s = Variable("S", ("0",))
+        assert is_ergodic(ProcessTensor("lone", (), (s,), (), ((1, ((0, 1),)),)))
+        with pytest.raises(DomainError, match="^process 'lone': row 0 sums to 0, not 1$"):
+            ProcessTensor("lone", (), (s,), (), ((1, ()),))
 
     def test_positive_chain_is_ergodic(self):
         rng = Random(24)
@@ -611,17 +591,18 @@ class TestSimulate:
         assert trail == (0,)
 
     @pytest.mark.parametrize(
-        "row", [(F(1, 2), F(0), F(0)), (F(0), F(0), F(0))], ids=["half", "zero"]
+        "row, total",
+        [((F(1, 2), F(0), F(0)), "1/2"), ((F(0), F(0), F(0)), "0")],
+        ids=["half", "zero"],
     )
-    def test_row_that_is_not_a_probability_row_is_refused(self, row):
-        # at the parent both rows sampled state 2, a transition of probability 0
+    def test_row_that_is_not_a_probability_row_is_refused(self, row, total):
+        # sampled from, both rows would give state 2, a transition of
+        # probability 0; no chain holding them can be built
         s = Variable("S", ("0", "1", "2"))
-        sigma = ProcessTensor.from_matrix(
-            "p", (), (s,), (), (row, (F(0), F(1), F(0)), (F(0), F(0), F(1)))
-        )
-        with pytest.raises(DomainError, match=r"state \('0',\) is not a probability"):
-            simulate_chain(sigma, ("0",), 12, 1)
-        assert simulate_chain(sigma, ("1",), 3, 1) == (1, 1, 1, 1)
+        with pytest.raises(DomainError, match=f"^process 'p': row 0 sums to {total}, not 1$"):
+            ProcessTensor.from_matrix(
+                "p", (), (s,), (), (row, (F(0), F(1), F(0)), (F(0), F(0), F(1)))
+            )
 
     def test_negative_steps_rejected(self, triangle_sigma):
         with pytest.raises(DomainError):

@@ -147,14 +147,34 @@ class TestSemanticIssues:
             ),
             (
                 lambda doc: doc["nodes"][0].update(matrix=[["-1/2", "3/2"], ["1/2", "1/2"]]),
-                ("node 'a': negative entry -1/2 at (0, 0)",),
+                ("process 'a': negative entry -1/2 at (0, 0)",),
             ),
             (
                 lambda doc: doc.update(stationary={"w": ["1/4", "1/4", "x", "1/4"]}),
                 ("stationary 'w': not a rational: 'x'",),
             ),
+            (
+                # a node that does not build leaves its wires dangling, which
+                # is not a fault of the stationary vector
+                lambda doc: doc.update(stationary={"w": ["1/4"] * 4})
+                or doc["nodes"][0].update(matrix=[["1/2", "1/2"]]),
+                ("process 'a': matrix must be 2x2 for its declared variables",),
+            ),
+            (
+                lambda doc: doc.update(stationary={"w": ["1/4"] * 4})
+                or doc["nodes"][0].update(matrix=[["1/2", "2/5"], ["1/2", "1/2"]]),
+                ("process 'a': row 0 sums to 9/10, not 1",),
+            ),
         ],
-        ids=["variable-twice", "node-twice", "bad-alphabet", "negative-entry", "bad-weight"],
+        ids=[
+            "variable-twice",
+            "node-twice",
+            "bad-alphabet",
+            "negative-entry",
+            "bad-weight",
+            "wrong-shape-with-stationary",
+            "bad-row-with-stationary",
+        ],
     )
     def test_each_issue_is_reported(self, edit, issues):
         doc = minimal_doc()

@@ -22,7 +22,6 @@ from procnet import (
     contract_network,
     find_reciprocities,
     global_variable_order,
-    validate_process,
 )
 from procnet.errors import (
     DomainError,
@@ -62,9 +61,8 @@ def variables(draw, name):
 
 @st.composite
 def processes(draw, name, inputs, internals, outputs):
-    """A process on the given variables, each role in a drawn order; about a
-    quarter of the entries are zero, some rows are all zero, and about a
-    quarter of the rows sum to less than 1."""
+    """A process on the given variables, each role in a drawn order; its
+    rows are probability rows, and about a quarter of the entries are zero."""
     inputs, internals, outputs = (
         tuple(draw(st.permutations(vs))) for vs in (inputs, internals, outputs)
     )
@@ -73,8 +71,8 @@ def processes(draw, name, inputs, internals, outputs):
     rows = []
     for _ in range(section_count(inputs + internals)):
         weights = [rng.randint(0, 3) for _ in range(n_cols)]
-        total = sum(weights) + rng.choice((0, 0, 0, 1)) or 1
-        rows.append(tuple(Fraction(w, total) for w in weights))
+        weights[rng.randrange(n_cols)] += 1
+        rows.append(tuple(Fraction(w, sum(weights)) for w in weights))
     return ProcessTensor.from_matrix(name, inputs, internals, outputs, tuple(rows))
 
 
@@ -145,10 +143,13 @@ class TestProcessTensor:
             entries = tuple((c, int(e * common)) for c, e in enumerate(row) if e)
             expected.append((common, entries))
         assert p.rows == tuple(expected)
+        # one row replaced by a point mass, by itself reversed, or by itself
         rng = Random(seed)
         changed = [list(row) for row in matrix]
         r, c = rng.randrange(len(changed)), rng.randrange(len(changed[0]))
-        changed[r][c] = rng.choice((Fraction(0), Fraction(1, 3), changed[r][c]))
+        point = [Fraction(0)] * len(changed[r])
+        point[c] = ONE
+        changed[r] = rng.choice((point, changed[r][::-1], changed[r]))
         q = ProcessTensor.from_matrix("p", p.inputs, p.internals, p.outputs, changed)
         assert (q == p) == (q.matrix == matrix)
         assert q.matrix == tuple(map(tuple, changed))
@@ -265,29 +266,68 @@ class TestProcessTensor:
 
 
 class TestValidateProcess:
+    """The constructor checks every row, in order: a negative entry or a
+    sum other than 1 is a DomainError naming the row."""
+
     def test_negation_process_is_stochastic(self, triangle_network):
-        assert validate_process(triangle_network.node("alpha")).ok
+        # the file's dense rows ((0, 1), (1, 0)), one entry over 1 each
+        assert triangle_network.node("alpha").rows == ((1, ((1, 1),)), (1, ((0, 1),)))
 
     def test_row_summing_to_half_is_flagged(self):
-        p = ProcessTensor.from_matrix(
-            "bad", (var("I"),), (), (var("O"),),
-            ((HALF, Fraction(0)), (HALF, HALF)),
-        )
-        report = validate_process(p)
-        assert not report.ok
-        assert report.bad_row_sums == ((0, HALF),)
+        with pytest.raises(DomainError, match="^process 'bad': row 0 sums to 1/2, not 1$"):
+            ProcessTensor.from_matrix(
+                "bad", (var("I"),), (), (var("O"),),
+                ((HALF, Fraction(0)), (HALF, HALF)),
+            )
 
     def test_degenerate_one_by_one(self):
         p = ProcessTensor.from_matrix("unit", (), (), (), ((Fraction(1),),))
-        assert validate_process(p).ok
+        assert p.rows == ((1, ((0, 1),)),)
 
     def test_negative_entry_reported(self):
-        p = ProcessTensor.from_matrix(
-            "neg", (var("I"),), (), (var("O"),),
-            ((Fraction(3, 2), Fraction(-1, 2)), (HALF, HALF)),
-        )
-        report = validate_process(p)
-        assert report.negative_entries == ((0, 1, Fraction(-1, 2)),)
+        with pytest.raises(DomainError, match=r"^process 'neg': negative entry -1/2 at \(0, 1\)$"):
+            ProcessTensor.from_matrix(
+                "neg", (var("I"),), (), (var("O"),),
+                ((Fraction(3, 2), Fraction(-1, 2)), (HALF, HALF)),
+            )
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (
+                ((1, ((0, 1),)), (2, ((0, 3), (1, -1)))),
+                r"negative entry -1/2 at \(1, 1\)",
+            ),
+            (((3, ((0, 1), (1, 1))), (1, ((0, 1),))), "row 0 sums to 2/3, not 1"),
+            (((1, ((0, 1),)), (3, ((0, 2), (1, 2)))), "row 1 sums to 4/3, not 1"),
+            (((1, ()), (1, ((0, 1),))), "row 0 sums to 0, not 1"),
+            # the rows are checked in order, each before the next
+            (((2, ((0, 1),)), (1, ((0, -1), (1, 2)))), "row 0 sums to 1/2, not 1"),
+        ],
+        ids=["negative-entry", "sum-below-1", "sum-above-1", "empty-row", "in-order"],
+    )
+    def test_rows_that_are_not_probability_rows_are_refused(self, rows, message):
+        with pytest.raises(DomainError, match=f"^process 'p': {message}$"):
+            ProcessTensor("p", (var("I"),), (), (var("O"),), rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_from_matrix_accepts_exactly_the_probability_rows(self, data):
+        # each row is drawn weights over their sum plus a drawn offset, so
+        # rows come stochastic, negative, short, over and all zero
+        i, o = data.draw(variables("I")), data.draw(variables("O"))
+        matrix = []
+        for _ in range(i.size):
+            weights = data.draw(st.lists(st.integers(-1, 3), min_size=o.size, max_size=o.size))
+            total = sum(weights) + data.draw(st.sampled_from((0, 0, -1, 1))) or 1
+            matrix.append([Fraction(w, total) for w in weights])
+        stochastic = all(min(row) >= 0 and sum(row) == 1 for row in matrix)
+        try:
+            ProcessTensor.from_matrix("p", (i,), (), (o,), matrix)
+        except DomainError:
+            assert not stochastic
+        else:
+            assert stochastic
 
 
 class TestCompose:
@@ -311,7 +351,6 @@ class TestCompose:
         assert [v.name for v in c.inputs] == ["I"]
         assert [v.name for v in c.internals] == ["X", "F", "H"]
         assert [v.name for v in c.outputs] == ["O"]
-        assert validate_process(c).ok
         pm, qm, cm = p.matrix, q.matrix, c.matrix
         # every entry is the product of the operand entries
         for r, (iv, xv, fv, hv) in enumerate(iter_outcome_tuples(c.row_variables)):
@@ -408,7 +447,7 @@ class TestCompose:
             p = random_process(rng, "p", [var("I")], [var("F")])
             q = random_process(rng, "q", [var("F"), var("K")], [var("O")])
             c = contract_network(Network((p, q)))
-            assert validate_process(c).ok
+            assert all(sum(a for _, a in row) == common for common, row in c.rows)
 
     def test_result_over_the_state_cap_is_refused(self):
         # 2^6 * 2^5 = 2048 rows once the dangling inputs of p and q are side
@@ -657,7 +696,7 @@ class TestContract:
         for _ in range(8):
             net = random_closed_network(rng, allow_zeros=True)
             sigma = contract_network(net)
-            assert validate_process(sigma).ok
+            assert all(sum(a for _, a in row) == common for common, row in sigma.rows)
 
     def test_state_cap_enforced(self):
         # 2^11 states; contracting them took seconds, refusing must not
@@ -687,19 +726,23 @@ class TestContract:
         def build_a_row(*values):
             raise AssertionError("a row was built before the nonzero cap")
 
-        monkeypatch.setattr(procnet.process, "gcd", build_a_row)
+        # the row loop makes each row a tuple, and nothing before the cap
+        # calls `tuple` in `process`
+        monkeypatch.setattr(procnet.process, "tuple", build_a_row, raising=False)
         with pytest.raises(
             ResourceLimitError, match="global process of 64 nonzeros exceeds the cap of 63"
         ):
             contract_network(net)
 
     def test_global_rows_are_reduced(self):
-        # 2/3 times 1/2 is 1/3: the product's common factor 2 is divided out
-        p = ProcessTensor("p", (var("I"),), (), (var("F"),), ((3, ((1, 2),)),) * 2)
-        q = ProcessTensor("q", (var("G"),), (), (var("O"),), ((2, ((0, 1),)),) * 2)
+        # (1/3, 2/3) times (1/2, 1/2) over 6: the numerators 2 share a factor
+        # with 6, the numerators 1 do not, so the product is in lowest terms
+        # with nothing divided out
+        p = ProcessTensor("p", (var("I"),), (), (var("F"),), ((3, ((0, 1), (1, 2))),) * 2)
+        q = ProcessTensor("q", (var("G"),), (), (var("O"),), ((2, ((0, 1), (1, 1))),) * 2)
         sigma = contract_network(Network((p, q)))
-        assert sigma.rows == ((3, ((2, 1),)),) * 4
-        assert sigma.matrix[0] == (0, 0, Fraction(1, 3), 0)
+        assert sigma.rows == ((6, ((0, 1), (1, 1), (2, 2), (3, 2))),) * 4
+        assert sigma.matrix[0] == (Fraction(1, 6), Fraction(1, 6), Fraction(1, 3), Fraction(1, 3))
 
     @settings(max_examples=150, deadline=None)
     @given(networks())

@@ -18,9 +18,8 @@ NAMES = {
     "CompatibilityReport", "Distribution", "EmpiricalModel", "MeasurementScenario",
     "OverlapViolation", "Variable", "iter_outcome_tuples", "marginalize",
     "section_at", "section_count", "section_index", "validate_empirical_model",
-    "Network", "NetworkShape", "ProcessReport", "ProcessTensor", "classify_network",
+    "Network", "NetworkShape", "ProcessTensor", "classify_network",
     "contract_network", "find_reciprocities", "global_variable_order",
-    "validate_process",
     "DEFAULT_MAX_STATES", "StationaryCheck", "StationaryResult", "find_stationary",
     "is_ergodic", "simulate_chain", "step", "verify_stationary",
     "MarginalCheck", "NodeDistribution", "build_empirical_model",
@@ -40,7 +39,6 @@ NAMES = {
 OPTIONS = {
     "analyze.omega",
     "chsh_value.labeling",
-    "validate_empirical_model.tol",
 }
 
 
