@@ -44,10 +44,7 @@ from .dynamics import (
 from .empirical import (
     MarginalCheck,
     NodeDistribution,
-    build_empirical_model,
     empirical_node_frequencies,
-    node_distribution,
-    verify_marginal_theorem,
 )
 from .contextuality import (
     ChshReport,
@@ -114,10 +111,7 @@ __all__ = [
     "verify_stationary",
     "MarginalCheck",
     "NodeDistribution",
-    "build_empirical_model",
     "empirical_node_frequencies",
-    "node_distribution",
-    "verify_marginal_theorem",
     "ChshReport",
     "ContextualityVerdict",
     "GrahamTrace",

@@ -3,8 +3,12 @@
 network -> global process -> stationary distribution -> one input/output
 distribution per node -> empirical model -> contextuality verdict.  `analyze`
 runs each stage exactly once and keeps every result in one frozen
-`Analysis`, which both report forms of `procnet analyze` render.
-`stationary_regime` is the front half it shares with `procnet simulate`.
+`Analysis`, which both report forms of `procnet analyze` render; it is the
+one public route to node distributions, their marginal checks and the
+model.  `stationary_regime` is the checked front half it shares with
+`procnet simulate`: the structure check, contraction, and a stationary
+distribution that is solved for or looked up and checked exactly.  A
+network built in Python enters as a `NetworkFile` that names its vector.
 """
 from __future__ import annotations
 
@@ -18,17 +22,19 @@ from .contextuality import (
     detect_chsh_labeling,
     vorobev_regular,
 )
-from .dynamics import StationaryResult
-from .empirical import (
-    MarginalCheck,
-    NodeDistribution,
-    _assemble_model,
-    _checked_regime,
-    _node_delta,
-)
+from .dynamics import StationaryResult, find_stationary, require_stationary
+from .empirical import MarginalCheck, NodeDistribution, _assemble_model, _node_delta
+from .errors import DomainError, StationarityError, StructureError
 from .netfile import NetworkFile
-from .process import Network, ProcessTensor
-from .scenario import CompatibilityReport, EmpiricalModel
+from .process import (
+    Network,
+    ProcessTensor,
+    classify_network,
+    contract_network,
+    find_reciprocities,
+    global_variable_order,
+)
+from .scenario import CompatibilityReport, EmpiricalModel, _require_structure_caps
 
 
 @dataclass(frozen=True)
@@ -47,6 +53,22 @@ class Analysis:
     chsh: ChshReport | None
 
 
+def _require_closed_reciprocity_free(net: Network) -> None:
+    """The structure check every analysis starts with: a network over the
+    node or variable cap is a ResourceLimitError, before any pairwise work;
+    an open network or one with reciprocities a StructureError."""
+    _require_structure_caps(len(net.nodes), sum(map(len, global_variable_order(net))))
+    shape = classify_network(net)
+    if not shape.closed:
+        raise StructureError(
+            f"network is open; dangling inputs {list(shape.dangling_inputs)}, "
+            f"dangling outputs {list(shape.dangling_outputs)}"
+        )
+    reciprocities = find_reciprocities(net)
+    if reciprocities:
+        raise StructureError(f"network has reciprocities: {list(reciprocities)}")
+
+
 def stationary_regime(
     nf: NetworkFile, omega: str = "solve"
 ) -> tuple[ProcessTensor, StationaryResult]:
@@ -56,9 +78,19 @@ def stationary_regime(
     Contraction refuses a state space over the state cap before it starts
     (ResourceLimitError), whatever omega is.  omega "solve" computes the
     distribution with `find_stationary`; any other value names a vector of
-    the file, which must be an exact fixed point (StationarityError).
+    the file, looked up only after contraction, which must exist and be an
+    exact fixed point (StationarityError).
     """
-    return _checked_regime(nf.network, omega, nf.stationary_named)
+    # a node with internals is a self-reciprocity, so none survives this
+    _require_closed_reciprocity_free(nf.network)
+    sigma = contract_network(nf.network)
+    if omega == "solve":
+        return sigma, find_stationary(sigma)
+    try:
+        dist = nf.stationary_named(omega)
+    except DomainError as exc:
+        raise StationarityError(str(exc)) from exc
+    return sigma, StationaryResult(require_stationary(sigma, dist), "user_supplied")
 
 
 def analyze(nf: NetworkFile, omega: str = "solve") -> Analysis:

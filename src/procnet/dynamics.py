@@ -150,8 +150,8 @@ def verify_stationary(sigma: ProcessTensor, dist: Distribution) -> StationaryChe
     with n_c L.  The residual is the largest gap over d L, and the worst
     state the first one at that gap.
     """
-    dist = _aligned(sigma, dist)
     _require_closed(sigma)
+    dist = _aligned(sigma, dist)
     d, nums = dist._integers
     common, totals = _integer_product(sigma, dist)
     gaps = [abs(t - n_c * common) for t, n_c in zip(totals, nums)]
@@ -382,11 +382,14 @@ def _guide(columns: list[int], thresholds: list[int]) -> list[int]:
 
 
 def require_stationary(sigma: ProcessTensor, dist: Distribution) -> Distribution:
-    """Raise StationarityError unless dist is an exact fixed point."""
+    """dist in the variable order of the closed sigma, aligned once; a
+    StationarityError unless it is an exact fixed point."""
+    _require_closed(sigma)
+    dist = _aligned(sigma, dist)
     check = verify_stationary(sigma, dist)
     if not check.stationary:
         raise StationarityError(
             f"distribution is not stationary: max residual {check.residual} "
             f"at state {check.worst_state}"
         )
-    return _aligned(sigma, dist)
+    return dist

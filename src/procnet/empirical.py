@@ -20,15 +20,11 @@ inputs and on the outputs, and the node weights and both checks are integer
 sums over one denominator.  Fractions are built only for the returned
 weights and the reported mismatches.
 
-The three stage functions (`node_distribution`, `verify_marginal_theorem`,
-`build_empirical_model`) take only a network and a distribution, and each
-runs the one checked front half `_checked_regime` before it reads a node:
-the structure check, contraction, and the exact fixed-point check of the
-distribution against that network's own global process.  So only a
-stationary regime reaches a node distribution or a model; `analyze` and
-`simulate` run the same function once per network file
-(`analysis.stationary_regime`), where it also solves or looks up the
-distribution by name.
+Nothing here contracts a network or checks a distribution: `analyze` runs
+the checked front half (`analysis.stationary_regime`: the structure check,
+contraction and an exact fixed-point check) once per network file, and only
+then hands each node and the stationary distribution to `_node_delta` and
+the node distributions to `_assemble_model`.
 
 `empirical_node_frequencies` is the Monte Carlo counterpart: it counts the
 same (input, output) events along a trajectory of state indices from
@@ -43,23 +39,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .errors import DomainError, StationarityError, StructureError
-from .process import (
-    Network,
-    ProcessTensor,
-    classify_network,
-    contract_network,
-    find_reciprocities,
-    global_variable_order,
-)
-from .dynamics import (
-    StationaryResult,
-    _require_closed,
-    find_stationary,
-    require_stationary,
-)
+from .errors import DomainError, StructureError
+from .process import ProcessTensor
+from .dynamics import _require_closed
 from .scenario import (
     CompatibilityReport,
     Distribution,
@@ -67,7 +51,6 @@ from .scenario import (
     MeasurementScenario,
     Variable,
     _index_table,
-    _require_structure_caps,
     marginalize,
     section_at,
     section_count,
@@ -104,50 +87,6 @@ class MarginalCheck:
     @property
     def ok(self) -> bool:
         return not self.input_mismatches and not self.output_mismatches
-
-
-def _require_closed_reciprocity_free(net: Network) -> None:
-    """The structure check every analysis starts with: a network over the
-    node or variable cap is a ResourceLimitError, before any pairwise work;
-    an open network or one with reciprocities a StructureError."""
-    _require_structure_caps(len(net.nodes), sum(map(len, global_variable_order(net))))
-    shape = classify_network(net)
-    if not shape.closed:
-        raise StructureError(
-            f"network is open; dangling inputs {list(shape.dangling_inputs)}, "
-            f"dangling outputs {list(shape.dangling_outputs)}"
-        )
-    reciprocities = find_reciprocities(net)
-    if reciprocities:
-        raise StructureError(f"network has reciprocities: {list(reciprocities)}")
-
-
-def _checked_regime(
-    net: Network,
-    omega: str | Distribution,
-    named: Callable[[str], Distribution] | None = None,
-) -> tuple[ProcessTensor, StationaryResult]:
-    """The checked front half of every analysis: the global process of net
-    and a stationary distribution of it.
-
-    The structure check runs first, then contraction, which refuses a state
-    space over the state cap whatever omega is.  omega "solve" computes the
-    distribution with `find_stationary`; another str is the name of a vector
-    that `named` looks up, only after contraction, a failed lookup being a
-    StationarityError; that vector, or a Distribution passed as omega, must
-    be an exact fixed point of the process (`require_stationary`).
-    """
-    # a node with internals is a self-reciprocity, so none survives this
-    _require_closed_reciprocity_free(net)
-    sigma = contract_network(net)
-    if omega == "solve":
-        return sigma, find_stationary(sigma)
-    if isinstance(omega, str):
-        try:
-            omega = named(omega)
-        except DomainError as exc:
-            raise StationarityError(str(exc)) from exc
-    return sigma, StationaryResult(require_stationary(sigma, omega), "user_supplied")
 
 
 def _node_delta(
@@ -239,49 +178,6 @@ def _assemble_model(
             f"{report.violations[0]}"
         )
     return model, report
-
-
-def node_distribution(
-    net: Network, stationary: Distribution, node_name: str
-) -> NodeDistribution:
-    """The joint input/output distribution of one node.
-
-    Requires a closed, reciprocity-free network and a distribution that is
-    an exact fixed point of its global process (StationarityError
-    otherwise); to read many nodes of one network, `analyze` contracts and
-    checks once.
-    """
-    node = net.node(node_name)
-    return _node_delta(node, _checked_regime(net, stationary)[1].distribution)[0]
-
-
-def verify_marginal_theorem(
-    net: Network, stationary: Distribution, node_name: str
-) -> MarginalCheck:
-    """Check exactly that a node's input and output marginals equal the
-    stationary marginals on the same variables.
-
-    The inputs are checked as in `node_distribution`, so the check passes
-    for every input it accepts; it exists as an executable diagnostic, and
-    reports each mismatch as (outcomes, node weight, stationary weight),
-    from the same pass as `node_distribution`.
-    """
-    node = net.node(node_name)
-    return _node_delta(node, _checked_regime(net, stationary)[1].distribution)[1]
-
-
-def build_empirical_model(net: Network, stationary: Distribution) -> EmpiricalModel:
-    """Assemble the empirical model of a closed, reciprocity-free network.
-
-    The inputs are checked as in `node_distribution`.  One maximal context
-    per node (its inputs plus outputs); a node whose context is contained in
-    another's is absorbed after an exact agreement check, keeping the
-    context family an antichain.  The finished model is re-validated, exactly,
-    for overlap compatibility.
-    """
-    stationary = _checked_regime(net, stationary)[1].distribution
-    deltas = [_node_delta(node, stationary)[0] for node in net.nodes]
-    return _assemble_model(stationary.variables, deltas)[0]
 
 
 def empirical_node_frequencies(

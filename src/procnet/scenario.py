@@ -69,7 +69,7 @@ def _require_structure_caps(n_nodes: int, n_variables: int) -> None:
             raise ResourceLimitError(f"structure check: {n} {what} exceed the cap of {cap}")
 
 
-def _names(values, what: str) -> tuple:
+def _sequence(values, what: str) -> tuple:
     """values as a tuple; a bare str, which would split into its characters,
     a mapping, which would yield its keys, or a value that is not iterable
     is a DomainError naming `what`."""
@@ -78,6 +78,16 @@ def _names(values, what: str) -> tuple:
             f"{what} must be a sequence other than a str or a mapping, not {echo(values)}"
         )
     return tuple(values)
+
+
+def _names(values, what: str) -> tuple[str, ...]:
+    """values as a `_sequence` of variable names; an entry that is not a str
+    is a DomainError naming `what`, before any name is sorted or hashed."""
+    names = _sequence(values, what)
+    for name in names:
+        if not isinstance(name, str):
+            raise DomainError(f"an entry of {what} must be a str, not {echo(name)}")
+    return names
 
 
 @dataclass(frozen=True)
@@ -91,7 +101,7 @@ class Variable:
         if not isinstance(self.name, str) or not self.name:
             raise DomainError("variable name must be a nonempty string")
         object.__setattr__(
-            self, "alphabet", _names(self.alphabet, f"alphabet of {self.name!r}")
+            self, "alphabet", _sequence(self.alphabet, f"alphabet of {self.name!r}")
         )
         if not self.alphabet:
             raise DomainError(f"variable {self.name!r} needs at least one outcome")
@@ -154,7 +164,7 @@ def section_index(variables: Sequence[Variable], section) -> int:
     would be read as outcomes, or a value that is not iterable is a
     DomainError.
     """
-    outcomes = _names(section, "a section's outcomes")
+    outcomes = _sequence(section, "a section's outcomes")
     if len(outcomes) != len(variables):
         raise DomainError("outcome tuple length does not match variable list")
     idx = 0
@@ -306,7 +316,7 @@ class MeasurementScenario:
             "maximal_contexts",
             tuple(
                 _names(ctx, "a maximal context")
-                for ctx in _names(self.maximal_contexts, "maximal contexts")
+                for ctx in _sequence(self.maximal_contexts, "maximal contexts")
             ),
         )
         _check_distinct_names(self.variables)
@@ -371,7 +381,7 @@ class EmpiricalModel:
                     )
 
     def distribution_for(self, context: Iterable[str]) -> Distribution:
-        wanted = frozenset(context)
+        wanted = frozenset(_names(context, "a context"))
         for ctx, dist in zip(self.scenario.maximal_contexts, self.context_distributions):
             if frozenset(ctx) == wanted:
                 return dist

@@ -2,18 +2,24 @@
 
 `deterministic_process` and `uniform_process` build internal-free
 processes from a rule or as uniform rows, `reorder_process` permutes the
-variables within each role, `iter_sections` and `restrict_section` list
-and project sections as tuples of (name, outcome) pairs, and `one_outcome_cycle_doc` writes a network file
-document of any size over one state.  None of them is needed for a
-verdict, so they live here rather than in the package.
+variables within each role, `iter_sections` and `restrict_section` list and
+project sections as tuples of (name, outcome) pairs, and
+`one_outcome_cycle_doc` writes a network file document of any size over one
+state.  `analyze_with` runs `analyze` on a network and a distribution built
+in Python, the library route the README documents, and `node_result` reads
+one node's results from an analysis.  None of them is needed for a verdict,
+so they live here rather than in the package.
 """
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
+from procnet.analysis import Analysis, analyze
 from procnet.errors import DomainError
-from procnet.process import ProcessTensor
+from procnet.netfile import NetworkFile
+from procnet.process import Network, ProcessTensor
 from procnet.scenario import (
+    Distribution,
     Variable,
     _index_table,
     iter_outcome_tuples,
@@ -31,11 +37,9 @@ def deterministic_process(
     inputs = tuple(inputs)
     outputs = tuple(outputs)
     column = {o: c for c, o in enumerate(iter_outcome_tuples(outputs))}
-    rows = []
-    for in_outcomes in iter_outcome_tuples(inputs):
-        c = column.get(tuple(rule(in_outcomes)))
-        rows.append((1, () if c is None else ((c, 1),)))
-    return ProcessTensor(name, inputs, (), outputs, tuple(rows))
+    # an outcome outside the alphabet is a KeyError that names it
+    rows = tuple((1, ((column[tuple(rule(i))], 1),)) for i in iter_outcome_tuples(inputs))
+    return ProcessTensor(name, inputs, (), outputs, rows)
 
 
 def uniform_process(
@@ -119,3 +123,14 @@ def one_outcome_cycle_doc(n_nodes: int, wires: int):
             for k in range(n_nodes)
         ],
     }
+
+
+def analyze_with(net: Network, omega: Distribution) -> Analysis:
+    """`analyze` of net, with omega as the one named vector of its file."""
+    return analyze(NetworkFile(omega.variables, net, (("omega", omega),)), "omega")
+
+
+def node_result(analysis: Analysis, name: str):
+    """The named node's distribution and marginal check in an analysis."""
+    k = analysis.network.node_names.index(name)
+    return analysis.node_distributions[k], analysis.marginal_checks[k]

@@ -25,7 +25,6 @@ from procnet import (
     ProcessTensor,
     Variable,
     analyze,
-    build_empirical_model,
     bundled_network_path,
     chsh_value,
     contract_network,
@@ -34,15 +33,14 @@ from procnet import (
     is_ergodic,
     is_strongly_contextual,
     load_network_file,
-    node_distribution,
     simulate_chain,
     validate_empirical_model,
     verify_infeasibility_certificate,
-    verify_marginal_theorem,
     verify_stationary,
     vorobev_regular,
 )
 from procnet.empirical import empirical_node_frequencies
+from builders import analyze_with, node_result
 from oracle import n_cycle_certificate, n_cycle_excess
 from generators import (
     family_by_elimination,
@@ -116,8 +114,9 @@ def test_criterion_1_triangle(triangle_network, sixcycle_omega):
     anti = (F(0), F(1, 2), F(1, 2), F(0))
     corr = (F(1, 2), F(0), F(0), F(1, 2))
     expected_tables = {"alpha": anti, "beta": corr, "gamma": corr}
+    analysis = analyze_with(triangle_network, sixcycle_omega)
     for name, expected_weights in expected_tables.items():
-        nd = node_distribution(triangle_network, sixcycle_omega, name)
+        nd, _ = node_result(analysis, name)
         assert nd.distribution.weights == expected_weights
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
@@ -143,7 +142,7 @@ def test_criterion_2_chsh(chsh_network):
     assert all(w == F(1, 16) for w in uniform.weights)
     assert verify_stationary(sigma, uniform).stationary
 
-    model = build_empirical_model(chsh_network, uniform)
+    model = analyze_with(chsh_network, uniform).model
     anti = (F(0), F(1, 2), F(1, 2), F(0))
     corr = (F(1, 2), F(0), F(0), F(1, 2))
     by_context = dict(
@@ -165,11 +164,10 @@ def test_criterion_2_chsh(chsh_network):
 @criterion(3, "contextuality-verdicts")
 def test_criterion_3_verdicts(triangle_network, sixcycle_omega, chsh_network):
     start = time.perf_counter()
-    triangle_model = build_empirical_model(triangle_network, sixcycle_omega)
+    triangle_model = analyze_with(triangle_network, sixcycle_omega).model
     chsh_sigma = contract_network(chsh_network)
-    chsh_model = build_empirical_model(
-        chsh_network, Distribution.uniform(chsh_sigma.internals)
-    )
+    chsh_uniform = Distribution.uniform(chsh_sigma.internals)
+    chsh_model = analyze_with(chsh_network, chsh_uniform).model
     for model in (triangle_model, chsh_model):
         verdict = decide_contextuality(model)
         assert verdict.contextual
@@ -233,9 +231,10 @@ def test_criterion_4_marginal_property_suite(population):
     assert len(triples) >= 200
     for net, sigma, omega in triples:
         assert verify_stationary(sigma, omega).residual == 0
-        for node in net.nodes:
-            check = verify_marginal_theorem(net, omega, node.name)
-            assert check.ok, (node.name, check)
+        checks = analyze_with(net, omega).marginal_checks
+        assert [check.node for check in checks] == list(net.node_names)
+        for check in checks:
+            assert check.ok, (check.node, check)
     elapsed = build_seconds + (time.perf_counter() - start)
     assert elapsed < 60.0, f"took {elapsed:.1f}s including generation"
 
@@ -245,7 +244,7 @@ def test_criterion_5_model_compatibility_suite(population):
     start = time.perf_counter()
     triples, build_seconds = population
     for net, sigma, omega in triples:
-        model = build_empirical_model(net, omega)
+        model = analyze_with(net, omega).model
         report = validate_empirical_model(model)
         assert report.ok, report.violations[:3]
     elapsed = build_seconds + (time.perf_counter() - start)
@@ -308,8 +307,9 @@ def test_criterion_7_monte_carlo():
         trail = simulate_chain(
             sigma, omega, MONTE_CARLO_STEPS, seed=MONTE_CARLO_SEED * 1000 + i
         )
+        analysis = analyze_with(net, omega)
         for node in net.nodes:
-            exact = node_distribution(net, omega, node.name).distribution
+            exact = node_result(analysis, node.name)[0].distribution
             freq = empirical_node_frequencies(sigma, node, trail)
             for p, f in zip(exact.weights, freq.weights):
                 pf = float(p)
@@ -331,8 +331,7 @@ def test_criterion_8_rate_report():
         net = random_closed_network(rng)
         sigma = contract_network(net)
         omega = find_stationary(sigma).distribution
-        model = build_empirical_model(net, omega)
-        verdict = decide_contextuality(model)
+        verdict = analyze_with(net, omega).verdict
         total += 1
         contextual += verdict.contextual
         strong += verdict.strongly_contextual

@@ -6,9 +6,7 @@ from collections import Counter
 import pytest
 
 from procnet import (
-    Distribution,
     analyze,
-    build_empirical_model,
     bundled_network_path,
     classify_network,
     contract_network,
@@ -18,17 +16,14 @@ from procnet import (
     is_strongly_contextual,
     load_network_file,
     marginalize,
-    node_distribution,
     parse_network_text,
     validate_empirical_model,
     verify_infeasibility_certificate,
-    verify_marginal_theorem,
 )
-from procnet import scenario
+from procnet import analysis, scenario
 from procnet.analysis import stationary_regime
 from procnet.cli import main
 from procnet.dynamics import _strongly_connected_components, _support_graph
-from procnet import empirical
 from procnet.empirical import _node_delta
 from procnet.errors import ResourceLimitError, StationarityError, StructureError
 from procnet.exactlp import farkas_contradiction
@@ -135,22 +130,12 @@ def test_an_empty_network_is_a_structure_error(capsys, tmp_path):
     ],
     ids=["ring-1000", "cycle-9000-wires"],
 )
-def test_structure_caps_refuse_analyze_and_the_stage_functions(shape, message):
+def test_structure_caps_refuse_analyze(shape, message):
     # one state each, so only the node and variable caps can refuse them
     nf = parse_network_text(json.dumps(one_outcome_cycle_doc(*shape)))
-    net = nf.network
-    # never read: the caps refuse before the distribution is looked at
-    omega = Distribution.uniform(net.nodes[0].inputs)
-    calls = [
-        lambda: analyze(nf),
-        lambda: node_distribution(net, omega, "relay0"),
-        lambda: verify_marginal_theorem(net, omega, "relay0"),
-        lambda: build_empirical_model(net, omega),
-    ]
     start = time.perf_counter()
-    for call in calls:
-        with pytest.raises(ResourceLimitError, match=message):
-            call()
+    with pytest.raises(ResourceLimitError, match=message):
+        analyze(nf)
     assert time.perf_counter() - start < 1.0
 
 
@@ -178,17 +163,17 @@ def test_contraction_refuses_before_a_vector_name_is_looked_up():
         stationary_regime(small, "missing")
 
 
-def test_the_stage_functions_and_stationary_regime_share_one_front_half(monkeypatch):
+@pytest.mark.parametrize("omega", ["sixcycle", "solve"])
+def test_analyze_and_simulate_each_run_the_front_half_once(monkeypatch, capsys, omega):
     calls: Counter = Counter()
-    count_calls(monkeypatch, empirical._checked_regime, calls)
-    nf = load_network_file(bundled_network_path("triangle"))
-    omega = nf.stationary_named("sixcycle")
-    stationary_regime(nf, "sixcycle")
-    node_distribution(nf.network, omega, "alpha")
-    verify_marginal_theorem(nf.network, omega, "alpha")
-    build_empirical_model(nf.network, omega)
-    analyze(nf)
-    assert calls == Counter({("_checked_regime", None): 5})
+    count_calls(monkeypatch, analysis.stationary_regime, calls)
+    path = bundled_network_path("triangle")
+    analyze(load_network_file(path), omega)
+    assert calls == Counter({("stationary_regime", None): 1})
+    argv = ["simulate", str(path), "--node", "alpha", "--omega", omega, "--steps", "50"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == Counter({("stationary_regime", None): 2})
 
 
 @pytest.mark.parametrize(
@@ -269,18 +254,9 @@ def test_one_simulate_call_builds_one_graph_per_chain_question(
 @pytest.mark.parametrize("name, omega", [("triangle", "sixcycle"), ("chain", "exact")])
 def test_analysis_agrees_with_the_public_stage_functions(name, omega):
     nf = load_network_file(bundled_network_path(name))
-    net = nf.network
     a = analyze(nf, omega)
-    stationary = nf.stationary_named(omega)
-    assert a.stationary.distribution == stationary
-    assert a.node_distributions == tuple(
-        node_distribution(net, stationary, n) for n in net.node_names
-    )
-    assert a.marginal_checks == tuple(
-        verify_marginal_theorem(net, stationary, n) for n in net.node_names
-    )
+    assert a.stationary.distribution == nf.stationary_named(omega)
     assert all(check.ok for check in a.marginal_checks)
-    assert a.model == build_empirical_model(net, stationary)
     assert a.compatibility == validate_empirical_model(a.model)
     if a.verdict.contextual:
         assert verify_infeasibility_certificate(a.model, a.verdict.certificate)

@@ -12,7 +12,6 @@ from procnet import (
     EmpiricalModel,
     MeasurementScenario,
     Variable,
-    build_empirical_model,
     chsh_value,
     decide_contextuality,
     detect_chsh_labeling,
@@ -27,6 +26,7 @@ from procnet import (
 from procnet.errors import DomainError, ResourceLimitError
 from procnet.rationals import echo
 from procnet.scenario import iter_outcome_tuples, section_count
+from builders import analyze_with
 from oracle import solve_linear
 from generators import (
     family_by_elimination,
@@ -512,11 +512,11 @@ class TestNetworkIntegration:
     def test_triangle_network_model_judged_contextual(
         self, triangle_network, sixcycle_omega
     ):
-        model = build_empirical_model(triangle_network, sixcycle_omega)
+        model = analyze_with(triangle_network, sixcycle_omega).model
         verdict = decide_contextuality(model)
         assert verdict.contextual and verdict.strongly_contextual
 
     def test_chsh_network_model_scores_four(self, chsh_network, chsh_sigma):
         uniform = Distribution.uniform(chsh_sigma.internals)
-        model = build_empirical_model(chsh_network, uniform)
+        model = analyze_with(chsh_network, uniform).model
         assert chsh_value(model).value == 4

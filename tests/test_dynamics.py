@@ -407,6 +407,38 @@ def test_a_variable_over_another_alphabet_is_refused(run):
                 run(sigma, Distribution.uniform(variables))
 
 
+def test_require_stationary_aligns_a_distribution_once(
+    monkeypatch, triangle_sigma, sixcycle_omega
+):
+    # each alignment reorders every state; the fixed-point check reads the
+    # distribution already aligned
+    shuffled = sixcycle_omega.reorder(("Z", "X", "Y"))
+    calls = []
+    reorder = Distribution.reorder
+
+    def counted(dist, names):
+        calls.append(tuple(names))
+        return reorder(dist, names)
+
+    monkeypatch.setattr(Distribution, "reorder", counted)
+    assert require_stationary(triangle_sigma, shuffled) == sixcycle_omega
+    assert calls == [("X", "Y", "Z")]
+
+
+@pytest.mark.parametrize(
+    "run", [step, verify_stationary, require_stationary], ids=lambda f: f.__name__
+)
+def test_an_open_process_is_refused_before_the_distribution_is_aligned(run):
+    # the distribution's variables do not match either; closedness is
+    # checked first, as in every chain function
+    p = ProcessTensor.from_matrix(
+        "open", (Variable("I", BINARY),), (), (Variable("O", BINARY),),
+        ((F(1), F(0)), (F(0), F(1))),
+    )
+    with pytest.raises(DomainError, match="^process 'open' is not closed"):
+        run(p, Distribution.uniform((Variable("W", BINARY),)))
+
+
 def test_stationary_result_checks_its_provenance(triangle_sigma):
     # both methods are exact, so the residual is a constant, not a field
     dist = Distribution.uniform(triangle_sigma.internals)

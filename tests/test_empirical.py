@@ -13,24 +13,21 @@ from procnet import (
     Network,
     ProcessTensor,
     Variable,
-    build_empirical_model,
     bundled_network_path,
     contract_network,
     empirical_node_frequencies,
     find_stationary,
     load_network_file,
     marginalize,
-    node_distribution,
     section_at,
     simulate_chain,
     validate_empirical_model,
-    verify_marginal_theorem,
     verify_stationary,
 )
 from procnet import empirical
 from procnet.empirical import NodeDistribution, _node_delta
 from procnet.errors import DomainError, StationarityError, StructureError
-from builders import deterministic_process, uniform_process
+from builders import analyze_with, deterministic_process, node_result, uniform_process
 from generators import random_closed_network, random_distribution
 from oracle import fraction_node_delta, pairwise_node_frequencies
 from procnet.scenario import iter_outcome_tuples
@@ -61,7 +58,7 @@ def two_node_loop(forward: int, back: int):
 
 class TestNodeDistribution:
     def test_triangle_alpha_anticorrelated(self, triangle_network, sixcycle_omega):
-        nd = node_distribution(triangle_network, sixcycle_omega, "alpha")
+        nd, _ = node_result(analyze_with(triangle_network, sixcycle_omega), "alpha")
         assert nd.context == ("X", "Y")
         for x, y in iter_outcome_tuples(nd.distribution.variables):
             expected = F(1, 2) if x != y else F(0)
@@ -69,7 +66,7 @@ class TestNodeDistribution:
 
     def test_chsh_first_context_anticorrelated(self, chsh_network, chsh_sigma):
         uniform = Distribution.uniform(chsh_sigma.internals)
-        nd = node_distribution(chsh_network, uniform, "n11")
+        nd, _ = node_result(analyze_with(chsh_network, uniform), "n11")
         assert nd.context == ("A1", "B1")
         for a, b in iter_outcome_tuples(nd.distribution.variables):
             expected = F(1, 2) if a != b else F(0)
@@ -99,21 +96,15 @@ class TestNodeDistribution:
             ) * F(1, 2)
 
     def test_non_stationary_omega_rejected(self):
-        # all three stage functions check exactly; the all-"0" point mass
-        # once reached internal AssertionErrors when the check was skipped
+        # a named vector is checked exactly; the all-"0" point mass once
+        # reached internal AssertionErrors when the check was skipped
         cases = [("triangle", ("0", "0", "1")), ("triangle", None), ("chain", None)]
         for name, outcomes in cases:
             net = load_network_file(bundled_network_path(name)).network
             variables = contract_network(net).internals
             moving = Distribution.point_mass(variables, outcomes or ("0",) * len(variables))
-            node = net.node_names[0]
-            for call in (
-                lambda: node_distribution(net, moving, node),
-                lambda: verify_marginal_theorem(net, moving, node),
-                lambda: build_empirical_model(net, moving),
-            ):
-                with pytest.raises(StationarityError, match="is not stationary"):
-                    call()
+            with pytest.raises(StationarityError, match="is not stationary"):
+                analyze_with(net, moving)
 
     def test_a_stationary_distribution_of_another_network_is_rejected(self):
         # sixcycle is stationary for triangle, over the same variables as
@@ -123,23 +114,18 @@ class TestNodeDistribution:
         )
         product = load_network_file(bundled_network_path("product")).network
         assert not verify_stationary(contract_network(product), sixcycle).stationary
-        for call in (
-            lambda: node_distribution(product, sixcycle, "alpha"),
-            lambda: verify_marginal_theorem(product, sixcycle, "alpha"),
-            lambda: build_empirical_model(product, sixcycle),
-        ):
-            with pytest.raises(StationarityError, match="is not stationary"):
-                call()
+        with pytest.raises(StationarityError, match="is not stationary"):
+            analyze_with(product, sixcycle)
 
 
 class TestMarginalTheorem:
     def test_triangle_alpha_marginals_uniform(self, triangle_network, sixcycle_omega):
-        check = verify_marginal_theorem(triangle_network, sixcycle_omega, "alpha")
+        _, check = node_result(analyze_with(triangle_network, sixcycle_omega), "alpha")
         assert check.ok
 
     def test_chsh_n22_marginals(self, chsh_network, chsh_sigma):
         uniform = Distribution.uniform(chsh_sigma.internals)
-        check = verify_marginal_theorem(chsh_network, uniform, "n22")
+        _, check = node_result(analyze_with(chsh_network, uniform), "n22")
         assert check.ok
 
     def test_random_networks_satisfy_both_equalities(self):
@@ -148,9 +134,10 @@ class TestMarginalTheorem:
             net = random_closed_network(rng, allow_zeros=True)
             sigma = contract_network(net)
             omega = find_stationary(sigma).distribution
-            for node in net.nodes:
-                check = verify_marginal_theorem(net, omega, node.name)
-                assert check.ok, (node.name, check)
+            checks = analyze_with(net, omega).marginal_checks
+            assert [check.node for check in checks] == list(net.node_names)
+            for check in checks:
+                assert check.ok, (check.node, check)
 
     def test_mismatches_of_a_moving_point_mass(self, triangle_network, triangle_sigma):
         # (X, Y, Z) = (0, 0, 1) steps to (1, 1, 0): every output wire moves,
@@ -248,7 +235,7 @@ class TestBuildEmpiricalModel:
     def test_triangle_reproduces_the_classic_tables(
         self, triangle_network, sixcycle_omega
     ):
-        model = build_empirical_model(triangle_network, sixcycle_omega)
+        model = analyze_with(triangle_network, sixcycle_omega).model
         assert model.scenario.maximal_contexts == (
             ("X", "Y"),
             ("Y", "Z"),
@@ -263,7 +250,7 @@ class TestBuildEmpiricalModel:
 
     def test_chsh_reproduces_the_pr_box(self, chsh_network, chsh_sigma):
         uniform = Distribution.uniform(chsh_sigma.internals)
-        model = build_empirical_model(chsh_network, uniform)
+        model = analyze_with(chsh_network, uniform).model
         anti = (F(0), F(1, 2), F(1, 2), F(0))
         corr = (F(1, 2), F(0), F(0), F(1, 2))
         by_context = dict(
@@ -283,7 +270,7 @@ class TestBuildEmpiricalModel:
         net = Network((loop,))
         omega = Distribution.uniform(loop.internals)
         with pytest.raises(StructureError):
-            build_empirical_model(net, omega)
+            analyze_with(net, omega)
 
     def test_open_network_rejected(self):
         p = deterministic_process(
@@ -291,7 +278,7 @@ class TestBuildEmpiricalModel:
         )
         net = Network((p,))
         with pytest.raises(StructureError):
-            build_empirical_model(net, Distribution.uniform((Variable("I", BINARY),)))
+            analyze_with(net, Distribution.uniform((Variable("I", BINARY),)))
 
     def test_contained_contexts_are_absorbed(self):
         # source -> stage1 -> stage2 -> drain; the one-variable contexts of
@@ -308,10 +295,11 @@ class TestBuildEmpiricalModel:
         net = Network((source, stage1, stage2, drain))
         sigma = contract_network(net)
         omega = find_stationary(sigma).distribution
-        model = build_empirical_model(net, omega)
+        analysis = analyze_with(net, omega)
+        model = analysis.model
         assert model.scenario.maximal_contexts == (("A", "B"), ("B", "C"))
         # the absorbed source context agrees with the relay's marginal
-        nd = node_distribution(net, omega, "source")
+        nd, _ = node_result(analysis, "source")
         assert (
             marginalize(model.context_distributions[0], ("A",)).weights
             == nd.distribution.weights
@@ -323,7 +311,7 @@ class TestBuildEmpiricalModel:
             net = random_closed_network(rng, allow_zeros=True)
             sigma = contract_network(net)
             omega = find_stationary(sigma).distribution
-            model = build_empirical_model(net, omega)
+            model = analyze_with(net, omega).model
             assert validate_empirical_model(model).ok
 
 
@@ -333,7 +321,7 @@ class TestNodeVersusGlobalPair:
     ):
         # induced table concentrates on x != y, while the stationary pair
         # marginal keeps weight 1/6 on each agreeing pair
-        nd = node_distribution(triangle_network, sixcycle_omega, "alpha")
+        nd, _ = node_result(analyze_with(triangle_network, sixcycle_omega), "alpha")
         pair = marginalize(sixcycle_omega, ("X", "Y"))
         assert nd.distribution.weights != pair.weights
         assert pair.weight(("0", "0")) == F(1, 6)
@@ -468,9 +456,8 @@ class TestEmpiricalFrequencies:
         alpha = triangle_network.node("alpha")
         trail = simulate_chain(triangle_sigma, sixcycle_omega, steps=600, seed=2)
         observed = empirical_node_frequencies(triangle_sigma, alpha, trail)
-        exact = node_distribution(
-            triangle_network, sixcycle_omega, "alpha"
-        ).distribution
+        nd, _ = node_result(analyze_with(triangle_network, sixcycle_omega), "alpha")
+        exact = nd.distribution
         # deterministic orbit: averages converge at rate 1/steps
         gap = max(
             abs(float(a) - float(b))

@@ -824,3 +824,10 @@ class TestRenameReorder:
                         sm[j * 4 + i * 2 + x]
                         == pm[i * 4 + j * 2 + x]
                     )
+
+
+def test_a_deterministic_rule_outside_the_alphabet_names_the_outcome():
+    # the builder once made an empty row for it, which the constructor
+    # refused as a row summing to 0
+    with pytest.raises(KeyError, match=r"\('2',\)"):
+        deterministic_process("p", [var("I")], [var("O")], lambda t: ("2",))

@@ -22,8 +22,7 @@ NAMES = {
     "contract_network", "find_reciprocities", "global_variable_order",
     "DEFAULT_MAX_STATES", "StationaryCheck", "StationaryResult", "find_stationary",
     "is_ergodic", "simulate_chain", "step", "verify_stationary",
-    "MarginalCheck", "NodeDistribution", "build_empirical_model",
-    "empirical_node_frequencies", "node_distribution", "verify_marginal_theorem",
+    "MarginalCheck", "NodeDistribution", "empirical_node_frequencies",
     "ChshReport", "ContextualityVerdict", "GrahamTrace", "chsh_value",
     "decide_contextuality", "detect_chsh_labeling", "global_section_system",
     "graham_reduction", "is_strongly_contextual", "verify_infeasibility_certificate",
@@ -94,4 +93,4 @@ def test_the_public_options_are_exactly_the_pinned_ones():
 def test_the_walk_reaches_constructors_and_methods():
     labels = {label for label, _ in public_callables()}
     assert {"Distribution.uniform", "ProcessTensor.from_matrix", "ChshReport"} <= labels
-    assert {"node_distribution", "verify_marginal_theorem", "build_empirical_model"} <= labels
+    assert {"analyze", "NetworkFile", "NetworkFile.stationary_named"} <= labels

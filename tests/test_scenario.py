@@ -11,6 +11,7 @@ from procnet import (
     EmpiricalModel,
     MeasurementScenario,
     Variable,
+    chsh_value,
     iter_outcome_tuples,
     marginalize,
     section_at,
@@ -395,6 +396,40 @@ XY = MeasurementScenario((X, Y), (("X", "Y"),))
 )
 def test_constructor_and_lookup_domain_errors(call, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
+
+
+XY_MODEL = EmpiricalModel(XY, (Distribution.uniform((X, Y)),))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Distribution.uniform((X, Y)).reorder([1, "X"]), "reorder names.*, not 1"),
+        (
+            lambda: marginalize(Distribution.uniform((X, Y)), [["X"]]),
+            r"marginalization names.*, not \['X'\]",
+        ),
+        (
+            lambda: MeasurementScenario((X, Y), (("X", "Y"), ("Q", 1))),
+            "a maximal context.*, not 1",
+        ),
+        (
+            lambda: MeasurementScenario((X, Y), (("X", ["Y"]),)),
+            r"a maximal context.*, not \['Y'\]",
+        ),
+        (lambda: XY_MODEL.distribution_for([["A"]]), r"a context.*, not \['A'\]"),
+        (lambda: XY_MODEL.distribution_for(["A", 1]), "a context.*, not 1"),
+        (lambda: chsh_value(XY_MODEL, (1, "X", "Y", "Y")), "a CHSH labeling.*, not 1"),
+    ],
+    ids=[
+        "reorder", "marginalize", "context-int", "context-list",
+        "distribution-for-list", "distribution-for-int", "chsh-labeling",
+    ],
+)
+def test_a_name_that_is_not_a_str_is_refused(call, message):
+    # sorting or hashing such a name raised TypeError before it was checked
+    with pytest.raises(DomainError, match=f"^an entry of {message}$"):
         call()
 
 
